@@ -50,7 +50,6 @@ from .eigen import (
 )
 from .harmonic import (
     CollarIterationError,
-    CrossSectionBasis,
     HarmonicSolution,
     PlateauConstants,
     collar_fourier_solve,
@@ -66,7 +65,6 @@ from .nodal import (
     extract_nodal_set,
     localization_report,
     nodal_domain_count,
-    regularity_min_gradient,
     single_crossing_check,
     write_polygon_soup,
 )

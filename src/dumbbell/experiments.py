@@ -491,15 +491,14 @@ def _run_collar(cfg: ScenarioConfig):
 
 
 def _warped_fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
-    """F, G1, G2 fields of the stretched-collar problem for w(rho)=1+slope rho."""
+    """F, G1 fields of the stretched-collar problem for w(rho)=1+slope rho."""
     n_grid = max(grid_factor * n_sigma, 8)
     sig = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)
     rho_g = 2.0 * eta * sig / np.pi - eta
     wp_over_w = slope / (1.0 + slope * rho_g)
     forcing = -(d - 1) * wp_over_w * consts.gap / 2.0
     g1 = -(d - 1) * wp_over_w * (np.pi / 2.0)
-    g2 = -((1.0 + slope * rho_g) ** -2 - 1.0) / eta
-    return forcing, g1, g2
+    return forcing, g1
 
 
 def _run_harmonic_approx(cfg: ScenarioConfig):
@@ -531,11 +530,8 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     eta0 = cfg.etas[0]
     geom0 = metric.collar_geometry(mesh, rho, eta0)
     consts0 = _plateaus(geom0, cfg.d)
-    forcing, g1, g2 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, cfg.n_sigma)
-    fsol = harmonic.collar_fourier_solve(
-        harmonic.CrossSectionBasis.point(), geom0.eta, forcing, g1=g1, g2=None,
-        n_sigma=cfg.n_sigma,
-    )
+    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, cfg.n_sigma)
+    fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=cfg.n_sigma)
     h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, cfg.d)
     rr = np.linspace(-geom0.eta, geom0.eta, 801)
     h_fourier = harmonic.hbar(rr, geom0.eta, consts0) + fsol.evaluate_rho(rr)
@@ -584,7 +580,7 @@ def _run_nodal(cfg: ScenarioConfig):
     report = nodal.localization_report(ns, geom)
     domains = nodal.nodal_domain_count(mesh, u1)
     single = nodal.single_crossing_check(mesh, u1, geom)
-    min_grad = nodal.regularity_min_gradient(mesh, u1, ns)
+    min_grad = ns.min_gradient
     grad_floor = cfg.min_gradient_factor * consts.gap / (2.0 * geom.eta)
 
     verdicts = [
@@ -878,11 +874,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         return 0 if report.all_passed() else 1
 
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report_dict = json.load(fh)
     try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            report_dict = json.load(fh)
+        if not isinstance(report_dict, dict):
+            raise ValueError(f"{args.report} does not hold a report object")
         path = emit_plot_data(report_dict, args.kind, args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"emit error: {exc}", file=sys.stderr)
         return 2
     print(path)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -205,87 +205,12 @@ class CollarIterationError(RuntimeError):
         self.ratio = ratio
 
 
-class CrossSectionBasis:
-    """Neumann (cosine) basis of a flat box cross-section on midpoint grids.
-
-    ``metric_scale`` is the constant factor of the cross metric at the
-    hypersurface, so the surface Laplacian eigenvalues are the flat ones
-    divided by its square.  The zero-dimensional instance represents fields
-    with no cross-section dependence.
-    """
-
-    def __init__(self, shape: Sequence[int] = (), lengths: Optional[Sequence[float]] = None, metric_scale: float = 1.0):
-        self.shape = tuple(int(k) for k in shape)
-        self.lengths = tuple(float(x) for x in (lengths or (1.0,) * len(self.shape)))
-        if len(self.lengths) != len(self.shape):
-            raise ValueError("lengths and shape disagree")
-        self.metric_scale = float(metric_scale)
-        self._cos = []
-        self._sin = []
-        self._freq = []
-        for k, length in zip(self.shape, self.lengths):
-            y = (np.arange(k) + 0.5) * (length / k)
-            modes = np.arange(k)
-            freq = modes * np.pi / length
-            self._freq.append(freq)
-            self._cos.append(np.cos(np.outer(y, freq)))     # (k pts, k modes)
-            self._sin.append(np.sin(np.outer(y, freq)))
-        # surface Laplacian eigenvalues nu >= 0 (so Delta_Sigma = -nu)
-        if self.shape:
-            grids = np.meshgrid(*[f**2 for f in self._freq], indexing="ij")
-            self.eigenvalues = sum(grids) / self.metric_scale**2
-            self.flat_eigenvalues = sum(grids)
-        else:
-            self.eigenvalues = np.zeros(())
-            self.flat_eigenvalues = np.zeros(())
-
-    @classmethod
-    def point(cls) -> "CrossSectionBasis":
-        return cls(())
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    def _apply(self, mats, field, forward: bool) -> np.ndarray:
-        out = np.asarray(field, dtype=float)
-        for axis, mat in enumerate(mats, start=1):
-            k = mat.shape[0]
-            op = (2.0 / k) * mat.T if forward else mat
-            out = np.moveaxis(np.tensordot(op, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-            if forward:
-                idx = [slice(None)] * out.ndim
-                idx[axis] = 0
-                out[tuple(idx)] *= 0.5  # mean mode normalization
-        return out
-
-    def analyze(self, field: np.ndarray) -> np.ndarray:
-        """Grid samples (sigma-major) to cosine coefficients per sigma row."""
-        return self._apply(self._cos, field, forward=True)
-
-    def synthesize(self, coef: np.ndarray) -> np.ndarray:
-        return self._apply(self._cos, coef, forward=False)
-
-    def d1_synthesize(self, coef: np.ndarray, axis: int) -> np.ndarray:
-        """Grid values of the first flat derivative along one cross axis."""
-        out = np.asarray(coef, dtype=float).copy()
-        for ax in range(self.ndim):
-            mat = self._sin[ax] if ax == axis else self._cos[ax]
-            if ax == axis:
-                shape = [1] * out.ndim
-                shape[ax + 1] = -1
-                out = out * (-self._freq[ax]).reshape(shape)
-            out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, ax + 1, 0), axes=(1, 0)), 0, ax + 1)
-        return out
-
-
 @dataclass
 class FourierCollarSolution:
     """Sine-series solution of the collar remainder problem."""
 
-    coefficients: np.ndarray      # (n_sigma, *cross shape) sine coefficients
+    coefficients: np.ndarray      # (n_sigma,) sine coefficients
     eta: float
-    basis: CrossSectionBasis
     sigma_grid: np.ndarray
     grid_values: np.ndarray       # w on the collocation grid
     iterations: int
@@ -303,18 +228,14 @@ class FourierCollarSolution:
         return self.evaluate_sigma(sigma)
 
 
-def _h2_norm(coef: np.ndarray, modes_sq: np.ndarray, nu: np.ndarray) -> float:
-    weight = modes_sq[(...,) + (None,) * nu.ndim] ** 2 + nu[None, ...] ** 2
-    return float(np.sqrt(np.add.reduce((weight * coef**2).reshape(-1))))
+def _h2_norm(coef: np.ndarray, modes_sq: np.ndarray) -> float:
+    return float(np.sqrt(np.add.reduce(modes_sq**2 * coef**2)))
 
 
 def collar_fourier_solve(
-    basis: CrossSectionBasis,
     eta: float,
     forcing,
     g1=None,
-    g2=None,
-    g3=None,
     n_sigma: int = 64,
     tol: float = 1e-10,
     max_iterations: int = 200,
@@ -322,17 +243,16 @@ def collar_fourier_solve(
 ) -> FourierCollarSolution:
     """Solve the stretched-collar problem for w = h - hbar by sine series.
 
-    In sigma = (rho + eta) pi / (2 eta) the Laplacian splits into
-    (pi/2 eta)^2 d^2/dsigma^2 + Delta_Sigma minus lower-order terms
-    L = (G1/eta) d/dsigma + eta G2 Dy^2 + eta G3 . Dy.  Each fixed-point
-    sweep inverts the leading positive operator mode by mode,
-    w_n = -(pi^2 n^2 / 4 eta^2 - Delta_Sigma)^{-1} (F_n / eta + (L w)_n),
+    The collar is a warped product over a point cross-section, so w depends
+    on rho alone.  In sigma = (rho + eta) pi / (2 eta) the Laplacian is
+    (pi/2 eta)^2 d^2/dsigma^2 minus the lower-order term L = (G1/eta) d/dsigma.
+    Each fixed-point sweep inverts the leading operator mode by mode,
+    w_n = -(pi^2 n^2 / 4 eta^2)^{-1} (F_n / eta + (L w)_n),
     with Dirichlet values w(0) = w(pi) = 0 built into the basis.  The sweep
     contracts only for thin collars; growth is reported, not hidden.
 
-    ``g2`` multiplies the flat cross Laplacian; ``g3`` is a tuple of fields,
-    one per cross axis.  Fields may be scalars or arrays broadcastable to
-    (grid, *cross shape).
+    Fields may be scalars or arrays on the collocation grid ``sigma_grid``
+    of max(grid_factor * n_sigma, 8) points.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -343,37 +263,23 @@ def collar_fourier_solve(
     sin_mat = np.sin(np.outer(sigma, modes))            # (grid, modes)
     dcos_mat = np.cos(np.outer(sigma, modes)) * modes   # d/dsigma of sin basis
 
-    cross_shape = basis.shape
-    full = (n_grid,) + cross_shape
-
     def prep(field):
         if field is None:
             return None
         arr = np.asarray(field, dtype=float)
         if arr.ndim == 0 and arr == 0.0:
             return None
-        return np.broadcast_to(arr, full)
+        return np.broadcast_to(arr, (n_grid,))
+
+    def analyze(field):
+        return (2.0 / (n_grid + 1)) * np.tensordot(sin_mat.T, field, axes=(1, 0))
 
     F = prep(forcing)
     G1 = prep(g1)
-    G2 = prep(g2)
-    G3 = tuple(prep(g) for g in g3) if g3 is not None else ()
-    if any(g is not None for g in G3) and basis.ndim == 0:
-        raise ValueError("g3 given but the cross-section has no axes")
-
-    def analyze_full(field):
-        coef = basis.analyze(field) if basis.ndim else field
-        return (2.0 / (n_grid + 1)) * np.tensordot(sin_mat.T, coef, axes=(1, 0))
-
-    def synthesize_full(coef):
-        vals = np.tensordot(sin_mat, coef, axes=(1, 0))
-        return basis.synthesize(vals) if basis.ndim else vals
-
-    nu = basis.eigenvalues
     modes_sq = modes.astype(float) ** 2
-    denom = (np.pi**2 / (4.0 * eta**2)) * modes_sq[(...,) + (None,) * nu.ndim] + nu[None, ...]
+    denom = (np.pi**2 / (4.0 * eta**2)) * modes_sq
 
-    F_modes = analyze_full(F) if F is not None else np.zeros((n_sigma,) + cross_shape)
+    F_modes = analyze(F) if F is not None else np.zeros(n_sigma)
     coef = -(F_modes / eta) / denom
 
     prev_change = None
@@ -382,31 +288,14 @@ def collar_fourier_solve(
     iterations = 0
     change = 0.0
     for iterations in range(1, max_iterations + 1):
-        residual = None
-        if G1 is not None:
-            dsw = basis.synthesize(np.tensordot(dcos_mat, coef, axes=(1, 0))) if basis.ndim else np.tensordot(dcos_mat, coef, axes=(1, 0))
-            residual = (G1 / eta) * dsw
-        if G2 is not None:
-            lap = -basis.flat_eigenvalues[None, ...] * coef
-            lap_grid = synthesize_full(lap)
-            term = eta * G2 * lap_grid
-            residual = term if residual is None else residual + term
-        for axis, g in enumerate(G3):
-            if g is None:
-                continue
-            sin_vals = np.tensordot(sin_mat, coef, axes=(1, 0))
-            dyw = basis.d1_synthesize(sin_vals, axis)
-            term = eta * g * dyw
-            residual = term if residual is None else residual + term
-
-        if residual is None:
+        if G1 is None:
             new_coef = coef
         else:
-            R_modes = analyze_full(residual)
-            new_coef = -(F_modes / eta + R_modes) / denom
+            residual = (G1 / eta) * np.tensordot(dcos_mat, coef, axes=(1, 0))
+            new_coef = -(F_modes / eta + analyze(residual)) / denom
 
-        change = _h2_norm(new_coef - coef, modes_sq, np.atleast_1d(nu) if nu.ndim else nu)
-        scale = max(1.0, _h2_norm(new_coef, modes_sq, nu))
+        change = _h2_norm(new_coef - coef, modes_sq)
+        scale = max(1.0, _h2_norm(new_coef, modes_sq))
         if prev_change is not None and prev_change > 0:
             ratio = change / prev_change
             growth_streak = growth_streak + 1 if ratio > 1.0 else 0
@@ -422,9 +311,8 @@ def collar_fourier_solve(
     return FourierCollarSolution(
         coefficients=coef,
         eta=eta,
-        basis=basis,
         sigma_grid=sigma,
-        grid_values=synthesize_full(coef),
+        grid_values=np.tensordot(sin_mat, coef, axes=(1, 0)),
         iterations=iterations,
         final_change=change,
         contraction_ratio=ratio,

@@ -59,7 +59,6 @@ class Mesh:
     dim: int
     vertices: np.ndarray                         # (V, d)
     cells: np.ndarray                            # (C, d+1), positively oriented
-    boundary_facets: np.ndarray                  # (B, d)
     cell_metric: Optional[np.ndarray] = None     # (C, d, d) SPD, None = identity
     grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes)
     periodic: bool = False                       # combinatorial torus, no geometry
@@ -68,7 +67,6 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         self.cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
-        self.boundary_facets = np.asarray(self.boundary_facets, dtype=np.int64).reshape(-1, self.dim)
         if self.cell_metric is not None:
             self.cell_metric = np.ascontiguousarray(np.asarray(self.cell_metric, dtype=float))
 
@@ -109,6 +107,17 @@ class Mesh:
             self._facets = _build_facet_table(self.cells, self.dim)
         return self._facets
 
+    @property
+    def boundary_facets(self) -> np.ndarray:
+        """(B, d) sorted facets with a single incident cell, lexicographic order."""
+        table = self.facet_table()
+        return table.facets[table.counts == 1]
+
+    def cell_edges(self):
+        """(a, b) endpoints of every local cell edge, pair-major (shared edges repeat)."""
+        i, j = np.array(list(itertools.combinations(range(self.dim + 1), 2))).T
+        return self.cells.T[i].reshape(-1), self.cells.T[j].reshape(-1)
+
     def interior_facet_pairs(self):
         """(facets, cell_pairs) for facets shared by exactly two cells."""
         table = self.facet_table()
@@ -117,8 +126,7 @@ class Mesh:
 
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_vertices, dtype=bool)
-        if self.boundary_facets.size:
-            mask[np.unique(self.boundary_facets)] = True
+        mask[self.boundary_facets.reshape(-1)] = True
         return mask
 
     def spacing(self) -> Optional[float]:
@@ -132,22 +140,22 @@ def _build_facet_table(cells: np.ndarray, dim: int) -> FacetTable:
     per_cell = dim + 1
     keep = [[j for j in range(per_cell) if j != i] for i in range(per_cell)]
     facets = np.sort(cells[:, keep].reshape(-1, dim), axis=1)
-    uniq, inverse, counts = np.unique(facets, axis=0, return_inverse=True, return_counts=True)
-    owners = np.repeat(np.arange(cells.shape[0], dtype=np.int64), per_cell)
-    order = np.argsort(inverse, kind="stable")
-    sorted_owners = owners[order]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cells_of = np.full((uniq.shape[0], 2), -1, dtype=np.int64)
-    cells_of[:, 0] = sorted_owners[starts]
+    order = np.lexsort(facets.T[::-1])  # stable, so owners ascend within a run
+    facets = facets[order]
+    owners = order // per_cell
+    new_run = np.ones(order.size, dtype=bool)
+    new_run[1:] = np.any(facets[1:] != facets[:-1], axis=1)
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(np.append(starts, order.size))
+    cells_of = np.full((starts.size, 2), -1, dtype=np.int64)
+    cells_of[:, 0] = owners[starts]
     two = counts >= 2
-    cells_of[two, 1] = sorted_owners[starts[two] + 1]
-    return FacetTable(facets=uniq, counts=counts, cells_of=cells_of)
+    cells_of[two, 1] = owners[starts[two] + 1]
+    return FacetTable(facets=facets[starts], counts=counts, cells_of=cells_of)
 
 
 def _vertex_graph(mesh: Mesh) -> sparse.csr_matrix:
-    pairs = list(itertools.combinations(range(mesh.dim + 1), 2))
-    rows = np.concatenate([mesh.cells[:, i] for i, _ in pairs])
-    cols = np.concatenate([mesh.cells[:, j] for _, j in pairs])
+    rows, cols = mesh.cell_edges()
     data = np.ones(rows.shape[0], dtype=np.int8)
     n = mesh.num_vertices
     g = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
@@ -168,9 +176,17 @@ def validate_mesh(mesh: Mesh) -> None:
     used[cells.reshape(-1)] = True
     if not used.all():
         raise MeshValidationError(f"dangling vertex: {int(np.flatnonzero(~used)[0])} unused")
-    for c in range(cells.shape[0]):
-        if np.unique(cells[c]).size != mesh.dim + 1:
-            raise MeshValidationError(f"orientation: cell {c} repeats a vertex")
+    ordered = np.sort(cells, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        raise MeshValidationError(f"orientation: cell {int(repeats[0])} repeats a vertex")
+    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if bad.size:
+        raise MeshValidationError(f"non-finite coordinate: vertex {int(bad[0])}")
+    if mesh.cell_metric is not None:
+        bad = np.flatnonzero(~np.isfinite(mesh.cell_metric).reshape(mesh.num_cells, -1).all(axis=1))
+        if bad.size:
+            raise MeshValidationError(f"non-finite metric: cell {int(bad[0])}")
     if not mesh.periodic:
         signed = mesh.signed_volumes()
         bad = np.flatnonzero(signed <= 0)
@@ -185,21 +201,10 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(table.counts > 2):
         f = table.facets[np.argmax(table.counts > 2)]
         raise MeshValidationError(f"non-manifold facet: {tuple(int(i) for i in f)}")
-    boundary = table.facets[table.counts == 1]  # rows sorted, lexicographic order
-    stored = np.sort(mesh.boundary_facets, axis=1)
-    if stored.size:
-        stored = stored[np.lexsort(stored.T[::-1])]
-    if boundary.shape != stored.shape or not np.array_equal(boundary, stored):
-        raise MeshValidationError("boundary facets do not match cell incidence")
 
     n_comp, _ = connected_components(_vertex_graph(mesh), directed=False)
     if n_comp != 1:
         raise MeshValidationError(f"disconnected mesh: {n_comp} components")
-
-
-def _boundary_from_cells(cells: np.ndarray, dim: int) -> np.ndarray:
-    table = _build_facet_table(cells, dim)
-    return table.facets[table.counts == 1]
 
 
 def _perm_sign(perm) -> int:
@@ -287,7 +292,6 @@ def build_box_grid(
         dim=d,
         vertices=vertices,
         cells=cells,
-        boundary_facets=_boundary_from_cells(cells, d),
         cell_metric=cell_metric,
         grid_resolution=res,
     )
@@ -325,7 +329,6 @@ def periodic_unit_grid_2d(nx: int, ny: Optional[int] = None) -> Mesh:
         dim=2,
         vertices=vertices,
         cells=cells,
-        boundary_facets=np.empty((0, 2), dtype=np.int64),
         grid_resolution=(nx, ny),
         periodic=True,
     )
@@ -421,6 +424,18 @@ def load_mesh(path) -> Mesh:
         except ValueError:
             raise MeshFormatError(f"bad {what}: '{tok}'", line=ln) from None
 
+    def take_count(what: str) -> int:
+        n = take_int(what)
+        if n < 1:
+            raise MeshFormatError(f"{what} must be positive, got {n}", line=tokens[pos - 1][0])
+        return n
+
+    def take_index() -> int:
+        i = take_int("vertex index")
+        if not 0 <= i < nv:
+            raise MeshValidationError("vertex index out of range")
+        return i
+
     def take_float(what: str) -> float:
         ln, tok = take()
         try:
@@ -433,36 +448,25 @@ def load_mesh(path) -> Mesh:
     if d < 2:
         raise MeshFormatError(f"dimension must be >= 2, got {d}", line=tokens[pos - 1][0])
     take("vertices")
-    nv = take_int("vertex count")
+    nv = take_count("vertex count")
     vertices = np.array([[take_float("coordinate") for _ in range(d)] for _ in range(nv)])
     take("cells")
-    nc = take_int("cell count")
-    cells = np.array(
-        [[take_int("vertex index") for _ in range(d + 1)] for _ in range(nc)], dtype=np.int64
-    ).reshape(nc, d + 1)
+    nc = take_count("cell count")
+    cells = np.array([[take_index() for _ in range(d + 1)] for _ in range(nc)], dtype=np.int64)
     cell_metric = None
     if pos < len(tokens):
         take("metric")
         nm = take_int("metric count")
         if nm != nc:
             raise MeshFormatError(f"metric block has {nm} rows, expected {nc}", line=tokens[pos - 1][0])
-        iu = np.triu_indices(d)
+        rows, cols = np.triu_indices(d)
+        vals = np.array([[take_float("metric entry") for _ in rows] for _ in range(nc)])
         cell_metric = np.zeros((nc, d, d))
-        for c in range(nc):
-            vals = [take_float("metric entry") for _ in range(d * (d + 1) // 2)]
-            cell_metric[c][iu] = vals
-            cell_metric[c] = cell_metric[c] + cell_metric[c].T - np.diag(np.diag(cell_metric[c]))
+        cell_metric[:, rows, cols] = vals
+        cell_metric[:, cols, rows] = vals
     if pos < len(tokens):
         raise MeshFormatError(f"trailing data '{tokens[pos][1]}'", line=tokens[pos][0])
 
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
-        raise MeshValidationError("vertex index out of range")
-    mesh = Mesh(
-        dim=d,
-        vertices=vertices,
-        cells=cells,
-        boundary_facets=_boundary_from_cells(cells, d),
-        cell_metric=cell_metric,
-    )
+    mesh = Mesh(dim=d, vertices=vertices, cells=cells, cell_metric=cell_metric)
     validate_mesh(mesh)
     return mesh

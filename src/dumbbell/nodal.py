@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import Mesh, simplex_gradient_data
 
@@ -116,7 +118,6 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     cell_signs = signs[mesh.cells]
     crossing = np.flatnonzero(~np.all(cell_signs == cell_signs[:, :1], axis=1))
 
-    grads = simplex_gradient_data(mesh) if crossing.size else None
     fragments: List[NodalFragment] = []
     frag_of_cell = {}
     areas = []
@@ -154,10 +155,11 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     roots = np.array([find(i) for i in range(len(fragments))], dtype=np.int64)
     uniq, labels = (np.unique(roots, return_inverse=True) if fragments else (np.array([]), roots))
 
-    if crossing.size:
-        g = grads.gradient_of(u, mesh.cells)[crossing]
-        gn = np.einsum("ck,ckl,cl->c", g, grads.metric_inv[crossing], g)
-        min_grad = float(np.sqrt(gn.min()))
+    if crossing.size:  # gradient operators of the crossing cells only
+        metric = None if mesh.cell_metric is None else mesh.cell_metric[crossing]
+        sub = Mesh(mesh.dim, mesh.vertices, mesh.cells[crossing], metric, periodic=mesh.periodic)
+        grads = simplex_gradient_data(sub)
+        min_grad = float(np.sqrt(grads.metric_norm_sq(grads.gradient_of(u, sub.cells)).min()))
     else:
         min_grad = float("inf")
 
@@ -189,36 +191,12 @@ def localization_report(ns: NodalSet, geom: "CollarGeometry") -> LocalizationRep
     return LocalizationReport(ns.n_components, reach, bool(reach < geom.eta))
 
 
-def regularity_min_gradient(mesh: Mesh, u: np.ndarray, ns: NodalSet) -> float:
-    """Minimum metric gradient norm over the crossing cells.
-
-    Strictly positive output certifies the zero level is discretely regular;
-    an empty zero set returns +inf (``ns.is_empty`` is the flag).
-    """
-    if ns.is_empty:
-        return float("inf")
-    grads = simplex_gradient_data(mesh)
-    cells = np.array([frag.cell for frag in ns.fragments], dtype=np.int64)
-    g = grads.gradient_of(np.asarray(u, dtype=float), mesh.cells)[cells]
-    gn = np.einsum("ck,ckl,cl->c", g, grads.metric_inv[cells], g)
-    return float(np.sqrt(gn.min()))
-
-
 def nodal_domain_count(mesh: Mesh, u: np.ndarray) -> int:
     """Number of sign-constant vertex components under mesh adjacency."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    import itertools
-
     signs = tie_signs(u)
-    rows, cols = [], []
-    for i, j in itertools.combinations(range(mesh.dim + 1), 2):
-        a, b = mesh.cells[:, i], mesh.cells[:, j]
-        same = signs[a] == signs[b]
-        rows.append(a[same])
-        cols.append(b[same])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    a, b = mesh.cell_edges()
+    same = signs[a] == signs[b]
+    rows, cols = a[same], b[same]
     n = mesh.num_vertices
     g = sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
     n_comp, _ = connected_components(g + g.T, directed=False)

@@ -171,3 +171,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenario = nope\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_worker_count_does_not_change_the_report(monkeypatch):
+    cfg = ScenarioConfig.from_mapping(SMALL_SCALING)
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DUMBBELL_WORKERS", workers)
+        report = json.loads(run_scenario(cfg).to_json())
+        assert not report["failures"]
+        report.pop("timings")
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_cli_emit_bad_report_exits_2(tmp_path, capsys, content):
+    report = tmp_path / "report.json"
+    if content is not None:
+        report.write_text(content)
+    code = main(["emit", str(report), "--kind", "loglog", "--out", str(tmp_path / "plots")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("emit error: ")

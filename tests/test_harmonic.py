@@ -3,7 +3,6 @@ import pytest
 
 from dumbbell.harmonic import (
     CollarIterationError,
-    CrossSectionBasis,
     PlateauConstants,
     collar_fourier_solve,
     compute_plateaus,
@@ -167,22 +166,15 @@ def fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
 
 
 def test_fourier_zero_data_gives_zero():
-    sol = collar_fourier_solve(CrossSectionBasis.point(), 0.2, 0.0, n_sigma=16)
+    sol = collar_fourier_solve(0.2, 0.0, n_sigma=16)
     assert np.abs(sol.grid_values).max() == 0.0
     assert sol.iterations == 1
-
-
-def test_fourier_flat_consistency_full_cross_section():
-    # flat collar: no lower-order terms, no forcing, so w = 0 = h - hbar
-    basis = CrossSectionBasis(shape=(8, 8), lengths=(1.0, 1.0))
-    sol = collar_fourier_solve(basis, 0.125, 0.0, n_sigma=8)
-    assert np.abs(sol.grid_values).max() == 0.0
 
 
 def test_fourier_matches_1d_closed_form():
     _, geom, consts, warp = warped_scene()
     F, G1 = fourier_inputs(consts, geom.eta, 1.0, 3, 64)
-    sol = collar_fourier_solve(CrossSectionBasis.point(), geom.eta, F, g1=G1, n_sigma=64)
+    sol = collar_fourier_solve(geom.eta, F, g1=G1, n_sigma=64)
     href = warped_harmonic_1d(warp, geom.eta, consts, 3)
     rr = np.linspace(-geom.eta, geom.eta, 801)
     h_fourier = hbar(rr, geom.eta, consts) + sol.evaluate_rho(rr)
@@ -200,7 +192,7 @@ def test_fourier_remainder_halves_with_eta():
     sups = []
     for eta in (0.2, 0.1):
         F, G1 = fourier_inputs(c, eta, 1.0, 3, 64)
-        sol = collar_fourier_solve(CrossSectionBasis.point(), eta, F, g1=G1, n_sigma=64)
+        sol = collar_fourier_solve(eta, F, g1=G1, n_sigma=64)
         rr = np.linspace(-eta, eta, 801)
         sups.append(np.abs(sol.evaluate_rho(rr)).max())
     assert 1.5 <= sups[0] / sups[1] <= 2.5  # halves within 25 percent
@@ -210,53 +202,28 @@ def test_fourier_fem_mutual_consistency():
     m, geom, consts, warp = warped_scene()
     sol_fem = solve_harmonic(m, geom, consts)
     F, G1 = fourier_inputs(consts, geom.eta, 1.0, 3, 64)
-    sol_f = collar_fourier_solve(CrossSectionBasis.point(), geom.eta, F, g1=G1, n_sigma=64)
+    sol_f = collar_fourier_solve(geom.eta, F, g1=G1, n_sigma=64)
     rho = geom.rho[sol_fem.vertex_ids]
     h_fourier = hbar(rho, geom.eta, consts) + sol_f.evaluate_rho(rho)
     rel = np.abs(sol_fem.values - h_fourier).max() / np.abs(sol_fem.values).max()
     assert rel < 0.02
 
 
-def test_fourier_manufactured_solution_full_operator():
-    # w* = sin(sigma) cos(pi y) exercises every lower-order term: a
-    # sigma-dependent first-order coefficient, the cross Laplacian, and a
-    # first cross derivative; the solver must reproduce w* exactly
+def test_fourier_manufactured_solution_first_order():
+    # w* = sin(sigma) against a sigma-dependent first-order coefficient: the
+    # mode-by-mode inversion plus fixed point must reproduce w* exactly
     eta = 0.15
-    basis = CrossSectionBasis(shape=(12,), lengths=(1.0,))
     n_sigma = 16
-    ng = 2 * n_sigma
-    sig = np.arange(1, ng + 1) * np.pi / (ng + 1)
-    y = (np.arange(12) + 0.5) / 12
-    S, Y = np.meshgrid(sig, y, indexing="ij")
-
-    w_star = np.sin(S) * np.cos(np.pi * Y)
-    d_sig = np.cos(S) * np.cos(np.pi * Y)
-    d_y = -np.pi * np.sin(S) * np.sin(np.pi * Y)
-    lap_y = -(np.pi**2) * w_star
-
-    g1 = 0.3 + 0.1 * np.cos(S)
-    g2 = 0.2
-    g3 = (0.1,)
-    lower_order = (g1 / eta) * d_sig + eta * g2 * lap_y + eta * g3[0] * d_y
-    leading = (np.pi**2 / (4 * eta**2)) * (-w_star) + lap_y
-    forcing = eta * (leading - lower_order)
-
-    sol = collar_fourier_solve(basis, eta, forcing, g1=g1, g2=g2, g3=g3, n_sigma=n_sigma)
-    assert np.abs(sol.grid_values - w_star).max() < 1e-10
+    sig = np.arange(1, 2 * n_sigma + 1) * np.pi / (2 * n_sigma + 1)
+    g1 = 0.3 + 0.1 * np.cos(sig)
+    leading = (np.pi**2 / (4 * eta**2)) * (-np.sin(sig))
+    forcing = eta * (leading - (g1 / eta) * np.cos(sig))
+    sol = collar_fourier_solve(eta, forcing, g1=g1, n_sigma=n_sigma)
+    assert np.abs(sol.grid_values - np.sin(sig)).max() < 1e-10
     assert sol.contraction_ratio < 1.0
-
-
-def test_cross_section_transform_round_trip():
-    basis = CrossSectionBasis(shape=(12,), lengths=(1.0,))
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((8, 12))
-    assert np.abs(basis.synthesize(basis.analyze(f)) - f).max() < 1e-12
 
 
 def test_fourier_divergence_reported():
     # an artificially large first-order coefficient breaks the contraction
     with pytest.raises(CollarIterationError, match="ratio"):
-        collar_fourier_solve(
-            CrossSectionBasis.point(), 0.45, np.sin(np.linspace(0.01, np.pi, 128)),
-            g1=60.0, n_sigma=64,
-        )
+        collar_fourier_solve(0.45, np.sin(np.linspace(0.01, np.pi, 128)), g1=60.0, n_sigma=64)

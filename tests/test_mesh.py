@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ def test_gradient_constant_field(box8):
 def test_gradient_metric_norm():
     m = build_box_grid(3, 2)
     cm = np.tile(np.diag([4.0, 1.0, 1.0]), (m.num_cells, 1, 1))
-    warped = Mesh(3, m.vertices, m.cells, m.boundary_facets, cell_metric=cm,
+    warped = Mesh(3, m.vertices, m.cells, cell_metric=cm,
                   grid_resolution=(2, 2, 2))
     grads = simplex_gradient_data(warped)
     g = grads.gradient_of(warped.vertices[:, 0], warped.cells)
@@ -143,7 +145,7 @@ def test_orientation_violation_detected():
     m = build_box_grid(3, 2)
     cells = m.cells.copy()
     cells[0, [0, 1]] = cells[0, [1, 0]]  # flip one cell
-    bad = Mesh(3, m.vertices, cells, m.boundary_facets)
+    bad = Mesh(3, m.vertices, cells)
     with pytest.raises(MeshValidationError, match="orientation"):
         validate_mesh(bad)
 
@@ -151,7 +153,7 @@ def test_orientation_violation_detected():
 def test_dangling_vertex_detected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]], dtype=float)
     cells = np.array([[0, 1, 2, 3]])
-    bad = Mesh(3, verts, cells, mesh._boundary_from_cells(cells, 3))
+    bad = Mesh(3, verts, cells)
     with pytest.raises(MeshValidationError, match="dangling vertex"):
         validate_mesh(bad)
 
@@ -163,7 +165,7 @@ def test_non_manifold_facet_detected():
         dtype=float,
     )
     cells = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
-    bad = Mesh(3, verts, cells, mesh._boundary_from_cells(cells, 3))
+    bad = Mesh(3, verts, cells)
     with pytest.raises(MeshValidationError, match="non-manifold"):
         validate_mesh(bad)
 
@@ -186,3 +188,98 @@ def test_periodic_grid_rejected_by_geometry():
     m = periodic_unit_grid_2d(4)
     with pytest.raises(MeshValidationError, match="periodic"):
         simplex_gradient_data(m)
+
+
+def _unique_facet_table(cells, dim):
+    """Reference table via np.unique(axis=0), the construction it replaced."""
+    per = dim + 1
+    keep = [[j for j in range(per) if j != i] for i in range(per)]
+    facets = np.sort(cells[:, keep].reshape(-1, dim), axis=1)
+    uniq, inverse, counts = np.unique(facets, axis=0, return_inverse=True, return_counts=True)
+    owners = np.repeat(np.arange(cells.shape[0]), per)[np.argsort(inverse.reshape(-1), kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    cells_of = np.full((uniq.shape[0], 2), -1, dtype=np.int64)
+    cells_of[:, 0] = owners[starts]
+    cells_of[counts >= 2, 1] = owners[starts[counts >= 2] + 1]
+    return uniq, counts, cells_of
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_box_grid(3, (4, 3, 2)),
+    lambda: build_box_grid(2, 5),
+    lambda: periodic_unit_grid_2d(5),
+])
+def test_facet_table_matches_unique_reference(make):
+    m = make()
+    rng = np.random.default_rng(7)
+    for cells in (m.cells, m.cells[rng.permutation(m.num_cells)]):
+        table = mesh._build_facet_table(cells, m.dim)
+        uniq, counts, cells_of = _unique_facet_table(cells, m.dim)
+        assert np.array_equal(table.facets, uniq)
+        assert np.array_equal(table.counts, counts)
+        assert np.array_equal(table.cells_of, cells_of)
+
+
+def test_facet_table_of_no_cells_is_empty():
+    table = mesh._build_facet_table(np.empty((0, 4), dtype=np.int64), 3)
+    assert table.facets.shape == (0, 3)
+    assert table.counts.shape == (0,)
+    assert table.cells_of.shape == (0, 2)
+
+
+def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
+    assert "boundary_facets" not in {f.name for f in dataclasses.fields(Mesh)}
+    save_mesh(build_box_grid(3, 3), tmp_path / "box.mesh")
+    calls = []
+    real = mesh._build_facet_table
+
+    def counting(cells, dim):
+        calls.append(dim)
+        return real(cells, dim)
+
+    monkeypatch.setattr(mesh, "_build_facet_table", counting)
+    for build in (lambda: build_box_grid(3, 3), lambda: load_mesh(tmp_path / "box.mesh")):
+        calls.clear()
+        m = build()
+        assert m.boundary_facets.shape == (6 * 2 * 9, 3)
+        m.boundary_vertex_mask()
+        m.interior_facet_pairs()
+        assert calls == [3]
+
+
+def test_repeated_vertex_names_first_bad_cell():
+    m = build_box_grid(3, 3)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        cells = m.cells.copy()
+        bad = rng.choice(m.num_cells, size=3, replace=False)
+        cells[bad, 3] = cells[bad, 0]  # column 3 vertices sit in other cells too: none dangles
+        # reference: the per-cell loop the sorted-row comparison replaced
+        first = next(c for c in range(len(cells)) if np.unique(cells[c]).size != 4)
+        with pytest.raises(MeshValidationError, match=f"cell {first} repeats a vertex"):
+            validate_mesh(Mesh(3, m.vertices, cells))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dim 3\nvertices 0\ncells 1\n0 1 2 3\n", 2),
+    ("dim 3\nvertices -2\n", 2),
+    ("dim 3\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ncells 0\n", 7),
+    ("dim 3\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n\ncells -1\n", 8),
+])
+def test_load_rejects_nonpositive_counts(tmp_path, text, line):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=f"line {line}: .* must be positive"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("body, what", [
+    ("0 0 0\n1 0 0\nnan 1 0\n0 0 1\ncells 1\n0 1 2 3\n", "vertex 2"),
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 inf\ncells 1\n0 1 2 3\n", "vertex 3"),
+    ("0 0 0\n1 0 0\n0 1 0\n0 0 1\ncells 1\n0 1 2 3\nmetric 1\n1 0 0 nan 0 1\n", "cell 0"),
+])
+def test_load_rejects_non_finite_values(tmp_path, body, what):
+    path = tmp_path / "bad.mesh"
+    path.write_text("dim 3\nvertices 4\n" + body)
+    with pytest.raises(MeshValidationError, match=f"non-finite .*{what}"):
+        load_mesh(path)

@@ -7,7 +7,6 @@ from dumbbell.nodal import (
     extract_nodal_set,
     localization_report,
     nodal_domain_count,
-    regularity_min_gradient,
     single_crossing_check,
     write_polygon_soup,
 )
@@ -34,14 +33,13 @@ def test_positive_field_empty_set(scene8):
     assert rep.components == 0
     assert np.isnan(rep.max_abs_rho)
     assert rep.contained
-    assert regularity_min_gradient(m, np.ones(m.num_vertices), ns) == np.inf
+    assert ns.min_gradient == np.inf
 
 
 def test_plane_gradient_is_one(box8):
     u = box8.vertices[:, 0] - 0.5
     ns = extract_nodal_set(box8, u)
     assert ns.min_gradient == pytest.approx(1.0)
-    assert regularity_min_gradient(box8, u, ns) == pytest.approx(1.0)
 
 
 def test_affine_collar_gradient(scene16):
@@ -50,7 +48,7 @@ def test_affine_collar_gradient(scene16):
     u = harmonic.hbar(np.clip(geom.rho, -geom.eta, geom.eta), geom.eta, consts)
     ns = extract_nodal_set(m, u)
     expected = (consts.c_plus - consts.c_minus) / (2 * geom.eta)
-    assert regularity_min_gradient(m, u, ns) == pytest.approx(expected, rel=1e-12)
+    assert ns.min_gradient == pytest.approx(expected, rel=1e-12)
 
 
 def test_affine_root_within_one_spacing(scene16):
@@ -97,7 +95,7 @@ def test_single_crossing_needs_grid(scene16):
     from dumbbell.mesh import Mesh
 
     m, geom = scene16
-    generic = Mesh(3, m.vertices, m.cells, m.boundary_facets)
+    generic = Mesh(3, m.vertices, m.cells)
     with pytest.raises(NonBoxSceneError):
         single_crossing_check(generic, m.vertices[:, 0] - 0.5, geom)
 
