@@ -794,21 +794,12 @@ _EMIT_KINDS = {
 }
 
 
-def emit_plot_data(report_dict: dict, kind: str, out_dir) -> str:
-    """Write whitespace-separated plot data extracted from a report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    scenario = report_dict.get("scenario", "report")
+def _plot_lines(report_dict: dict, kind: str) -> List[str]:
     if kind == "surface":
         polygons = report_dict.get("artifacts", {}).get("polygons")
         if polygons is None:
             raise ValueError("report has no polygon data for kind=surface")
-        path = out / f"{scenario}_surface.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            for poly in polygons:
-                flat = " ".join(repr(float(x)) for pt in poly for x in pt)
-                fh.write(f"{len(poly)} {flat}\n")
-        return str(path)
+        return [f"{len(poly)} " + " ".join(repr(float(x)) for pt in poly for x in pt) for poly in polygons]
     if kind not in _EMIT_KINDS:
         raise ValueError(f"unknown emit kind '{kind}'")
     table_name, columns = _EMIT_KINDS[kind]
@@ -816,11 +807,28 @@ def emit_plot_data(report_dict: dict, kind: str, out_dir) -> str:
     if table is None:
         raise ValueError(f"report has no '{table_name}' table for kind={kind}")
     index = [table["columns"].index(c) for c in columns]
-    path = out / f"{scenario}_{kind}.dat"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(columns) + "\n")
-        for row in table["rows"]:
-            fh.write(" ".join(repr(float(row[i])) for i in index) + "\n")
+    return [" ".join(columns)] + [" ".join(repr(float(row[i])) for i in index) for row in table["rows"]]
+
+
+def emit_plot_data(report_dict: dict, kind: str, out_dir) -> str:
+    """Write whitespace-separated plot data extracted from a report.
+
+    The report is read in full before the output file opens: a malformed one
+    raises ValueError and leaves no partial file behind.
+    """
+    if not isinstance(report_dict, dict):
+        raise ValueError("report is not a JSON object")
+    scenario = report_dict.get("scenario", "report")
+    if scenario not in ("report", *_SCENARIOS):
+        raise ValueError(f"report names no known scenario: {scenario!r}")
+    try:
+        lines = _plot_lines(report_dict, kind)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as exc:
+        raise ValueError(f"malformed report for kind={kind}: {exc!r}") from exc
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / (f"{scenario}_surface.txt" if kind == "surface" else f"{scenario}_{kind}.dat")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
 
 
@@ -877,8 +885,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report_dict = json.load(fh)
-        if not isinstance(report_dict, dict):
-            raise ValueError(f"{args.report} does not hold a report object")
         path = emit_plot_data(report_dict, args.kind, args.out)
     except (OSError, ValueError) as exc:
         print(f"emit error: {exc}", file=sys.stderr)

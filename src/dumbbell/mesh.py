@@ -193,9 +193,9 @@ def validate_mesh(mesh: Mesh) -> None:
         if bad.size:
             raise MeshValidationError(f"orientation: cell {int(bad[0])} has non-positive volume")
         if mesh.cell_metric is not None:
-            dets = np.linalg.det(mesh.cell_metric)
-            if np.any(dets <= 0):
-                raise MeshValidationError("cell metric is not positive definite")
+            bad = np.flatnonzero(np.linalg.eigvalsh(mesh.cell_metric).min(axis=1) <= 0)
+            if bad.size:
+                raise MeshValidationError(f"metric not positive definite: cell {int(bad[0])}")
 
     table = mesh.facet_table()
     if np.any(table.counts > 2):

@@ -1,20 +1,30 @@
 """Discrete critical points of vertex fields and Morse-count bounds.
 
-A vertex is classified by the connectivity of its lower and upper links:
-no lower neighbors makes a minimum, no upper neighbors a maximum, a
-disconnected lower (upper) link a saddle counted with multiplicity
-components - 1.  Exact ties are broken lexicographically by vertex id, the
-deterministic stand-in for a generic perturbation, so plateaus cannot occur.
+A vertex is classified by the connectivity of its lower and upper links
+(Banchoff's rule): no lower neighbors makes a minimum, no upper neighbors a
+maximum, a disconnected lower (upper) link a saddle counted with
+multiplicity components - 1.  Exact ties are broken lexicographically by
+vertex id, the deterministic stand-in for a generic perturbation, so
+plateaus cannot occur.
+
+All links are counted at once in one sparse graph.  Its nodes are the
+(vertex, neighbor) pairs of the counted vertices; a link edge (a, b) of v
+joins (v, a) and (v, b) when a and b lie on the same side of v.  Every
+component of that graph is then one component of one lower or upper link.
+
 Only vertex value ORDER matters; coordinates are never read, which is why
 the combinatorial periodic grids are valid inputs here.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import Mesh
 
@@ -60,24 +70,6 @@ class CriticalReport:
         return int(sum((-1) ** i * c for i, c in self.counts.items()))
 
 
-def _component_count(nodes, edges) -> int:
-    if not nodes:
-        return 0
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in nodes})
-
-
 def classify_critical_points(
     mesh: Mesh,
     u: np.ndarray,
@@ -91,65 +83,52 @@ def classify_critical_points(
     """
     u = np.asarray(u, dtype=float)
     n = mesh.num_vertices
-    if region is None:
-        cell_ids = np.arange(mesh.num_cells)
-        in_region_cells = np.ones(mesh.num_cells, dtype=bool)
-    else:
-        in_region_cells = np.asarray(region, dtype=bool)
-        cell_ids = np.flatnonzero(in_region_cells)
-
-    neighbor = [set() for _ in range(n)]
-    link_edges = [[] for _ in range(n)]
-    cells = mesh.cells[cell_ids]
-    per = mesh.dim + 1
-    for cell in cells:
-        for i in range(per):
-            v = int(cell[i])
-            others = [int(cell[j]) for j in range(per) if j != i]
-            neighbor[v].update(others)
-            for a in range(len(others)):
-                for b in range(a + 1, len(others)):
-                    link_edges[v].append((others[a], others[b]))
+    in_region = np.full(mesh.num_cells, True) if region is None else np.asarray(region, dtype=bool)
+    cells = mesh.cells[in_region]
 
     # vertices touched by cells outside the region have truncated stars
-    star_ok = np.zeros(n, dtype=bool)
-    star_ok[np.unique(cells)] = True
-    if region is not None:
-        outside = np.unique(mesh.cells[~in_region_cells])
-        star_ok[outside] = False
+    counted = np.zeros(n, dtype=bool)
+    counted[cells.reshape(-1)] = True
+    counted[mesh.cells[~in_region].reshape(-1)] = False
     if not mesh.periodic:
-        star_ok &= ~mesh.boundary_vertex_mask()
+        counted &= ~mesh.boundary_vertex_mask()
 
-    def lower_than(w, v) -> bool:
-        # lexicographic tie rule: equal values ordered by vertex id
-        return (u[w], w) < (u[v], v)
+    # lexicographic tie rule: equal values ordered by vertex id
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), u))] = np.arange(n)
+
+    # every link edge (a, b) of every cell vertex v, as nodes (v, a), (v, b)
+    per = mesh.dim + 1
+    local = np.array([
+        (i, *ab)
+        for i in range(per)
+        for ab in itertools.combinations([j for j in range(per) if j != i], 2)
+    ])
+    v, a, b = (cells[:, local[:, k]].reshape(-1) for k in range(3))
+    keep = counted[v]
+    v, a, b = v[keep], a[keep], b[keep]
+    nodes, ends = np.unique(np.concatenate([v * n + a, v * n + b]), return_inverse=True)
+    owner, other = np.divmod(nodes, n)
+    lower = rank[other] < rank[owner]
+    ia, ib = ends[: v.size], ends[v.size :]
+    same = lower[ia] == lower[ib]
+    graph = sparse.coo_matrix(
+        (np.ones(int(same.sum()), dtype=np.int8), (ia[same], ib[same])),
+        shape=(nodes.size, nodes.size),
+    )
+    n_comp, comp = connected_components(graph, directed=False)
+    rep = np.empty(n_comp, dtype=np.int64)
+    rep[comp] = np.arange(nodes.size)  # any node of a component: it lies in one link half
+    halves = np.bincount(2 * owner[rep] + lower[rep], minlength=2 * n)
+    upper_comp, lower_comp = halves.reshape(n, 2).T
 
     labels = np.full(n, LABEL_EXCLUDED, dtype=np.int8)
-    lower_comp = np.zeros(n, dtype=np.int64)
-    upper_comp = np.zeros(n, dtype=np.int64)
+    labels[counted] = np.select(
+        [lower_comp == 0, upper_comp == 0, (lower_comp > 1) | (upper_comp > 1)],
+        [LABEL_MIN, LABEL_MAX, LABEL_SADDLE],
+        LABEL_REGULAR,
+    )[counted]
 
-    for v in range(n):
-        if not neighbor[v]:
-            continue
-        lower = {w for w in neighbor[v] if lower_than(w, v)}
-        upper = neighbor[v] - lower
-        if star_ok[v]:
-            lower_edges = [(a, b) for a, b in link_edges[v] if a in lower and b in lower]
-            upper_edges = [(a, b) for a, b in link_edges[v] if a in upper and b in upper]
-            cl = _component_count(lower, lower_edges)
-            cu = _component_count(upper, upper_edges)
-            lower_comp[v] = cl
-            upper_comp[v] = cu
-            if cl == 0:
-                labels[v] = LABEL_MIN
-            elif cu == 0:
-                labels[v] = LABEL_MAX
-            elif cl > 1 or cu > 1:
-                labels[v] = LABEL_SADDLE
-            else:
-                labels[v] = LABEL_REGULAR
-
-    counted = labels != LABEL_EXCLUDED
     counts: Dict[int, int] = {i: 0 for i in range(mesh.dim + 1)}
     counts[0] = int(np.sum(labels == LABEL_MIN))
     counts[mesh.dim] = int(np.sum(labels == LABEL_MAX))

@@ -25,9 +25,6 @@ class NonBoxSceneError(ValueError):
     """Raised by checks that need the structured grid (fiber) layout."""
 
 
-_TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
 def tie_signs(u: np.ndarray) -> np.ndarray:
     """Effective signs of vertex values; exact zeros count as positive."""
     return np.where(np.asarray(u) < 0, -1, 1).astype(np.int8)
@@ -39,8 +36,8 @@ class NodalFragment:
 
     cell: int
     points: np.ndarray   # (k, d) polygon vertices, cyclic order
-    edge_v0: np.ndarray  # (k,) mesh vertex on the negative side of each point
-    edge_v1: np.ndarray  # (k,) mesh vertex on the positive side
+    edge_v0: np.ndarray  # (k,) the cell's lone-sign vertex, or a minus-edge vertex in a 2-2 split
+    edge_v1: np.ndarray  # (k,) the other end of each point's sign-crossing edge
     edge_t: np.ndarray   # (k,) position along the edge, point = (1-t) v0 + t v1
 
     def interpolate(self, field: np.ndarray) -> np.ndarray:
@@ -71,89 +68,63 @@ class NodalSet:
         return (float(vals.min()), float(vals.max()))
 
 
-def _crossing_points(u, verts, cells, cell_id, neg_local, pos_local):
-    """Polygon corners on the sign-crossing edges of one cell, cyclic order."""
-    if len(neg_local) == 1 or len(pos_local) == 1:
-        single, others = (
-            (neg_local[0], pos_local) if len(neg_local) == 1 else (pos_local[0], neg_local)
-        )
-        pairs = [(single, o) for o in others]
-    else:  # 2-2 split in a tetrahedron: quad around the minus edge
-        a0, a1 = neg_local
-        b0, b1 = pos_local
-        pairs = [(a0, b0), (a0, b1), (a1, b1), (a1, b0)]
-
-    cell = cells[cell_id]
-    v0 = np.array([cell[i] for i, _ in pairs], dtype=np.int64)
-    v1 = np.array([cell[j] for _, j in pairs], dtype=np.int64)
-    ui, uj = u[v0], u[v1]
-    t = ui / (ui - uj)
-    pts = (1.0 - t)[:, None] * verts[v0] + t[:, None] * verts[v1]
-    return pts, v0, v1, t
-
-
-def _polygon_area(points: np.ndarray, metric: Optional[np.ndarray]) -> float:
-    """Metric area of a planar polygon (Gram determinant per fan triangle)."""
-    g = metric if metric is not None else np.eye(points.shape[1])
-    if points.shape[1] == 2:  # segment length
-        e = points[1] - points[0]
-        return float(np.sqrt(e @ g @ e))
-    area = 0.0
-    for k in range(1, points.shape[0] - 1):
-        e1 = points[k] - points[0]
-        e2 = points[k + 1] - points[0]
-        gram = np.array([[e1 @ g @ e1, e1 @ g @ e2], [e2 @ g @ e1, e2 @ g @ e2]])
-        area += 0.5 * np.sqrt(max(np.linalg.det(gram), 0.0))
-    return area
+def _corner_pairs(neg: List[int], pos: List[int]) -> List[tuple]:
+    """Local (v0, v1) edges whose crossings are the polygon corners, cyclic order."""
+    if len(neg) == 1 or len(pos) == 1:
+        single, others = (neg[0], pos) if len(neg) == 1 else (pos[0], neg)
+        return [(single, o) for o in others]
+    (a0, a1), (b0, b1) = neg, pos  # 2-2 split in a tetrahedron: quad around the minus edge
+    return [(a0, b0), (a0, b1), (a1, b1), (a1, b0)]
 
 
 def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     """Extract the zero set of the P1 interpolant of ``u``.
 
-    Components join fragments that share a sign-crossing facet.  An empty
-    zero set is a valid result.
+    Cells are batched by sign pattern, so corners and areas are computed
+    once per pattern.  Components join fragments that share a sign-crossing
+    facet.  An empty zero set is a valid result.
     """
     u = np.asarray(u, dtype=float)
+    d = mesh.dim
     signs = tie_signs(u)
     cell_signs = signs[mesh.cells]
     crossing = np.flatnonzero(~np.all(cell_signs == cell_signs[:, :1], axis=1))
+    pattern = (cell_signs[crossing] < 0) @ (1 << np.arange(d + 1))
 
-    fragments: List[NodalFragment] = []
-    frag_of_cell = {}
-    areas = []
-    local_range = np.arange(mesh.dim + 1)
-    for cid in crossing:
-        neg = local_range[cell_signs[cid] < 0]
-        pos = local_range[cell_signs[cid] > 0]
-        pts, v0, v1, t = _crossing_points(u, mesh.vertices, mesh.cells, cid, list(neg), list(pos))
-        metric = mesh.cell_metric[cid] if mesh.cell_metric is not None else None
-        areas.append(_polygon_area(pts, metric))
-        frag_of_cell[cid] = len(fragments)
-        fragments.append(NodalFragment(int(cid), pts, v0, v1, t))
+    fragments: List[Optional[NodalFragment]] = [None] * crossing.size
+    areas = np.zeros(crossing.size)
+    for code in np.unique(pattern):
+        rows = np.flatnonzero(pattern == code)
+        neg = [i for i in range(d + 1) if code >> i & 1]
+        pos = [i for i in range(d + 1) if not code >> i & 1]
+        i0, i1 = np.array(_corner_pairs(neg, pos)).T
+        cells = mesh.cells[crossing[rows]]
+        v0, v1 = cells[:, i0], cells[:, i1]
+        t = u[v0] / (u[v0] - u[v1])
+        pts = (1.0 - t)[..., None] * mesh.vertices[v0] + t[..., None] * mesh.vertices[v1]
+        g = np.eye(d) if mesh.cell_metric is None else mesh.cell_metric[crossing[rows]]
+        # metric area: a segment length in 2d, a fan of triangle Gram determinants in 3d
+        for k in range(1, pts.shape[1] - d + 2):
+            e = pts[:, k : k + d - 1] - pts[:, :1]
+            gram = (e @ g) @ e.transpose(0, 2, 1)
+            if d == 2:
+                areas[rows] += np.sqrt(gram[:, 0, 0])
+            else:
+                areas[rows] += 0.5 * np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+        for r, row in enumerate(rows):
+            fragments[row] = NodalFragment(int(crossing[row]), pts[r], v0[r], v1[r], t[r])
 
     # adjacency through facets whose own vertex signs are mixed
-    parent = list(range(len(fragments)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if fragments:
-        facets, pairs = mesh.interior_facet_pairs()
-        fs = signs[facets]
-        mixed = ~np.all(fs == fs[:, :1], axis=1)
-        for c0, c1 in pairs[mixed]:
-            i, j = frag_of_cell.get(int(c0)), frag_of_cell.get(int(c1))
-            if i is None or j is None:
-                continue
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(len(fragments))], dtype=np.int64)
-    uniq, labels = (np.unique(roots, return_inverse=True) if fragments else (np.array([]), roots))
+    frag_of_cell = np.full(mesh.num_cells, -1, dtype=np.int64)
+    frag_of_cell[crossing] = np.arange(crossing.size)
+    facets, pairs = mesh.interior_facet_pairs()
+    fs = signs[facets]
+    linked = frag_of_cell[pairs[fs.min(axis=1) < fs.max(axis=1)]]  # both cells of it cross
+    graph = sparse.coo_matrix(
+        (np.ones(linked.shape[0], dtype=np.int8), (linked[:, 0], linked[:, 1])),
+        shape=(crossing.size, crossing.size),
+    )
+    n_components, labels = connected_components(graph, directed=False)
 
     if crossing.size:  # gradient operators of the crossing cells only
         metric = None if mesh.cell_metric is None else mesh.cell_metric[crossing]
@@ -165,9 +136,9 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
 
     return NodalSet(
         fragments=fragments,
-        component_labels=labels,
-        n_components=int(uniq.size),
-        total_area=float(np.add.reduce(np.asarray(areas))) if areas else 0.0,
+        component_labels=labels.astype(np.int64),
+        n_components=int(n_components),
+        total_area=float(np.add.reduce(areas)),
         min_gradient=min_grad,
         dim=mesh.dim,
     )

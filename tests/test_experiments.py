@@ -193,3 +193,22 @@ def test_cli_emit_bad_report_exits_2(tmp_path, capsys, content):
     code = main(["emit", str(report), "--kind", "loglog", "--out", str(tmp_path / "plots")])
     assert code == 2
     assert capsys.readouterr().err.startswith("emit error: ")
+
+
+@pytest.mark.parametrize("report, kind", [
+    ({"tables": {"sweep": {}}}, "loglog"),
+    ({"tables": {"sweep": {"columns": ["epsilon", "lambda1"], "rows": [[1, 2], [None, 1]]}}},
+     "loglog"),
+    ({"tables": {"sweep": {"columns": ["epsilon", "lambda1"], "rows": [[1, 2], 3]}}}, "loglog"),
+    ({"tables": {"sweep": {"columns": ["epsilon", "lambda1"], "rows": [[10**400, 2]]}}}, "loglog"),
+    ({"artifacts": {"polygons": [1]}}, "surface"),
+    ({"tables": []}, "loglog"),
+    ({"scenario": "../x", "tables": {}}, "loglog"),
+])
+def test_cli_emit_malformed_report_exits_2(tmp_path, capsys, report, kind):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    out = tmp_path / "plots"
+    assert main(["emit", str(path), "--kind", kind, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("emit error: ")
+    assert not out.exists()  # checked before any output is written

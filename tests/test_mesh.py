@@ -283,3 +283,18 @@ def test_load_rejects_non_finite_values(tmp_path, body, what):
     path.write_text("dim 3\nvertices 4\n" + body)
     with pytest.raises(MeshValidationError, match=f"non-finite .*{what}"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("rows, cell", [
+    ("1 0 0 1 0 1\n-1 0 0 -1 0 1\n", 1),  # det 1 > 0, yet indefinite
+    ("-1 0 0 1 0 1\n1 0 0 1 0 1\n", 0),
+    ("1 0 0 1 0 1\n1 0 0 1 0 0\n", 1),     # semidefinite
+])
+def test_load_rejects_indefinite_metric(tmp_path, rows, cell):
+    path = tmp_path / "bad.mesh"
+    path.write_text(
+        "dim 3\nvertices 5\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n"
+        "cells 2\n0 1 2 3\n1 4 2 3\nmetric 2\n" + rows
+    )
+    with pytest.raises(MeshValidationError, match=f"not positive definite: cell {cell}$"):
+        load_mesh(path)

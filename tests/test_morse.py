@@ -124,3 +124,86 @@ def test_labels_on_benchmark_extrema(torus32):
     n = 32
     assert rep.labels[0] == LABEL_MAX
     assert rep.labels[(n // 4) * n] == LABEL_MIN
+
+
+def _reference_classify(mesh, u, region=None):
+    """The per-vertex loop with a union-find per link, kept as the reference."""
+
+    def components(nodes, edges):
+        parent = {v: v for v in nodes}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a, b in edges:
+            parent[find(a)] = find(b)
+        return len({find(v) for v in nodes})
+
+    n = mesh.num_vertices
+    in_region = np.ones(mesh.num_cells, bool) if region is None else np.asarray(region, bool)
+    neighbor = [set() for _ in range(n)]
+    link_edges = [[] for _ in range(n)]
+    for cell in mesh.cells[in_region].tolist():
+        for i, v in enumerate(cell):
+            others = cell[:i] + cell[i + 1:]
+            neighbor[v].update(others)
+            link_edges[v] += [(a, b) for k, a in enumerate(others) for b in others[k + 1:]]
+    star_ok = np.zeros(n, bool)
+    star_ok[mesh.cells[in_region].reshape(-1)] = True
+    star_ok[mesh.cells[~in_region].reshape(-1)] = False
+    if not mesh.periodic:
+        star_ok &= ~mesh.boundary_vertex_mask()
+    labels = np.full(n, -1, dtype=np.int8)
+    lower_comp = np.zeros(n, dtype=np.int64)
+    upper_comp = np.zeros(n, dtype=np.int64)
+    for v in np.flatnonzero(star_ok):
+        lower = {w for w in neighbor[v] if (u[w], w) < (u[v], v)}
+        upper = neighbor[v] - lower
+        cl = components(lower, [e for e in link_edges[v] if set(e) <= lower])
+        cu = components(upper, [e for e in link_edges[v] if set(e) <= upper])
+        lower_comp[v], upper_comp[v] = cl, cu
+        labels[v] = 1 if cl == 0 else 2 if cu == 0 else 3 if max(cl, cu) > 1 else 0
+    counted = labels != -1
+    counts = {i: 0 for i in range(mesh.dim + 1)}
+    counts[0] = int(np.sum(labels == 1))
+    counts[mesh.dim] = int(np.sum(labels == 2))
+    counts[1] = int(np.sum(np.maximum(lower_comp[counted] - 1, 0)))
+    if mesh.dim >= 3:
+        counts[2] = int(np.sum(np.maximum(upper_comp[counted] - 1, 0)))
+    return labels, lower_comp, upper_comp, counted, counts
+
+
+_MESHES = {
+    "torus": lambda: periodic_unit_grid_2d(12, 9),
+    "box2": lambda: build_box_grid(2, 10),
+    "box3": lambda: build_box_grid(3, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MESHES))
+@pytest.mark.parametrize("field", ["random", "integer", "zeros"])
+@pytest.mark.parametrize("where", ["all", "random", "half", "empty"])
+def test_link_graph_matches_reference_loop(name, field, where):
+    mesh = _MESHES[name]()
+    rng = np.random.default_rng(3)
+    u = {
+        "random": rng.standard_normal(mesh.num_vertices),
+        "integer": rng.integers(0, 3, mesh.num_vertices).astype(float),
+        "zeros": np.zeros(mesh.num_vertices),
+    }[field]
+    region = {
+        "all": None,
+        "random": rng.random(mesh.num_cells) < 0.7,
+        "half": mesh.barycenters()[:, 0] < 0.6,
+        "empty": np.zeros(mesh.num_cells, dtype=bool),
+    }[where]
+    rep = classify_critical_points(mesh, u, region=region)
+    labels, lower, upper, counted, counts = _reference_classify(mesh, u, region)
+    assert np.array_equal(rep.labels, labels)
+    assert np.array_equal(rep.lower_components, lower)
+    assert np.array_equal(rep.upper_components, upper)
+    assert np.array_equal(rep.counted, counted)
+    assert rep.counts == counts

@@ -167,3 +167,66 @@ def test_eigenfunction_nodal_set(dumbbell16):
     root = harmonic.hbar_root(geom.eta, consts)
     assert rep.max_abs_rho <= abs(root) + 1.0 / m.grid_resolution[0]
     assert single_crossing_check(m, u1, geom)
+
+
+def _reference_fragment(u, mesh, cid):
+    """Corners and metric area of one crossing cell: the per-cell loop, kept as reference."""
+    cell = mesh.cells[cid]
+    neg = [i for i in range(mesh.dim + 1) if u[cell[i]] < 0]
+    pos = [i for i in range(mesh.dim + 1) if u[cell[i]] >= 0]
+    if len(neg) == 1 or len(pos) == 1:
+        single, others = (neg[0], pos) if len(neg) == 1 else (pos[0], neg)
+        pairs = [(single, o) for o in others]
+    else:
+        pairs = [(neg[0], pos[0]), (neg[0], pos[1]), (neg[1], pos[1]), (neg[1], pos[0])]
+    v0 = np.array([cell[i] for i, _ in pairs], dtype=np.int64)
+    v1 = np.array([cell[j] for _, j in pairs], dtype=np.int64)
+    t = u[v0] / (u[v0] - u[v1])
+    pts = (1.0 - t)[:, None] * mesh.vertices[v0] + t[:, None] * mesh.vertices[v1]
+    g = mesh.cell_metric[cid] if mesh.cell_metric is not None else np.eye(mesh.dim)
+    if mesh.dim == 2:
+        e = pts[1] - pts[0]
+        return pts, v0, v1, t, float(np.sqrt(e @ g @ e))
+    area = 0.0
+    for k in range(1, pts.shape[0] - 1):
+        e1, e2 = pts[k] - pts[0], pts[k + 1] - pts[0]
+        gram = np.array([[e1 @ g @ e1, e1 @ g @ e2], [e2 @ g @ e1, e2 @ g @ e2]])
+        area += 0.5 * np.sqrt(max(np.linalg.det(gram), 0.0))
+    return pts, v0, v1, t, area
+
+
+@pytest.mark.parametrize("dim, n", [(3, 12), (2, 16)])
+def test_batched_fragments_match_per_cell_reference(dim, n):
+    from dumbbell.mesh import build_box_grid
+
+    mesh = build_box_grid(dim, n, warp=lambda r: 1 + 0.7 * r)
+    rng = np.random.default_rng(5)
+    x = mesh.vertices
+    for u in (rng.standard_normal(mesh.num_vertices), x[:, 0] - 0.5,
+              np.sum((x - 0.5) ** 2, axis=1) - 0.1):
+        ns = extract_nodal_set(mesh, u)
+        areas = []
+        for frag in ns.fragments:
+            pts, v0, v1, t, area = _reference_fragment(u, mesh, frag.cell)
+            for got, want in ((frag.points, pts), (frag.edge_v0, v0),
+                              (frag.edge_v1, v1), (frag.edge_t, t)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            areas.append(area)
+        assert ns.total_area == float(np.add.reduce(np.asarray(areas)))
+        # components: union-find over fragments sharing a mixed facet
+        index = {f.cell: k for k, f in enumerate(ns.fragments)}
+        parent = list(range(len(index)))
+
+        def find(k):
+            while parent[k] != k:
+                k = parent[k]
+            return k
+
+        facets, pairs = mesh.interior_facet_pairs()
+        s = nodal.tie_signs(u)[facets]
+        for c0, c1 in pairs[s.min(axis=1) < s.max(axis=1)].tolist():
+            r0, r1 = sorted((find(index[c0]), find(index[c1])))
+            parent[r1] = r0
+        roots = [find(k) for k in range(len(index))]
+        assert np.array_equal(ns.component_labels, np.unique(roots, return_inverse=True)[1])
+        assert ns.n_components == len(set(roots))

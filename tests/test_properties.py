@@ -2,9 +2,13 @@
 
 Loading either raises one of the named input errors or returns a mesh whose
 coordinates and metric are finite, with positive volumes and SPD metrics.
+Emitting plot data from any JSON object either writes the file or raises
+ValueError.
 """
 
+import copy
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dumbbell.experiments import ScenarioConfig  # noqa: E402
+from dumbbell.experiments import ScenarioConfig, emit_plot_data  # noqa: E402
 from dumbbell.mesh import MeshFormatError, MeshValidationError, load_mesh  # noqa: E402
 
 INPUT_ERRORS = (MeshFormatError, MeshValidationError, ValueError)
@@ -60,7 +64,8 @@ def test_load_mesh_raises_only_input_errors(tmp_path_factory, text):
         return
     assert np.isfinite(m.vertices).all() and (m.signed_volumes() > 0).all()
     if m.cell_metric is not None:
-        assert np.isfinite(m.cell_metric).all() and (np.linalg.det(m.cell_metric) > 0).all()
+        assert np.isfinite(m.cell_metric).all()
+        assert (np.linalg.eigvalsh(m.cell_metric).min(axis=1) > 0).all()
 
 
 _KEYS = st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)] + ["bogus", ""])
@@ -82,3 +87,60 @@ def test_config_from_file_raises_only_input_errors(tmp_path_factory, text):
         ScenarioConfig.from_file(path)
     except INPUT_ERRORS:
         pass
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(), st.integers(min_value=2**1024),
+    st.text(max_size=8),
+    st.sampled_from(["nodal", "scaling", "epsilon", "lambda1", "rho", "u", "h", "hbar"]),
+)
+_JSON_KEYS = st.one_of(
+    st.sampled_from(["scenario", "tables", "artifacts", "polygons", "sweep", "profile",
+                     "columns", "rows"]),
+    st.text(max_size=4),
+)
+_json_values = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+_VALID_REPORT = {
+    "scenario": "nodal",
+    "tables": {
+        "sweep": {"columns": ["epsilon", "lambda1"], "rows": [[0.1, 2.0], [0.01, 1.0]]},
+        "profile": {"columns": ["rho", "u", "h", "hbar"], "rows": [[0.0, 1.0, 1.0, 1.0]]},
+    },
+    "artifacts": {"polygons": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]},
+}
+
+
+def _slots(node):
+    """Every (container, key) pair inside a nested JSON value."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def _mutated_report(draw):
+    """The valid report with one to three nested values replaced by any JSON value."""
+    rnd = draw(st.randoms(use_true_random=False))
+    report = copy.deepcopy(_VALID_REPORT)
+    for _ in range(rnd.randint(1, 3)):
+        node, key = rnd.choice(list(_slots(report)))
+        node[key] = draw(_JSON_LEAVES | _json_values)
+    return report
+
+
+@BOUNDED
+@given(report=st.one_of(_mutated_report(), st.dictionaries(_JSON_KEYS, _json_values, max_size=4)),
+       kind=st.sampled_from(["loglog", "profile", "surface"]))
+def test_emit_plot_data_raises_only_value_error(tmp_path_factory, report, kind):
+    out = tmp_path_factory.getbasetemp() / "emit"
+    try:
+        path = emit_plot_data(report, kind, out)
+    except ValueError:
+        assert not out.exists() or not any(out.iterdir())  # no partial file
+        return
+    Path(path).unlink()
