@@ -66,11 +66,9 @@ from .nodal import (
     localization_report,
     nodal_domain_count,
     single_crossing_check,
-    write_polygon_soup,
 )
 from .morse import (
     CriticalReport,
-    betti_bound_check,
     classify_critical_points,
     cosine_product_census,
     cosine_product_field,

@@ -46,11 +46,9 @@ class OperatorPair:
 
 
 def _local_matrices(mesh: Mesh, cell_ids: np.ndarray):
-    grads = simplex_gradient_data(mesh)
+    grads = simplex_gradient_data(mesh, cell_ids)
     d = mesh.dim
-    G = grads.gradients[cell_ids]
-    ginv = grads.metric_inv[cell_ids]
-    vol = grads.volumes[cell_ids]
+    G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
     stiff = np.einsum("cka,ckl,clb->cab", G, ginv, G) * vol[:, None, None]
     stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))  # exact symmetry
     mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))

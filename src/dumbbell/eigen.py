@@ -34,7 +34,6 @@ class EigenResult:
     values: np.ndarray      # (m,) ascending, mode 0 is the constant
     vectors: np.ndarray     # (n_dof, m), M-orthonormal columns
     residuals: np.ndarray   # (m,) relative residuals
-    normalization: str = "unit-mass"
 
 
 def _relative_residuals(K, M, vectors, values, sigma):
@@ -49,15 +48,14 @@ def solve_smallest(
     pair: OperatorPair,
     m: int,
     tol: float = 1e-9,
-    shift: Optional[float] = None,
     shift_estimate: Optional[float] = None,
     seed: int = 0,
     max_iterations: int = 500,
 ) -> EigenResult:
     """The m smallest eigenpairs, constant mode included.
 
-    The shift defaults to a tenth of ``shift_estimate`` (an a priori guess
-    for the smallest nonzero eigenvalue) and must stay below it; with no
+    The shift is a tenth of ``shift_estimate`` (an a priori guess for the
+    smallest nonzero eigenvalue), which keeps it below that value; with no
     estimate a tiny positive value keeps the factorization away from zero.
     """
     if m < 2:
@@ -71,7 +69,7 @@ def solve_smallest(
     lam0 = float(ones @ (K @ ones)) / mass
     v0 = ones / np.sqrt(mass)
 
-    sigma = shift if shift is not None else max(1e-8, 0.1 * (shift_estimate or 0.0))
+    sigma = max(1e-8, 0.1 * (shift_estimate or 0.0))
     lu = None
     for _ in range(5):
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
+import operator
 import sys
 import time
 import warnings
@@ -25,8 +25,6 @@ import numpy as np
 
 from . import assembly, eigen, harmonic, metric, morse, nodal, oracle
 from .mesh import Mesh, build_box_grid, load_mesh, periodic_unit_grid_2d
-
-WORKERS_ENV = "DUMBBELL_WORKERS"
 
 SCENARIO_NAMES = (
     "scaling",
@@ -43,7 +41,8 @@ SCENARIO_NAMES = (
 
 @dataclass
 class ScenarioConfig:
-    """One scenario run; thresholds default to the documented gates."""
+    """One scenario run: the scene and its sweep.  Gates are not configurable;
+    each scenario writes its thresholds into its verdicts."""
 
     scenario: str
     kind: str = "box"                      # box | warped-box | file
@@ -56,8 +55,6 @@ class ScenarioConfig:
     warp: str = "none"                     # none | linear:<slope>
     epsilons: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     epsilon: float = 1e-3
-    modes: int = 3
-    tol: float = 1e-9
     seed: int = 0
     workers: int = 1
     out: str = "out"
@@ -68,21 +65,6 @@ class ScenarioConfig:
     mollify_epsilon: float = 0.95          # see README: small eps cannot meet the 1% gate at desk scale
     resolution: int = 32                   # periodic benchmark grid
     torus_radii: tuple = (0.3, 0.14)
-    slope_band: tuple = (0.40, 0.60)
-    oracle_slope_band: tuple = (0.45, 0.55)
-    gap_rel_tol: float = 0.15
-    simplicity_ratio: float = 10.0
-    plateau_tol: float = 0.05
-    collar_tol: float = 0.05
-    glitch_tol: float = 0.05
-    flat_harmonic_tol: float = 1e-8
-    deviation_factor: float = 1.5
-    fourier_tol: float = 1e-4
-    volume_tol: float = 1e-12
-    oracle_compare_tol: float = 0.02
-    mollify_lambda_tol: float = 0.01
-    mollify_vector_tol: float = 0.02
-    min_gradient_factor: float = 0.5
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -145,18 +127,39 @@ def _coerce(value, fld: dataclasses.Field):
     return value
 
 
+_ORDER = {"<=": operator.le, "<": operator.lt, "==": operator.eq, ">=": operator.ge}
+
+
 @dataclass
 class Verdict:
+    """A gate: PASS is ``measured comparator threshold`` and nothing else.
+
+    Order comparators apply elementwise to lists, ``in`` reads the threshold
+    as a closed band [lo, hi], and ``monotone`` holds a glitch count and the
+    worst relative rise to their maxima.
+    """
+
     name: str
-    passed: bool
     measured: object
     threshold: object
     comparator: str
 
+    @property
+    def passed(self) -> bool:
+        m, t = self.measured, self.threshold
+        if self.comparator == "in":
+            return bool(t[0] <= m <= t[1])
+        if self.comparator == "monotone":
+            return bool(m["glitches"] <= t["max_glitches"] and m["worst_excess"] <= t["glitch_tol"])
+        op = _ORDER[self.comparator]
+        if isinstance(m, list):
+            return len(m) == len(t) and all(op(a, b) for a, b in zip(m, t))
+        return bool(op(m, t))
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "measured": _jsonable(self.measured),
             "threshold": _jsonable(self.threshold),
             "comparator": self.comparator,
@@ -255,7 +258,7 @@ def _parse_sigma(cfg: ScenarioConfig):
     raise ValueError(f"unknown sigma descriptor '{tag}'")
 
 
-def _build_scene(cfg: ScenarioConfig, eta: Optional[float] = None):
+def _build_scene(cfg: ScenarioConfig):
     if cfg.kind == "file":
         if not cfg.mesh_path:
             raise ValueError("kind=file needs mesh_path")
@@ -270,7 +273,7 @@ def _build_scene(cfg: ScenarioConfig, eta: Optional[float] = None):
     sigma = _parse_sigma(cfg)
     rho = metric.signed_distance(mesh, sigma)
     snap = isinstance(sigma, metric.PlaneSigma) and mesh.grid_resolution is not None
-    geom = metric.collar_geometry(mesh, rho, cfg.eta if eta is None else eta, snap=snap)
+    geom = metric.collar_geometry(mesh, rho, cfg.eta, snap=snap)
     return mesh, geom
 
 
@@ -288,30 +291,28 @@ def _solve_point(mesh, geom, cfg, eps, m=2):
     fld = metric.build_conformal_field(geom, eps, cfg.d)
     pair = assembly.assemble(mesh, fld)
     bound = eigen.test_function_bound(geom, fld, pair, cfg.d) if geom.grid_aligned else None
-    result = eigen.solve_smallest(pair, m, tol=cfg.tol, shift_estimate=bound, seed=cfg.seed)
+    result = eigen.solve_smallest(pair, m, shift_estimate=bound, seed=cfg.seed)
     result = eigen.normalize_and_sign(result, pair, geom)
     return fld, pair, bound, result
 
 
 def _map_sweep(cfg: ScenarioConfig, fn: Callable, items):
-    workers = int(os.environ.get(WORKERS_ENV, cfg.workers))
-    if workers <= 1:
+    if cfg.workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(fn, items))
 
 
-def _monotone_verdict(name: str, values, glitch_tol: float) -> Verdict:
-    """Nonincreasing along the sweep, with at most one small glitch."""
+def _monotone_verdict(name: str, values) -> Verdict:
+    """Nonincreasing along the sweep, with at most one rise of at most 5%."""
     worst = 0.0
     glitches = 0
     for prev, cur in zip(values, values[1:]):
         if cur > prev:
             glitches += 1
             worst = max(worst, cur / prev - 1.0)
-    passed = glitches <= 1 and worst <= glitch_tol
-    return Verdict(name, passed, {"glitches": glitches, "worst_excess": worst},
-                   {"max_glitches": 1, "glitch_tol": glitch_tol}, "monotone")
+    return Verdict(name, {"glitches": glitches, "worst_excess": worst},
+                   {"max_glitches": 1, "glitch_tol": 0.05}, "monotone")
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +345,12 @@ def _run_scaling(cfg: ScenarioConfig):
     fit3d = oracle.scaling_fit(cfg.epsilons, lam1)
     fit1d = oracle.scaling_fit(cfg.epsilons, oracle_lams)
 
-    lo, hi = cfg.slope_band
-    olo, ohi = cfg.oracle_slope_band
+    slope = cfg.d / 2 - 1  # lambda1 ~ eps^(d/2 - 1)
     verdicts = [
-        Verdict("eigenvalue-scaling-slope", lo <= fit3d.slope <= hi, fit3d.slope, [lo, hi], "in"),
-        Verdict("oracle-scaling-slope", olo <= fit1d.slope <= ohi, fit1d.slope, [olo, ohi], "in"),
-        Verdict(
-            "minmax-sandwich",
-            all(l <= b for l, b in zip(lam1, bounds)),
-            max(l - b for l, b in zip(lam1, bounds)),
-            0.0,
-            "<=",
-        ),
-        Verdict("volume-preservation", max(r[5] for r in rows) <= cfg.volume_tol,
-                max(r[5] for r in rows), cfg.volume_tol, "<="),
+        Verdict("eigenvalue-scaling-slope", fit3d.slope, [slope - 0.1, slope + 0.1], "in"),
+        Verdict("oracle-scaling-slope", fit1d.slope, [slope - 0.05, slope + 0.05], "in"),
+        Verdict("minmax-sandwich", max(l - b for l, b in zip(lam1, bounds)), 0.0, "<="),
+        Verdict("volume-preservation", max(r[5] for r in rows), 1e-12, "<="),
     ]
     tables = {
         "sweep": _table(
@@ -376,13 +369,13 @@ def _run_scaling(cfg: ScenarioConfig):
 
 def _run_gap(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
-    fld, pair, bound, result = _solve_point(mesh, geom, cfg, cfg.epsilon, m=max(3, cfg.modes))
+    fld, pair, bound, result = _solve_point(mesh, geom, cfg, cfg.epsilon, m=3)
     lam1, lam2 = result.values[1], result.values[2]
 
     mus = {}
     for side in ("plus", "minus"):
         sub = assembly.subdomain_neumann(mesh, geom, side)
-        sub_res = eigen.solve_smallest(sub, 2, tol=cfg.tol, shift_estimate=1.0, seed=cfg.seed)
+        sub_res = eigen.solve_smallest(sub, 2, shift_estimate=1.0, seed=cfg.seed)
         mus[side] = float(sub_res.values[1])
     mu_min = min(mus.values())
     # bulk regions carry metric kappa*g0, so their Neumann values rescale by 1/kappa
@@ -390,9 +383,8 @@ def _run_gap(cfg: ScenarioConfig):
     rel = abs(lam2 - target) / target
     raw_rel = abs(lam2 - mu_min) / mu_min
     verdicts = [
-        Verdict("gap-neumann-match", rel <= cfg.gap_rel_tol, rel, cfg.gap_rel_tol, "<="),
-        Verdict("simplicity-ratio", lam2 / lam1 >= cfg.simplicity_ratio, lam2 / lam1,
-                cfg.simplicity_ratio, ">="),
+        Verdict("gap-neumann-match", rel, 0.15, "<="),
+        Verdict("simplicity-ratio", lam2 / lam1, 10.0, ">="),
     ]
     tables = {
         "gap": _table(
@@ -425,8 +417,8 @@ def _run_plateau(cfg: ScenarioConfig):
     rows = _map_sweep(cfg, point, sweep)
     sups = [r[4] for r in rows]
     verdicts = [
-        Verdict("plateau-final", sups[-1] <= cfg.plateau_tol, sups[-1], cfg.plateau_tol, "<="),
-        _monotone_verdict("plateau-monotone", sups, cfg.glitch_tol),
+        Verdict("plateau-final", sups[-1], 0.05, "<="),
+        _monotone_verdict("plateau-monotone", sups),
     ]
     tables = {
         "plateau": _table(
@@ -468,8 +460,8 @@ def _run_collar(cfg: ScenarioConfig):
     rows = _map_sweep(cfg, point, sweep)
     sups = [r[2] for r in rows]
     verdicts = [
-        Verdict("collar-final", sups[-1] <= cfg.collar_tol, sups[-1], cfg.collar_tol, "<="),
-        _monotone_verdict("collar-monotone", sups, cfg.glitch_tol),
+        Verdict("collar-final", sups[-1], 0.05, "<="),
+        _monotone_verdict("collar-monotone", sups),
     ]
 
     # center-fiber profile at the smallest epsilon, for plotting
@@ -490,9 +482,9 @@ def _run_collar(cfg: ScenarioConfig):
     return tables, verdicts, {}
 
 
-def _warped_fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
+def _warped_fourier_inputs(consts, eta, slope, d, n_sigma):
     """F, G1 fields of the stretched-collar problem for w(rho)=1+slope rho."""
-    n_grid = max(grid_factor * n_sigma, 8)
+    n_grid = max(2 * n_sigma, 8)
     sig = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)
     rho_g = 2.0 * eta * sig / np.pi - eta
     wp_over_w = slope / (1.0 + slope * rho_g)
@@ -512,7 +504,7 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     consts_flat = _plateaus(geom_flat, cfg.d)
     flat = harmonic.solve_harmonic(mesh_flat, geom_flat, consts_flat)
 
-    mesh, _ = _build_scene(dataclasses.replace(cfg, kind="warped-box"))
+    mesh = build_box_grid(cfg.d, cfg.n, warp=warp_fn, sigma_offset=cfg.sigma_offset)
     rho = metric.signed_distance(mesh, metric.PlaneSigma(cfg.sigma_offset))
 
     rows = []
@@ -521,15 +513,14 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
         geom = metric.collar_geometry(mesh, rho, eta)
         consts = _plateaus(geom, cfg.d)
         sol = harmonic.solve_harmonic(mesh, geom, consts)
+        if not rows:  # etas[0] also backs the spectral solve below
+            geom0, consts0, sol0 = geom, consts, sol
         dev = sol.sup_deviation / consts.gap
         devs.append(dev)
         rows.append([geom.eta, dev, consts.gap])
     ratios = [devs[i] / devs[i + 1] for i in range(len(devs) - 1)]
 
     # spectral collar solve against the 1d closed form, at the widest eta
-    eta0 = cfg.etas[0]
-    geom0 = metric.collar_geometry(mesh, rho, eta0)
-    consts0 = _plateaus(geom0, cfg.d)
     forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, cfg.n_sigma)
     fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=cfg.n_sigma)
     h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, cfg.d)
@@ -539,7 +530,6 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     fourier_rel = float(np.abs(h_fourier - h_exact).max() / np.abs(h_exact).max())
 
     # FEM consistency on the same collar (reported, asserted in unit tests)
-    sol0 = harmonic.solve_harmonic(mesh, geom0, consts0)
     fem_vs_fourier = float(
         np.abs(
             sol0.values
@@ -550,12 +540,9 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     )
 
     verdicts = [
-        Verdict("flat-harmonic-exact", flat.sup_deviation <= cfg.flat_harmonic_tol,
-                flat.sup_deviation, cfg.flat_harmonic_tol, "<="),
-        Verdict("deviation-halving", all(r >= cfg.deviation_factor for r in ratios),
-                min(ratios), cfg.deviation_factor, ">="),
-        Verdict("fourier-vs-closed-form", fourier_rel <= cfg.fourier_tol,
-                fourier_rel, cfg.fourier_tol, "<="),
+        Verdict("flat-harmonic-exact", flat.sup_deviation, 1e-8, "<="),
+        Verdict("deviation-halving", min(ratios), 1.5, ">="),
+        Verdict("fourier-vs-closed-form", fourier_rel, 1e-4, "<="),
     ]
     tables = {
         "deviation": _table(["eta", "sup_dev_over_gap", "gap"], rows),
@@ -581,15 +568,14 @@ def _run_nodal(cfg: ScenarioConfig):
     domains = nodal.nodal_domain_count(mesh, u1)
     single = nodal.single_crossing_check(mesh, u1, geom)
     min_grad = ns.min_gradient
-    grad_floor = cfg.min_gradient_factor * consts.gap / (2.0 * geom.eta)
+    grad_floor = 0.5 * consts.gap / (2.0 * geom.eta)  # half the affine model's slope
 
     verdicts = [
-        Verdict("nodal-components", report.components == 1, report.components, 1, "=="),
-        Verdict("nodal-contained", report.contained and report.max_abs_rho <= geom.eta,
-                report.max_abs_rho, geom.eta, "<="),
-        Verdict("single-crossing", single, single, True, "=="),
-        Verdict("nodal-domains", domains == 2, domains, 2, "=="),
-        Verdict("regular-gradient", min_grad >= grad_floor, min_grad, grad_floor, ">="),
+        Verdict("nodal-components", report.components, 1, "=="),
+        Verdict("nodal-contained", report.max_abs_rho, geom.eta, "<"),
+        Verdict("single-crossing", single, True, "=="),
+        Verdict("nodal-domains", domains, 2, "=="),
+        Verdict("regular-gradient", min_grad, grad_floor, ">="),
     ]
     tables = {
         "nodal": _table(
@@ -628,7 +614,7 @@ def _run_mollify(cfg: ScenarioConfig):
             fm = metric.build_conformal_field(geom, eps, cfg.d, profile="mollified", mollify_n=n_moll)
         gamma = metric.volume_rescale_factor(fm, geom, cfg.d)
         pm = assembly.assemble(mesh, fm)
-        rm = eigen.solve_smallest(pm, 2, tol=cfg.tol, shift_estimate=lam_ref, seed=cfg.seed)
+        rm = eigen.solve_smallest(pm, 2, shift_estimate=lam_ref, seed=cfg.seed)
         rm = eigen.normalize_and_sign(rm, pm, geom)
         lam = float(rm.values[1]) / gamma
         diff = abs(lam - lam_ref) / lam_ref
@@ -638,14 +624,10 @@ def _run_mollify(cfg: ScenarioConfig):
             vec_sup = sup
         rows.append([k, 1.0 / n_moll, gamma, lam, diff, sup])
 
-    decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     verdicts = [
-        Verdict("mollify-monotone", decreasing,
-                max((b / a) for a, b in zip(diffs, diffs[1:])), 1.0, "<"),
-        Verdict("mollify-final-difference", diffs[-1] <= cfg.mollify_lambda_tol,
-                diffs[-1], cfg.mollify_lambda_tol, "<="),
-        Verdict("mollify-vector", vec_sup <= cfg.mollify_vector_tol,
-                vec_sup, cfg.mollify_vector_tol, "<="),
+        Verdict("mollify-monotone", max((b / a) for a, b in zip(diffs, diffs[1:])), 1.0, "<"),
+        Verdict("mollify-final-difference", diffs[-1], 0.01, "<="),
+        Verdict("mollify-vector", vec_sup, 0.02, "<="),
     ]
     tables = {
         "mollify": _table(
@@ -675,7 +657,6 @@ def _run_morse(cfg: ScenarioConfig):
     phi = torus.func(mesh3.vertices)
     region = np.all(phi[mesh3.cells] < 0, axis=1)
     solid = morse.classify_critical_points(mesh3, phi, region=region)
-    betti_ok = morse.betti_bound_check(solid, (1, 1))
 
     # eigenfunction census, report-only
     mesh, geom = _build_scene(cfg)
@@ -683,10 +664,8 @@ def _run_morse(cfg: ScenarioConfig):
     eig_rep = morse.classify_critical_points(mesh, result.vectors[:, 1])
 
     verdicts = [
-        Verdict("cosine-benchmark-counts", bench_counts == census_counts,
-                bench_counts, census_counts, "=="),
-        Verdict("betti-bound", betti_ok,
-                [solid.counts.get(0, 0), solid.counts.get(1, 0)], [1, 1], ">="),
+        Verdict("cosine-benchmark-counts", bench_counts, census_counts, "=="),
+        Verdict("betti-bound", [solid.counts.get(0, 0), solid.counts.get(1, 0)], [1, 1], ">="),
     ]
     tables = {
         "benchmark": _table(
@@ -719,8 +698,7 @@ def _run_oracle_compare(cfg: ScenarioConfig):
     rows = _map_sweep(cfg, point, cfg.epsilons)
     worst = max(r[4] for r in rows)
     verdicts = [
-        Verdict("oracle-equivalence", worst <= cfg.oracle_compare_tol, worst,
-                cfg.oracle_compare_tol, "<="),
+        Verdict("oracle-equivalence", worst, 0.02, "<="),
     ]
     tables = {
         "compare": _table(

@@ -145,15 +145,14 @@ def warped_harmonic_1d(
     eta: float,
     consts: PlateauConstants,
     d: int,
-    quad_points: int = 64,
-    tol: float = 1e-12,
 ):
     """Closed-form collar harmonic on a warped product, as a callable of rho.
 
     Separation of variables reduces the collar problem to
     (w^{d-1} h')' = 0, so h' is proportional to w^{1-d} and
     h(rho) = c- + (c+ - c-) * int_{-eta}^{rho} w^{1-d} / int_{-eta}^{eta} w^{1-d}.
-    Integrals use adaptive Simpson quadrature; endpoint values are exact.
+    Integrals use adaptive Simpson quadrature on 64 panels to an absolute
+    tolerance of 1e-12; endpoint values are exact.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -164,7 +163,8 @@ def warped_harmonic_1d(
             raise ValueError(f"non-positive warp sample at rho={t}")
         return w ** (1.0 - d)
 
-    nodes = np.linspace(-eta, eta, max(2, quad_points) + 1)
+    tol = 1e-12
+    nodes = np.linspace(-eta, eta, 65)
     pieces = np.array(
         [
             _adaptive_simpson(integrand, float(nodes[i]), float(nodes[i + 1]), tol / len(nodes))
@@ -237,9 +237,6 @@ def collar_fourier_solve(
     forcing,
     g1=None,
     n_sigma: int = 64,
-    tol: float = 1e-10,
-    max_iterations: int = 200,
-    grid_factor: int = 2,
 ) -> FourierCollarSolution:
     """Solve the stretched-collar problem for w = h - hbar by sine series.
 
@@ -249,14 +246,16 @@ def collar_fourier_solve(
     Each fixed-point sweep inverts the leading operator mode by mode,
     w_n = -(pi^2 n^2 / 4 eta^2)^{-1} (F_n / eta + (L w)_n),
     with Dirichlet values w(0) = w(pi) = 0 built into the basis.  The sweep
-    contracts only for thin collars; growth is reported, not hidden.
+    contracts only for thin collars; growth is reported, not hidden.  The
+    sweep stops once the H2 change is below 1e-10 of the solution, after at
+    most 200 sweeps.
 
     Fields may be scalars or arrays on the collocation grid ``sigma_grid``
-    of max(grid_factor * n_sigma, 8) points.
+    of max(2 n_sigma, 8) points.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    n_grid = max(grid_factor * n_sigma, 8)
+    n_grid = max(2 * n_sigma, 8)
     j = np.arange(1, n_grid + 1)
     sigma = j * np.pi / (n_grid + 1)
     modes = np.arange(1, n_sigma + 1)
@@ -287,7 +286,7 @@ def collar_fourier_solve(
     growth_streak = 0
     iterations = 0
     change = 0.0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, 201):
         if G1 is None:
             new_coef = coef
         else:
@@ -302,7 +301,7 @@ def collar_fourier_solve(
             if growth_streak >= 2:
                 raise CollarIterationError(ratio)
         coef = new_coef
-        if change <= tol * scale:
+        if change <= 1e-10 * scale:
             break
         prev_change = change
     else:

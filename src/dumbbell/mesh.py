@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,8 +86,6 @@ class Mesh:
 
     def signed_volumes(self) -> np.ndarray:
         """Euclidean signed volumes; positive for correctly oriented cells."""
-        from math import factorial
-
         return np.linalg.det(self.edge_matrices()) / factorial(self.dim)
 
     def cell_volumes(self) -> np.ndarray:
@@ -356,26 +355,32 @@ class CellGradients:
         return np.einsum("ck,ckl,cl->c", grad, self.metric_inv, grad)
 
 
-def simplex_gradient_data(mesh: Mesh) -> CellGradients:
-    """Gradient operators, metric inverses and volumes for every cell."""
+def simplex_gradient_data(mesh: Mesh, cell_ids: Optional[np.ndarray] = None) -> CellGradients:
+    """Gradient operators, metric inverses and volumes of the cells
+    ``cell_ids`` (default every cell), in that order."""
     if mesh.periodic:
         raise MeshValidationError("periodic meshes carry no usable geometry")
     d = mesh.dim
-    edges = mesh.edge_matrices()
+    ids = np.arange(mesh.num_cells) if cell_ids is None else np.asarray(cell_ids)
+    v = mesh.vertices[mesh.cells[ids]]
+    edges = v[:, 1:, :] - v[:, :1, :]
     dets = np.linalg.det(edges)
     if np.any(np.abs(dets) < 1e-300):
-        raise MeshValidationError(f"degenerate cell: {int(np.argmin(np.abs(dets)))}")
+        raise MeshValidationError(f"degenerate cell: {int(ids[np.argmin(np.abs(dets))])}")
     einv = np.linalg.inv(edges)
     # difference operator: (u_1 - u_0, ..., u_d - u_0)
     diff = np.zeros((d, d + 1))
     diff[:, 0] = -1.0
     diff[:, 1:] = np.eye(d)
     gradients = np.einsum("ckl,la->cka", einv, diff)
+    volumes = np.abs(dets / factorial(d))  # as Mesh.cell_volumes, on the selected cells
     if mesh.cell_metric is None:
-        metric_inv = np.broadcast_to(np.eye(d), (mesh.num_cells, d, d)).copy()
+        metric_inv = np.broadcast_to(np.eye(d), (ids.size, d, d)).copy()
     else:
-        metric_inv = np.linalg.inv(mesh.cell_metric)
-    return CellGradients(gradients=gradients, metric_inv=metric_inv, volumes=mesh.cell_volumes())
+        g = mesh.cell_metric[ids]
+        metric_inv = np.linalg.inv(g)
+        volumes = volumes * np.sqrt(np.linalg.det(g))
+    return CellGradients(gradients=gradients, metric_inv=metric_inv, volumes=volumes)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -97,21 +97,20 @@ def signed_distance(mesh: Mesh, sigma: SigmaDescriptor) -> np.ndarray:
     return sign * dist
 
 
+# fan of a planar zero-set polygon, by its vertex count: the segment itself
+# in 2d, a triangle or a quad in 3d
+_FAN = {2: [(0, 1)], 3: [(0, 1, 2)], 4: [(0, 1, 2), (0, 2, 3)]}
+
+
 def _zero_set_triangles(mesh: Mesh, phi: np.ndarray) -> np.ndarray:
     from .nodal import extract_nodal_set  # local import, no cycle at module load
 
-    ns = extract_nodal_set(mesh, phi)
-    tris = []
-    for frag in ns.fragments:
-        pts = frag.points
-        if mesh.dim == 2:
-            tris.append(pts[None, :, :])  # segments
-        else:
-            for k in range(1, pts.shape[0] - 1):  # fan: fragments are planar
-                tris.append(pts[None, (0, k, k + 1), :])
-    if not tris:
-        return np.empty((0, mesh.dim, mesh.dim))
-    return np.concatenate(tris)
+    d = mesh.dim
+    by_size = {}
+    for frag in extract_nodal_set(mesh, phi).fragments:
+        by_size.setdefault(frag.points.shape[0], []).append(frag.points)
+    tris = [np.stack(pts)[:, _FAN[k]].reshape(-1, d, d) for k, pts in by_size.items()]
+    return np.concatenate(tris) if tris else np.empty((0, d, d))
 
 
 def _distance_to_triangles(points: np.ndarray, tris: np.ndarray, dim: int) -> np.ndarray:
@@ -339,17 +338,14 @@ class ConformalField:
     def scaled(self, c: float) -> "ConformalField":
         return ConformalField(self.epsilon, self.kappa, self.profile, self.transition, self.f * c)
 
-    def to_dict(self, include_values: bool = False) -> dict:
-        """JSON-ready form; per-cell factors only on request (they are bulky)."""
-        out = {
+    def to_dict(self) -> dict:
+        """JSON-ready form without the (bulky) per-cell factors."""
+        return {
             "epsilon": float(self.epsilon),
             "kappa": float(self.kappa),
             "profile": self.profile,
             "transition": None if self.transition is None else float(self.transition),
         }
-        if include_values:
-            out["f"] = [float(x) for x in self.f]
-        return out
 
 
 def build_conformal_field(

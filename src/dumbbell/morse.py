@@ -146,12 +146,6 @@ def classify_critical_points(
     )
 
 
-def betti_bound_check(report: CriticalReport, betti: Sequence[int]) -> bool:
-    """True iff the index-i critical count dominates the i-th Betti number
-    for every provided index."""
-    return all(report.counts.get(i, 0) >= int(b) for i, b in enumerate(betti))
-
-
 def cosine_product_field(vertices: np.ndarray, periods: Sequence[int] = (2, 1)) -> np.ndarray:
     """Benchmark field prod_i cos(2 pi periods_i x_i) on the unit torus.
 

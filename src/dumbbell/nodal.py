@@ -127,10 +127,8 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     n_components, labels = connected_components(graph, directed=False)
 
     if crossing.size:  # gradient operators of the crossing cells only
-        metric = None if mesh.cell_metric is None else mesh.cell_metric[crossing]
-        sub = Mesh(mesh.dim, mesh.vertices, mesh.cells[crossing], metric, periodic=mesh.periodic)
-        grads = simplex_gradient_data(sub)
-        min_grad = float(np.sqrt(grads.metric_norm_sq(grads.gradient_of(u, sub.cells)).min()))
+        grads = simplex_gradient_data(mesh, crossing)
+        min_grad = float(np.sqrt(grads.metric_norm_sq(grads.gradient_of(u, mesh.cells[crossing])).min()))
     else:
         min_grad = float("inf")
 
@@ -187,11 +185,3 @@ def single_crossing_check(mesh: Mesh, u: np.ndarray, geom: "CollarGeometry") -> 
     signs = tie_signs(u).reshape(shape)
     flips = np.add.reduce((signs[1:] != signs[:-1]).astype(np.int64), axis=0)
     return bool(np.all(flips == 1))
-
-
-def write_polygon_soup(ns: NodalSet, path) -> None:
-    """One polygon per line: vertex count, then its coordinates."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for frag in ns.fragments:
-            coords = " ".join(repr(float(x)) for x in frag.points.reshape(-1))
-            fh.write(f"{frag.points.shape[0]} {coords}\n")

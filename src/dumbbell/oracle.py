@@ -40,13 +40,12 @@ def step_profile(
     center: float = 0.5,
     warp: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     resolution: int = 512,
-    kappa_value: Optional[float] = None,
 ) -> Profile1D:
     """Reduced profile of the step conformal factor on the unit interval.
 
-    kappa defaults to the volume-preserving value computed from exact
-    interval volumes (Simpson quadrature for warped cross-sections), keeping
-    this path independent of any mesh.
+    kappa is the volume-preserving value computed from exact interval
+    volumes (Simpson quadrature for warped cross-sections), keeping this
+    path independent of any mesh.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0,1], got {epsilon}")
@@ -62,19 +61,18 @@ def step_profile(
                 raise ValueError("non-positive warp sample")
             return w ** (d - 1)
 
-    if kappa_value is None:
-        from scipy.integrate import simpson
+    from scipy.integrate import simpson
 
-        inner = np.linspace(center - eta, center + eta, 2049)
-        vol_collar = float(simpson(area(inner), x=inner))
-        left = np.linspace(0.0, center - eta, 2049)
-        right = np.linspace(center + eta, 1.0, 2049)
-        vol_out = float(simpson(area(left), x=left)) + float(simpson(area(right), x=right))
-        kappa_value = conformal_kappa(epsilon, vol_collar, vol_out, d)
+    inner = np.linspace(center - eta, center + eta, 2049)
+    vol_collar = float(simpson(area(inner), x=inner))
+    left = np.linspace(0.0, center - eta, 2049)
+    right = np.linspace(center + eta, 1.0, 2049)
+    vol_out = float(simpson(area(left), x=left)) + float(simpson(area(right), x=right))
+    kap = conformal_kappa(epsilon, vol_collar, vol_out, d)
 
     def factor(t):
         t = np.asarray(t, dtype=float)
-        return np.where(np.abs(t - center) < eta, epsilon, kappa_value)
+        return np.where(np.abs(t - center) < eta, epsilon, kap)
 
     return Profile1D(
         p=lambda t: factor(t) ** (d / 2.0 - 1.0) * area(t),

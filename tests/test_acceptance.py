@@ -8,8 +8,12 @@ reference configurations are the documented defaults of the CLI scenarios
 
 import json
 import time
+from pathlib import Path
 
-from dumbbell.experiments import ScenarioConfig, run_scenario
+import numpy as np
+import pytest
+
+from dumbbell.experiments import SCENARIO_NAMES, ScenarioConfig, Verdict, run_scenario
 
 _REPORT_CACHE = {}
 RESULT_LINES = []
@@ -119,3 +123,89 @@ def test_c12_determinism():
     same = json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     _record(f"ACCEPTANCE 12: {'PASS' if same else 'FAIL'} (byte-identical modulo timings)")
     assert same
+
+
+# ---------------------------------------------------------------------------
+# every PASS is its printed comparison
+
+
+def _elementwise(op):
+    return lambda m, t: np.shape(m) == np.shape(t) and bool(np.all(op(m, t)))
+
+
+# written apart from Verdict.passed, from the report's JSON form only
+_RECHECK = {
+    "<=": _elementwise(np.less_equal),
+    "<": _elementwise(np.less),
+    "==": _elementwise(np.equal),
+    ">=": _elementwise(np.greater_equal),
+    "in": lambda m, t: t[0] <= m <= t[1],
+    "monotone": lambda m, t: (m["glitches"] <= t["max_glitches"]
+                              and m["worst_excess"] <= t["glitch_tol"]),
+}
+
+
+def recheck(v):
+    return _RECHECK[v["comparator"]](v["measured"], v["threshold"])
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_pass_is_the_printed_comparison(name):
+    data = json.loads(scenario_report(name).to_json())
+    assert data["verdicts"]
+    for v in data["verdicts"]:
+        assert v["pass"] is recheck(v), v
+
+
+@pytest.mark.parametrize("measured, comparator, threshold", [
+    (0.2, "<=", 0.15),
+    ([0.0, 0.3], "<=", [0.1, 0.2]),
+    (0.125, "<", 0.125),
+    (2, "==", 1),
+    ([4, 8, 4], "==", [4, 7, 4]),
+    ([4, 8], "==", [4, 8, 4]),
+    (9.99, ">=", 10.0),
+    ([14, 0], ">=", [1, 1]),
+    (0.61, "in", [0.4, 0.6]),
+    (0.39, "in", [0.4, 0.6]),
+    ({"glitches": 2, "worst_excess": 0.01}, "monotone", {"max_glitches": 1, "glitch_tol": 0.05}),
+    ({"glitches": 1, "worst_excess": 0.06}, "monotone", {"max_glitches": 1, "glitch_tol": 0.05}),
+])
+def test_synthetic_fail_per_comparator(measured, comparator, threshold):
+    v = Verdict("synthetic", measured, threshold, comparator)
+    assert v.passed is False
+    assert v.to_dict()["pass"] is False
+    assert recheck(v.to_dict()) is False
+
+
+# ---------------------------------------------------------------------------
+# the README gate table matches the gates
+
+
+def _readme_gates():
+    """README gate rows: verdict -> (scenario, comparator, fixed threshold or None)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Gates\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`"):
+            continue
+        name, scenario, _, comparator, threshold = cells
+        fixed = json.loads(threshold.strip("`")) if threshold.startswith("`") else None
+        rows[name.strip("`")] = (scenario.strip("`"), comparator.strip("`"), fixed)
+    return rows
+
+
+def test_readme_gate_table_matches_reports():
+    table = _readme_gates()
+    seen = set()
+    for scenario in SCENARIO_NAMES:
+        for v in scenario_report(scenario).to_dict()["verdicts"]:
+            assert v["name"] in table, f"{v['name']} is not in the README gate table"
+            doc_scenario, comparator, fixed = table[v["name"]]
+            assert (doc_scenario, comparator) == (scenario, v["comparator"]), v["name"]
+            if fixed is not None:  # the others are formulas in the scene
+                assert fixed == v["threshold"], v["name"]
+            seen.add(v["name"])
+    assert seen == set(table), f"README gates with no verdict: {set(table) - seen}"

@@ -47,6 +47,21 @@ def test_config_rejects_unknown_key():
         ScenarioConfig.from_mapping({"scenario": "scaling", "bogus": 1})
 
 
+# gates and solver settings that were config keys; the scenarios fix them now
+REMOVED_KEYS = (
+    "slope_band", "oracle_slope_band", "gap_rel_tol", "simplicity_ratio", "plateau_tol",
+    "collar_tol", "glitch_tol", "flat_harmonic_tol", "deviation_factor", "fourier_tol",
+    "volume_tol", "oracle_compare_tol", "mollify_lambda_tol", "mollify_vector_tol",
+    "min_gradient_factor", "tol", "modes",
+)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_gate_key_is_unknown(key):
+    with pytest.raises(ValueError, match="unknown config key"):
+        ScenarioConfig.from_mapping({"scenario": "gap", key: "1"})
+
+
 def test_config_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
         ScenarioConfig.from_mapping({"scenario": "does-not-exist"})
@@ -67,11 +82,11 @@ def test_reports_are_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_worker_override_keeps_results(monkeypatch):
+def test_worker_override_keeps_results():
     a = run_scenario(ScenarioConfig.from_mapping(SMALL_SCALING)).to_dict()
-    monkeypatch.setenv("DUMBBELL_WORKERS", "3")
-    b = run_scenario(ScenarioConfig.from_mapping(SMALL_SCALING)).to_dict()
+    b = run_scenario(ScenarioConfig.from_mapping({**SMALL_SCALING, "workers": 3})).to_dict()
     del a["timings"], b["timings"]
+    del a["config"]["workers"], b["config"]["workers"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -120,6 +135,7 @@ def test_emit_surface(tmp_path):
     report = run_scenario(cfg)
     emit_plot_data(report.to_dict(), "surface", tmp_path)
     lines = (tmp_path / "nodal_surface.txt").read_text().strip().splitlines()
+    assert len(lines) == len(report.artifacts["polygons"])  # one line per fragment
     first = lines[0].split()
     assert int(first[0]) in (3, 4)
     assert len(first) == 1 + 3 * int(first[0])
@@ -159,28 +175,29 @@ def test_cli_run_and_emit(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # unreachable threshold forces a FAIL verdict and exit code 1
+    # a real scene that fails a gate: at epsilon = 0.1 the collar has not
+    # collapsed yet, lambda2 / lambda1 = 2.28 is below 10, so the exit code is 1
     cfg_file = tmp_path / "fail.cfg"
     cfg_file.write_text(
-        "scenario = gap\nn = 8\ngap_rel_tol = 1e-9\n"
+        "scenario = gap\nn = 8\nepsilon = 0.1\n"
     )
     code = main(["run", str(cfg_file), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "FAIL gap-neumann-match" in capsys.readouterr().out
+    assert "FAIL simplicity-ratio" in capsys.readouterr().out
     # config errors exit with 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenario = nope\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_worker_count_does_not_change_the_report(monkeypatch):
-    cfg = ScenarioConfig.from_mapping(SMALL_SCALING)
+def test_worker_count_does_not_change_the_report():
     reports = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("DUMBBELL_WORKERS", workers)
+    for workers in (1, 2):
+        cfg = ScenarioConfig.from_mapping({**SMALL_SCALING, "workers": workers})
         report = json.loads(run_scenario(cfg).to_json())
         assert not report["failures"]
         report.pop("timings")
+        report["config"].pop("workers")
         reports.append(json.dumps(report))
     assert reports[0] == reports[1]
 

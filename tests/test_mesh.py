@@ -91,6 +91,17 @@ def test_gradient_metric_norm():
     assert np.abs(grads.metric_norm_sq(g) - 0.25).max() < 1e-13
 
 
+def test_gradient_data_of_selected_cells_is_the_full_slice():
+    warped = build_box_grid(3, 8, warp=lambda r: 1.0 + r)
+    full = simplex_gradient_data(warped)
+    rng = np.random.default_rng(3)
+    for ids in (np.flatnonzero(np.abs(warped.barycenters()[:, 0] - 0.5) < 0.2),
+                rng.permutation(warped.num_cells)[:100], np.array([], dtype=np.int64)):
+        part = simplex_gradient_data(warped, ids)
+        for name in ("gradients", "metric_inv", "volumes"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[ids]), name
+
+
 def test_single_tetrahedron_file(tmp_path):
     path = tmp_path / "tet.mesh"
     path.write_text(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dumbbell import metric
+from dumbbell.mesh import build_box_grid
 from dumbbell.metric import (
     PlaneSigma,
     SeparationError,
@@ -30,6 +31,42 @@ def test_sphere_distance_radial_oracle(box16):
     h = 1.0 / 16.0
     near = np.abs(exact) < 0.1 + 1e-12
     assert np.abs(rho - exact)[near].max() < 2.0 * h * h
+
+
+def _loop_fan_triangles(mesh, phi):
+    """The per-fragment fan loop that `_zero_set_triangles` replaced, kept as reference."""
+    from dumbbell.nodal import extract_nodal_set
+
+    tris = []
+    for frag in extract_nodal_set(mesh, phi).fragments:
+        pts = frag.points
+        if mesh.dim == 2:
+            tris.append(pts[None, :, :])
+        else:
+            for k in range(1, pts.shape[0] - 1):
+                tris.append(pts[None, (0, k, k + 1), :])
+    return np.concatenate(tris)
+
+
+def _sorted_rows(tris):
+    flat = tris.reshape(tris.shape[0], -1)
+    return flat[np.lexsort(flat.T[::-1])]
+
+
+@pytest.mark.parametrize("d, n, sigma", [
+    (3, 16, metric.sphere_level((0.5, 0.5, 0.5), 0.3)),
+    (3, 16, metric.torus_level((0.5, 0.5, 0.5), 0.3, 0.14)),
+    (2, 24, metric.sphere_level((0.5, 0.5), 0.3)),
+], ids=["sphere", "torus", "circle"])
+def test_zero_set_fan_matches_reference_loop(d, n, sigma):
+    m = build_box_grid(d, n)
+    phi = sigma.func(m.vertices)
+    ref = _loop_fan_triangles(m, phi)
+    tris = metric._zero_set_triangles(m, phi)
+    assert tris.shape == ref.shape
+    assert np.array_equal(_sorted_rows(tris), _sorted_rows(ref))
+    ref_rho = np.where(phi >= 0, 1.0, -1.0) * metric._distance_to_triangles(m.vertices, ref, d)
+    assert np.array_equal(signed_distance(m, sigma), ref_rho)
 
 
 def test_point_triangle_distance_brute_force():

@@ -6,7 +6,6 @@ from dumbbell.mesh import build_box_grid, periodic_unit_grid_2d
 from dumbbell.morse import (
     LABEL_MAX,
     LABEL_MIN,
-    betti_bound_check,
     classify_critical_points,
     cosine_product_census,
     cosine_product_field,
@@ -90,14 +89,6 @@ def test_tie_rule_breaks_plateaus(torus32):
     assert rep.euler_sum() == 0
 
 
-def test_betti_bound_check_basics():
-    class Dummy:
-        counts = {0: 1, 1: 0, 2: 0}
-
-    assert betti_bound_check(Dummy(), (1, 0, 0))
-    assert not betti_bound_check(Dummy(), (1, 1, 0))
-
-
 def test_solid_torus_betti_bound():
     mesh3 = build_box_grid(3, 20)
     torus = metric.torus_level((0.5, 0.5, 0.5), 0.3, 0.14)
@@ -106,7 +97,6 @@ def test_solid_torus_betti_bound():
     rep = classify_critical_points(mesh3, phi, region=region)
     assert rep.counts[0] >= 1   # at least one minimum on the core ring
     assert rep.counts[1] >= 1   # and one connecting saddle
-    assert betti_bound_check(rep, (1, 1))
 
 
 def test_region_filter_limits_counts(box8):

@@ -8,7 +8,6 @@ from dumbbell.nodal import (
     localization_report,
     nodal_domain_count,
     single_crossing_check,
-    write_polygon_soup,
 )
 
 
@@ -141,18 +140,6 @@ def test_exact_zero_vertices_count_positive(box8):
     signs = nodal.tie_signs(u)
     assert np.all(signs[np.abs(u) < 1e-15] == 1)
     assert nodal_domain_count(box8, u) == 2
-
-
-def test_polygon_soup_round_trip(tmp_path, box8):
-    u = box8.vertices[:, 0] - 0.5
-    ns = extract_nodal_set(box8, u)
-    path = tmp_path / "soup.txt"
-    write_polygon_soup(ns, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(ns.fragments)
-    first = lines[0].split()
-    count = int(first[0])
-    assert len(first) == 1 + 3 * count
 
 
 def test_eigenfunction_nodal_set(dumbbell16):

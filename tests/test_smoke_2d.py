@@ -1,14 +1,15 @@
 """Two-dimensional smoke coverage.
 
-All quantitative gates live in three dimensions (the collapse exponent
-d/2 - 1 vanishes at d = 2); these tests only exercise that the pipeline
-runs end to end on planar scenes.
+Most quantitative gates live in three dimensions (the collapse exponent
+d/2 - 1 vanishes at d = 2); these tests exercise the pipeline end to end on
+planar scenes, and the scaling gate's band follows d.
 """
 
 import numpy as np
 import pytest
 
 from dumbbell import assembly, eigen, metric, nodal
+from dumbbell.experiments import ScenarioConfig, run_scenario
 from dumbbell.mesh import build_box_grid
 
 
@@ -52,3 +53,14 @@ def test_2d_circle_level_set():
     near = np.abs(exact) < 0.1
     h = 1.0 / 24.0
     assert np.abs(rho - exact)[near].max() < 2.0 * h * h
+
+
+def test_2d_scaling_slope_band_follows_dimension():
+    # lambda1 ~ eps^(d/2 - 1) is flat at d = 2; both bands centre on 0 there
+    report = run_scenario(ScenarioConfig.from_mapping(
+        {"scenario": "scaling", "d": 2, "n": 16, "oracle_resolution": 256}))
+    assert not report.failures
+    slopes = {v.name: v for v in report.verdicts if v.name.endswith("scaling-slope")}
+    assert slopes["eigenvalue-scaling-slope"].threshold == [-0.1, 0.1]
+    assert slopes["oracle-scaling-slope"].threshold == [-0.05, 0.05]
+    assert all(v.passed for v in slopes.values()), [v.to_dict() for v in slopes.values()]
