@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dumbbell import harmonic, nodal
+from dumbbell.experiments import emit_plot_data
 from dumbbell.nodal import (
     NonBoxSceneError,
     extract_nodal_set,
@@ -140,6 +143,22 @@ def test_exact_zero_vertices_count_positive(box8):
     signs = nodal.tie_signs(u)
     assert np.all(signs[np.abs(u) < 1e-15] == 1)
     assert nodal_domain_count(box8, u) == 2
+
+
+def test_polygon_soup_round_trip(tmp_path, box8):
+    # the zero set as the surface scenario stores it, written by emit --kind surface
+    u = box8.vertices[:, 0] - 0.5
+    ns = extract_nodal_set(box8, u)
+    report = {"artifacts": {"polygons": [frag.points.tolist() for frag in ns.fragments]}}
+    path = Path(emit_plot_data(report, "surface", tmp_path))
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == len(ns.fragments)
+    for line, frag in zip(lines, ns.fragments):
+        fields = line.split()
+        count = int(fields[0])
+        assert len(fields) == 1 + 3 * count
+        back = np.array([float(x) for x in fields[1:]]).reshape(count, 3)
+        np.testing.assert_array_equal(back, frag.points)
 
 
 def test_eigenfunction_nodal_set(dumbbell16):
