@@ -25,12 +25,15 @@ class OperatorPair:
     """Stiffness and mass over a vertex subset.
 
     ``dof_map`` lists the global vertex ids behind the matrix rows; it is
-    the identity for whole-mesh assembly.
+    the identity for whole-mesh assembly.  ``grid`` is the per-axis cell
+    count of a whole-mesh box grid assembly (vertex ids in the grid's
+    row-major order), and None for restricted pairs and unstructured meshes.
     """
 
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     dof_map: np.ndarray
+    grid: Optional[tuple]
 
     @property
     def n_dof(self) -> int:
@@ -99,7 +102,8 @@ def assemble(
     cols = np.tile(local_cells, (1, per)).reshape(-1)
     K = sparse.coo_matrix((stiff.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
     M = sparse.coo_matrix((mass.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    return OperatorPair(K=K, M=M, dof_map=dof_map)
+    grid = mesh.grid_resolution if cell_mask is None else None
+    return OperatorPair(K=K, M=M, dof_map=dof_map, grid=grid)
 
 
 def subdomain_neumann(mesh: Mesh, geom: CollarGeometry, side: str) -> OperatorPair:

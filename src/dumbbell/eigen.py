@@ -1,20 +1,24 @@
 """Lowest modes of the generalized pencil K u = lambda M u.
 
-The solver is a deterministic block shift-invert subspace iteration with
-Rayleigh-Ritz extraction.  One sparse LU of (K - sigma M) backs the whole
-run; M is only ever applied, never inverted, which matters when the mass
-weights span many orders of magnitude at small epsilon.  The near-null
-constant mode is removed by explicit M-orthogonalization every iteration and
-reported separately as mode zero, so it cannot contaminate the first
-nontrivial eigenvector.
+One loop serves both backends: a block of m + 2 vectors, M-orthogonal to the
+constant mode (reported apart as mode zero), is improved step by step and
+Rayleigh-Ritz extracted until the m - 1 leading relative residuals are at
+most ``tol``.  M is only applied, never inverted, which matters when the
+mass weights span many orders of magnitude at small epsilon.  The step is
+shift-invert, X <- (K - sigma M)^-1 M X with one sparse LU per run, or, for a
+pair assembled on a whole box grid whose axes are all even and above 8
+(``OperatorPair.grid``), one LOBPCG step (Knyazev 2001) preconditioned by a
+V-cycle on the nested Freudenthal/Kuhn grids (Bey 2000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import OperatorPair
@@ -34,6 +38,8 @@ class EigenResult:
     values: np.ndarray      # (m,) ascending, mode 0 is the constant
     vectors: np.ndarray     # (n_dof, m), M-orthonormal columns
     residuals: np.ndarray   # (m,) relative residuals
+    iterations: int         # improving steps taken
+    levels: int             # grid coarsenings of the multilevel step; 0 for shift-invert
 
 
 def _relative_residuals(K, M, vectors, values, sigma):
@@ -42,6 +48,77 @@ def _relative_residuals(K, M, vectors, values, sigma):
     num = np.linalg.norm(KX - MX * values[None, :], axis=0)
     den = np.maximum(values, sigma) * np.linalg.norm(MX, axis=0)
     return num / np.maximum(den, 1e-300)
+
+
+def _factor(A):
+    """Symmetric-mode SuperLU: minimum degree on A'+A, diagonal pivots."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+
+
+def _rayleigh_ritz(K, M, Y):
+    """M-orthonormal Ritz vectors of span(Y) and their Ritz values, ascending.
+
+    Y is orthonormalized twice through its column-scaled Gram matrix,
+    dropping directions in which its columns are numerically dependent.
+    """
+    for _ in range(2):
+        G = Y.T @ (M @ Y)
+        s = 1.0 / np.sqrt(np.maximum(np.diag(G), 1e-300))
+        w, V = np.linalg.eigh(0.5 * (G + G.T) * np.outer(s, s))
+        keep = w > w.max() * 1e-13
+        Y = Y @ (s[:, None] * V[:, keep] / np.sqrt(w[keep]))
+    A = Y.T @ (K @ Y)
+    theta, C = np.linalg.eigh(0.5 * (A + A.T))
+    return Y @ C, theta
+
+
+def _halves(grid) -> bool:
+    return grid is not None and all(k % 2 == 0 and k > 8 for k in grid)
+
+
+@lru_cache(maxsize=8)
+def _prolongation(grid: tuple) -> sparse.csr_matrix:
+    """Exact P1 prolongation from the Kuhn grid grid/2 to grid.
+
+    Each fine vertex is the mean of the coarse vertices floor(i/2) and
+    ceil(i/2), taken per axis: the two ends of the coarse edge it halves,
+    or twice the coarse vertex it sits on.
+    """
+    fine = np.indices([k + 1 for k in grid]).reshape(len(grid), -1)
+    coarse = [k // 2 + 1 for k in grid]
+    cols = np.concatenate([np.ravel_multi_index(fine // 2, coarse),
+                           np.ravel_multi_index((fine + 1) // 2, coarse)])
+    rows = np.tile(np.arange(fine.shape[1]), 2)
+    shape = (fine.shape[1], int(np.prod(coarse)))
+    return sparse.csr_matrix((np.full(rows.size, 0.5), (rows, cols)), shape=shape)
+
+
+def _v_cycle(A, grid):
+    """V-cycle for the SPD matrix A on a box grid that halves at least once:
+    damped Jacobi (omega 0.6, two sweeps down, three up), Galerkin coarse
+    operators P'AP, and a sparse LU on the first grid that does not halve.
+    Returns (apply, number of coarsenings)."""
+    hierarchy = []
+    while _halves(grid):
+        P = _prolongation(grid)
+        hierarchy.append((A, (0.6 / A.diagonal())[:, None], P))
+        A = (P.T @ A @ P).tocsr()
+        grid = tuple(k // 2 for k in grid)
+    coarsest = _factor(A)
+
+    def apply(r, depth=0):
+        if depth == len(hierarchy):
+            return coarsest.solve(r)
+        A, dinv, P = hierarchy[depth]
+        x = dinv * r
+        x += dinv * (r - A @ x)
+        x += P @ apply(P.T @ (r - A @ x), depth + 1)
+        for _ in range(3):
+            x += dinv * (r - A @ x)
+        return x
+
+    return apply, len(hierarchy)
 
 
 def solve_smallest(
@@ -55,8 +132,9 @@ def solve_smallest(
     """The m smallest eigenpairs, constant mode included.
 
     The shift is a tenth of ``shift_estimate`` (an a priori guess for the
-    smallest nonzero eigenvalue), which keeps it below that value; with no
-    estimate a tiny positive value keeps the factorization away from zero.
+    smallest nonzero eigenvalue), which keeps it below that value.  With no
+    estimate, shift-invert uses a tiny positive shift, which keeps the
+    factorization away from zero, and the V-cycle a tenth of 1.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -69,42 +147,44 @@ def solve_smallest(
     lam0 = float(ones @ (K @ ones)) / mass
     v0 = ones / np.sqrt(mass)
 
-    sigma = max(1e-8, 0.1 * (shift_estimate or 0.0))
-    lu = None
-    for _ in range(5):
-        try:
-            lu = splu((K - sigma * M).tocsc())
-            break
-        except RuntimeError:
-            sigma = sigma * 3.7 + 1e-10  # shift hit an eigenvalue; nudge it
-    if lu is None:
-        raise EigenConvergenceError("factorization of (K - sigma M) failed", float("inf"))
-
     def deflate(X):
         X -= np.outer(ones, (Mones @ X) / mass)
         return X
 
-    rng = np.random.default_rng(seed)
+    sigma = max(1e-8, 0.1 * (shift_estimate or 0.0))
     block = m + 2
-    X = deflate(rng.standard_normal((n, block)))
+    if _halves(pair.grid):
+        precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
+        last_move = []  # the previous step's update, M-orthogonal to its block
 
+        def step(X, theta):
+            W = deflate(precondition(K @ X - (M @ X) * theta))
+            Z, theta = _rayleigh_ritz(K, M, np.hstack([X, W, *last_move]))
+            Z = Z[:, :block]
+            last_move[:] = [Z - X @ (X.T @ (M @ Z))]
+            return Z, theta[:block]
+    else:
+        levels, lu = 0, None
+        for _ in range(5):
+            try:
+                lu = _factor(K - sigma * M)
+                break
+            except RuntimeError:
+                sigma = sigma * 3.7 + 1e-10  # shift hit an eigenvalue; nudge it
+        if lu is None:
+            raise EigenConvergenceError("factorization of (K - sigma M) failed", float("inf"))
+
+        def step(X, theta):
+            return _rayleigh_ritz(K, M, deflate(lu.solve(M @ X)))
+
+    rng = np.random.default_rng(seed)
+    X, theta = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))))
     best = float("inf")
-    theta = None
-    for _ in range(max_iterations):
-        Y = deflate(lu.solve(M @ X))
-        G = Y.T @ (M @ Y)
-        G = 0.5 * (G + G.T)
-        w, V = np.linalg.eigh(G)
-        keep = w > max(w.max(), 0.0) * 1e-13
-        if np.count_nonzero(keep) < m - 1:
+    for iterations in range(1, max_iterations + 1):
+        X, theta = step(X, theta)
+        if X.shape[1] < m - 1:
             raise EigenConvergenceError("iteration subspace collapsed", best)
-        Q = Y @ (V[:, keep] / np.sqrt(w[keep]))
-        A = Q.T @ (K @ Q)
-        A = 0.5 * (A + A.T)
-        theta, C = np.linalg.eigh(A)
-        X = Q @ C
-        lead = min(m - 1, X.shape[1])
-        res = _relative_residuals(K, M, X[:, :lead], theta[:lead], sigma)
+        res = _relative_residuals(K, M, X[:, : m - 1], theta[: m - 1], sigma)
         best = min(best, float(res.max()))
         if np.all(res <= tol):
             break
@@ -114,7 +194,8 @@ def solve_smallest(
     vectors = np.column_stack([v0, X[:, : m - 1]])
     values = np.concatenate([[lam0], theta[: m - 1]])
     residuals = _relative_residuals(K, M, vectors, values, sigma)
-    return EigenResult(values=values, vectors=vectors, residuals=residuals)
+    return EigenResult(values=values, vectors=vectors, residuals=residuals,
+                       iterations=iterations, levels=levels)
 
 
 def rayleigh_quotient(pair: OperatorPair, v: np.ndarray) -> float:

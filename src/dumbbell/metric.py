@@ -114,41 +114,55 @@ def _zero_set_triangles(mesh: Mesh, phi: np.ndarray) -> np.ndarray:
 
 
 def _distance_to_triangles(points: np.ndarray, tris: np.ndarray, dim: int) -> np.ndarray:
+    """Distance from each point to the nearest fragment (segment in 2d).
+
+    The nearest fragment is no farther than the nearest centroid, and all of
+    it lies within ``reach`` (the largest centroid-to-corner distance) of its
+    centroid, so only fragments whose centroid is within that sum of the
+    point are measured: the minimum over all fragments, to the bit.
+    """
+    from scipy.spatial import cKDTree  # level sets only; plane scenes skip its import
+
+    centroids = tris.mean(axis=1)
+    reach = np.linalg.norm(tris - centroids[:, None, :], axis=2).max()
+    tree = cKDTree(centroids)
     out = np.empty(points.shape[0])
-    chunk = max(1, int(4_000_000 / max(1, tris.shape[0])))
+    chunk = 4096
     for start in range(0, points.shape[0], chunk):
         p = points[start : start + chunk]
-        if dim == 2:
-            d2 = _point_segment_sq(p, tris[:, 0, :], tris[:, 1, :])
-        else:
-            d2 = _point_triangle_sq(p, tris[:, 0, :], tris[:, 1, :], tris[:, 2, :])
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+        nearest, _ = tree.query(p)
+        near = tree.query_ball_point(p, (nearest + reach) * (1 + 1e-9) + 1e-12, return_sorted=False)
+        counts = np.array([len(c) for c in near])
+        pt = np.repeat(np.arange(p.shape[0]), counts)
+        corners = np.moveaxis(tris[np.concatenate(near).astype(np.int64)], 1, 0)
+        d2 = (_point_segment_sq if dim == 2 else _point_triangle_sq)(p[pt], *corners)
+        out[start : start + chunk] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(counts) - counts))
     return out
 
 
+def _dot(x, y):
+    """Inner product over the last axis, summed in a fixed order."""
+    return sum(x[..., k] * y[..., k] for k in range(x.shape[-1]))
+
+
 def _point_segment_sq(p, a, b):
-    ab = b - a                                    # (T, 2)
-    ap = p[:, None, :] - a[None, :, :]            # (N, T, 2)
-    denom = np.einsum("tk,tk->t", ab, ab)
-    t = np.einsum("ntk,tk->nt", ap, ab) / np.maximum(denom, 1e-300)
-    t = np.clip(t, 0.0, 1.0)
-    diff = ap - t[..., None] * ab[None, :, :]
-    return np.einsum("ntk,ntk->nt", diff, diff)
+    """Squared point-to-segment distances; arguments broadcast, (..., d)."""
+    ab = b - a
+    ap = p - a
+    t = np.clip(_dot(ap, ab) / np.maximum(_dot(ab, ab), 1e-300), 0.0, 1.0)
+    diff = ap - t[..., None] * ab
+    return _dot(diff, diff)
 
 
 def _point_triangle_sq(p, a, b, c):
-    """Squared distances point-to-triangle (Ericson's region method), (N, T)."""
+    """Squared point-to-triangle distances (Ericson's region method);
+    arguments broadcast, (..., d)."""
     ab = b - a
     ac = c - a
-    ap = p[:, None, :] - a[None, :, :]
-    d1 = np.einsum("ntk,tk->nt", ap, ab)
-    d2 = np.einsum("ntk,tk->nt", ap, ac)
-    bp = p[:, None, :] - b[None, :, :]
-    d3 = np.einsum("ntk,tk->nt", bp, ab)
-    d4 = np.einsum("ntk,tk->nt", bp, ac)
-    cp = p[:, None, :] - c[None, :, :]
-    d5 = np.einsum("ntk,tk->nt", cp, ab)
-    d6 = np.einsum("ntk,tk->nt", cp, ac)
+    ap, bp, cp = p - a, p - b, p - c
+    d1, d2 = _dot(ap, ab), _dot(ap, ac)
+    d3, d4 = _dot(bp, ab), _dot(bp, ac)
+    d5, d6 = _dot(cp, ab), _dot(cp, ac)
 
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
@@ -157,19 +171,15 @@ def _point_triangle_sq(p, a, b, c):
     v = vb / denom
     w = vc / denom
     # interior projection, then overwrite with the applicable edge/vertex case
-    proj = (
-        a[None, :, :]
-        + v[..., None] * ab[None, :, :]
-        + w[..., None] * ac[None, :, :]
-    )
+    proj = a + v[..., None] * ab + w[..., None] * ac
 
     t_ab = np.clip(d1 / np.maximum(d1 - d3, 1e-300), 0.0, 1.0)
-    on_ab = a[None, :, :] + t_ab[..., None] * ab[None, :, :]
+    on_ab = a + t_ab[..., None] * ab
     t_ac = np.clip(d2 / np.maximum(d2 - d6, 1e-300), 0.0, 1.0)
-    on_ac = a[None, :, :] + t_ac[..., None] * ac[None, :, :]
+    on_ac = a + t_ac[..., None] * ac
     num_bc = d4 - d3
     t_bc = np.clip(num_bc / np.maximum(num_bc + (d5 - d6), 1e-300), 0.0, 1.0)
-    on_bc = b[None, :, :] + t_bc[..., None] * (c - b)[None, :, :]
+    on_bc = b + t_bc[..., None] * (c - b)
 
     region_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
     region_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
@@ -181,11 +191,11 @@ def _point_triangle_sq(p, a, b, c):
     proj = np.where(region_bc[..., None], on_bc, proj)
     proj = np.where(region_ac[..., None], on_ac, proj)
     proj = np.where(region_ab[..., None], on_ab, proj)
-    proj = np.where(vert_c[..., None], c[None, :, :], proj)
-    proj = np.where(vert_b[..., None], b[None, :, :], proj)
-    proj = np.where(vert_a[..., None], a[None, :, :], proj)
-    diff = p[:, None, :] - proj
-    return np.einsum("ntk,ntk->nt", diff, diff)
+    proj = np.where(vert_c[..., None], c, proj)
+    proj = np.where(vert_b[..., None], b, proj)
+    proj = np.where(vert_a[..., None], a, proj)
+    diff = p - proj
+    return _dot(diff, diff)
 
 
 @dataclass

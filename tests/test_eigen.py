@@ -1,7 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dumbbell import assembly, eigen, metric, oracle
+from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
 from dumbbell.eigen import normalize_and_sign, rayleigh_quotient, solve_smallest
 from dumbbell.eigen import test_function_bound as ramp_bound
 from dumbbell.metric import build_conformal_field, collar_geometry
@@ -55,7 +59,7 @@ def test_normalize_idempotent_and_sign(dumbbell16):
     res, pair, geom = dumbbell16["result"], dumbbell16["pair"], dumbbell16["geom"]
     again = normalize_and_sign(res, pair, geom)
     assert np.allclose(again.vectors, res.vectors)
-    flipped = eigen.EigenResult(res.values.copy(), -res.vectors, res.residuals.copy())
+    flipped = replace(res, vectors=-res.vectors)
     fixed = normalize_and_sign(flipped, pair, geom)
     assert np.allclose(fixed.vectors[:, 1], res.vectors[:, 1])
 
@@ -172,3 +176,94 @@ def test_severe_mass_ill_conditioning(scene16):
 def test_nonconvergence_reports_best_residual(dumbbell16):
     with pytest.raises(eigen.EigenConvergenceError, match="residual"):
         solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
+
+
+def test_nonconvergence_reports_best_residual_lu(dumbbell16):
+    pair = replace(dumbbell16["pair"], grid=None)
+    with pytest.raises(eigen.EigenConvergenceError, match="residual") as err:
+        solve_smallest(pair, 3, tol=1e-16, max_iterations=2)
+    assert 1e-16 < err.value.best_residual < np.inf
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+def test_galerkin_coarse_operators_are_the_coarse_grid_operators(d, n):
+    # P1 prolongation on the nested Kuhn grids: P'K(n)P is K(n/2), exactly
+    # up to roundoff, and likewise for M
+    fine = assembly.assemble(build_box_grid(d, n))
+    coarse = assembly.assemble(build_box_grid(d, n // 2))
+    P = eigen._prolongation(fine.grid)
+    for F, C in ((fine.K, coarse.K), (fine.M, coarse.M)):
+        diff = abs(P.T @ F @ P - C).max()
+        assert diff <= 1e-13 * abs(C).max()
+
+
+def _plane_pair(d, n, eps):
+    m = build_box_grid(d, n)
+    geom = collar_geometry(m, metric.signed_distance(m, metric.PlaneSigma(0.5)), 0.125)
+    fld = build_conformal_field(geom, eps, d)
+    pair = assembly.assemble(m, fld)
+    return pair, ramp_bound(geom, fld, pair, d)
+
+
+def _sphere_pair():
+    m = build_box_grid(3, 16)
+    rho = metric.signed_distance(m, metric.sphere_level((0.5, 0.5, 0.5), 0.3))
+    geom = collar_geometry(m, rho, 0.125, snap=False)
+    return assembly.assemble(m, build_conformal_field(geom, 1e-3, 3)), None
+
+
+BACKEND_CASES = {
+    **{f"plane-eps{eps:g}": (lambda eps=eps: _plane_pair(3, 16, eps), 2)
+       for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
+    "plane-m3-eps0.95": (lambda: _plane_pair(3, 16, 0.95), 3),
+    "flat-box-m4": (lambda: (assembly.assemble(build_box_grid(3, 16)), 10.0), 4),
+    "sphere-unseeded": (_sphere_pair, 2),
+    "warped-harmonic-approx": (
+        lambda: (assembly.assemble(build_box_grid(3, 20, warp=lambda r: 1.0 + r)), None), 3),
+    "plane-2d-n32": (lambda: _plane_pair(2, 32, 1e-3), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BACKEND_CASES))
+def test_multilevel_agrees_with_shift_invert(case):
+    build, m = BACKEND_CASES[case]
+    pair, shift = build()
+    ml = solve_smallest(pair, m, tol=1e-9, shift_estimate=shift)
+    lu = solve_smallest(replace(pair, grid=None), m, tol=1e-9, shift_estimate=shift)
+    assert ml.levels >= 1 and lu.levels == 0
+    # mode 0 is the exact constant; its residual is roundoff over the shift
+    assert ml.residuals[1:].max() <= 1e-9 and lu.residuals[1:].max() <= 1e-9
+    rel = np.abs(ml.values[1:] - lu.values[1:]) / lu.values[1:]
+    assert rel.max() <= 1e-10
+
+
+def test_iterations_and_levels_are_deterministic(dumbbell16):
+    pair = dumbbell16["pair"]
+    a = solve_smallest(pair, 2, shift_estimate=dumbbell16["bound"])
+    b = solve_smallest(pair, 2, shift_estimate=dumbbell16["bound"])
+    assert (a.iterations, a.levels) == (b.iterations, b.levels)
+    assert a.levels == 1 and a.iterations >= 1
+    assert np.array_equal(a.values, b.values)
+
+
+def test_restricted_and_file_pairs_take_shift_invert(scene16, tmp_path):
+    m, geom = scene16
+    assert assembly.assemble(m).grid == (16, 16, 16)
+    sub = assembly.subdomain_neumann(m, geom, "plus")
+    assert sub.grid is None
+    assert solve_smallest(sub, 2, shift_estimate=1.0).levels == 0
+    plane = build_box_grid(2, 16)
+    save_mesh(plane, tmp_path / "plane.mesh")
+    loaded = assembly.assemble(load_mesh(tmp_path / "plane.mesh"))
+    assert loaded.grid is None
+    assert solve_smallest(loaded, 2).levels == 0
+    assert solve_smallest(assembly.assemble(plane), 2).levels == 1
+
+
+def test_multilevel_solve_raises_no_warning(dumbbell16):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_smallest(dumbbell16["pair"], 3, shift_estimate=dumbbell16["bound"])
+        with pytest.raises(eigen.EigenConvergenceError):
+            solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
+    assert res.levels == 1

@@ -190,15 +190,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_worker_count_does_not_change_the_report():
+def _reports_by_worker_count(mapping):
     reports = []
     for workers in (1, 2):
-        cfg = ScenarioConfig.from_mapping({**SMALL_SCALING, "workers": workers})
+        cfg = ScenarioConfig.from_mapping({**mapping, "workers": workers})
         report = json.loads(run_scenario(cfg).to_json())
         assert not report["failures"]
         report.pop("timings")
         report["config"].pop("workers")
         reports.append(json.dumps(report))
+    return reports
+
+
+def test_worker_count_does_not_change_the_report():
+    reports = _reports_by_worker_count(SMALL_SCALING)
+    assert reports[0] == reports[1]
+
+
+def test_worker_count_does_not_change_the_multilevel_report():
+    # n = 12 halves once, so every sweep point runs the multilevel solver
+    reports = _reports_by_worker_count({**SMALL_SCALING, "n": 12})
     assert reports[0] == reports[1]
 
 

@@ -48,6 +48,21 @@ def _loop_fan_triangles(mesh, phi):
     return np.concatenate(tris)
 
 
+def _brute_distance(points, tris, d):
+    """Distance to the nearest fragment over all point-fragment pairs, kept
+    as the reference for the pruned `_distance_to_triangles`."""
+    out = np.empty(points.shape[0])
+    chunk = max(1, 4_000_000 // tris.shape[0])
+    for start in range(0, points.shape[0], chunk):
+        p = points[start : start + chunk, None, :]
+        if d == 2:
+            d2 = metric._point_segment_sq(p, tris[:, 0], tris[:, 1])
+        else:
+            d2 = metric._point_triangle_sq(p, tris[:, 0], tris[:, 1], tris[:, 2])
+        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+    return out
+
+
 def _sorted_rows(tris):
     flat = tris.reshape(tris.shape[0], -1)
     return flat[np.lexsort(flat.T[::-1])]
@@ -65,7 +80,7 @@ def test_zero_set_fan_matches_reference_loop(d, n, sigma):
     tris = metric._zero_set_triangles(m, phi)
     assert tris.shape == ref.shape
     assert np.array_equal(_sorted_rows(tris), _sorted_rows(ref))
-    ref_rho = np.where(phi >= 0, 1.0, -1.0) * metric._distance_to_triangles(m.vertices, ref, d)
+    ref_rho = np.where(phi >= 0, 1.0, -1.0) * _brute_distance(m.vertices, ref, d)
     assert np.array_equal(signed_distance(m, sigma), ref_rho)
 
 
@@ -77,7 +92,7 @@ def test_point_triangle_distance_brute_force():
     rng = np.random.default_rng(0)
     tris = rng.standard_normal((12, 3, 3))
     pts = rng.standard_normal((10, 3)) * 1.5
-    d2 = _point_triangle_sq(pts, tris[:, 0], tris[:, 1], tris[:, 2])
+    d2 = _point_triangle_sq(pts[:, None], tris[:, 0], tris[:, 1], tris[:, 2])
 
     n = 120
     u, v = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n), indexing="ij")
