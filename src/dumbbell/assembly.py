@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import Mesh, simplex_gradient_data
+from .mesh import CellOperators, Mesh, simplex_gradient_data
 from .metric import REGION_MINUS, REGION_PLUS, CollarGeometry, ConformalField
 
 
@@ -48,15 +48,23 @@ class OperatorPair:
         return np.asarray(vertex_field)[self.dof_map]
 
 
-def _local_matrices(mesh: Mesh, cell_ids: np.ndarray):
-    grads = simplex_gradient_data(mesh, cell_ids)
-    d = mesh.dim
+def _cell_operators(mesh: Mesh) -> CellOperators:
+    if mesh._operators is not None:
+        return mesh._operators
+    grads = simplex_gradient_data(mesh)
     G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
-    stiff = np.einsum("cka,ckl,clb->cab", G, ginv, G) * vol[:, None, None]
+    stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
     stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))  # exact symmetry
-    mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    mass = vol[:, None, None] * mass_ref[None, :, :]
-    return stiff, mass
+    del grads, G, ginv
+    n = mesh.num_vertices
+    keys = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
+    entries = np.sort(keys, axis=None)  # row-major, the order CSR stores them in
+    entries = entries[np.append(True, entries[1:] != entries[:-1])]
+    slots = np.searchsorted(entries, keys).astype(np.int32)
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+    pattern = sparse.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
+    mesh._operators = CellOperators(stiffness=stiff, volumes=vol, pattern=pattern, slots=slots)
+    return mesh._operators
 
 
 def assemble(
@@ -67,43 +75,34 @@ def assemble(
     """Assemble K and M, optionally restricted to a cell subset.
 
     ``field=None`` means the unweighted reference metric (f identically 1).
-    Restricted assembly renumbers to the vertices of the selected cells and
-    imposes nothing on the new boundary, i.e. natural conditions.
+    Both reweight the mesh's cell operators, with weight zero outside
+    ``cell_mask``; a restricted pair is then sliced to the vertices of the
+    selected cells, imposing nothing on the new boundary (natural conditions).
     """
     if mesh.periodic:
         raise ValueError("assembly needs mesh geometry; periodic grids are combinatorial")
     d = mesh.dim
+    keep = np.ones(mesh.num_cells, dtype=bool) if cell_mask is None else np.asarray(cell_mask, dtype=bool)
+    if not keep.any():
+        raise ValueError("empty region")
+    f = np.ones(mesh.num_cells) if field is None else np.where(keep, field.f, 1.0)
+    if np.any(f <= 0):
+        raise ValueError("conformal factor must be positive on all cells")
+    ops = _cell_operators(mesh)
+    mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+
+    def reweighted(local, weights):  # the mask after the power: f^0 = 1 at d = 2
+        entries = (local * (keep * weights)[:, None, None]).reshape(-1)
+        out = ops.pattern.copy()
+        out.data = np.bincount(ops.slots.reshape(-1), weights=entries, minlength=out.nnz)
+        return out
+
+    K = reweighted(ops.stiffness, f ** (d / 2.0 - 1.0))
+    M = reweighted(mass_ref, f ** (d / 2.0) * ops.volumes)
     if cell_mask is None:
-        cell_ids = np.arange(mesh.num_cells)
-    else:
-        cell_ids = np.flatnonzero(cell_mask)
-        if cell_ids.size == 0:
-            raise ValueError("empty region")
-
-    cells = mesh.cells[cell_ids]
-    if cell_mask is None:
-        dof_map = np.arange(mesh.num_vertices, dtype=np.int64)
-        local_cells = cells
-    else:
-        dof_map = np.unique(cells)
-        local_cells = np.searchsorted(dof_map, cells)
-
-    stiff, mass = _local_matrices(mesh, cell_ids)
-    if field is not None:
-        f = np.asarray(field.f, dtype=float)[cell_ids]
-        if np.any(f <= 0):
-            raise ValueError("conformal factor must be positive on all cells")
-        stiff = stiff * (f ** (d / 2.0 - 1.0))[:, None, None]
-        mass = mass * (f ** (d / 2.0))[:, None, None]
-
-    n = dof_map.size
-    per = d + 1
-    rows = np.repeat(local_cells, per, axis=1).reshape(-1)
-    cols = np.tile(local_cells, (1, per)).reshape(-1)
-    K = sparse.coo_matrix((stiff.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    M = sparse.coo_matrix((mass.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    grid = mesh.grid_resolution if cell_mask is None else None
-    return OperatorPair(K=K, M=M, dof_map=dof_map, grid=grid)
+        return OperatorPair(K=K, M=M, dof_map=np.arange(mesh.num_vertices), grid=mesh.grid_resolution)
+    dof_map = np.unique(mesh.cells[keep])
+    return OperatorPair(K=K[dof_map][:, dof_map], M=M[dof_map][:, dof_map], dof_map=dof_map, grid=None)
 
 
 def subdomain_neumann(mesh: Mesh, geom: CollarGeometry, side: str) -> OperatorPair:

@@ -42,11 +42,12 @@ class EigenResult:
     levels: int             # grid coarsenings of the multilevel step; 0 for shift-invert
 
 
-def _relative_residuals(K, M, vectors, values, sigma):
+def _relative_residuals(K, M, vectors, values, floor):
+    """|K x - theta M x| / (max(theta, floor) |M x|) for each column x."""
     KX = K @ vectors
     MX = M @ vectors
     num = np.linalg.norm(KX - MX * values[None, :], axis=0)
-    den = np.maximum(values, sigma) * np.linalg.norm(MX, axis=0)
+    den = np.maximum(values, floor) * np.linalg.norm(MX, axis=0)
     return num / np.maximum(den, 1e-300)
 
 
@@ -193,7 +194,8 @@ def solve_smallest(
 
     vectors = np.column_stack([v0, X[:, : m - 1]])
     values = np.concatenate([[lam0], theta[: m - 1]])
-    residuals = _relative_residuals(K, M, vectors, values, sigma)
+    # the constant mode's eigenvalue is roundoff: scale its residual by lambda1
+    residuals = _relative_residuals(K, M, vectors, values, values[1])
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        iterations=iterations, levels=levels)
 

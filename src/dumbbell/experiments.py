@@ -85,7 +85,10 @@ class ScenarioConfig:
             if key not in fields:
                 raise ValueError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(value, fields[key])
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        _parse_sigma(cfg)  # scene descriptors fail here, as config errors
+        _parse_warp(cfg.warp)
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -235,11 +238,25 @@ def _versions() -> Dict[str, str]:
 # scene plumbing
 
 
+def _descriptor_numbers(tag: str) -> List[float]:
+    """The finite comma-separated numbers after the colon of ``kind:a,b,...``."""
+    try:
+        vals = [float(x) for x in tag.split(":", 1)[1].split(",")]
+    except ValueError:
+        raise ValueError(f"'{tag}' needs comma-separated numbers after the colon") from None
+    if not all(np.isfinite(vals)):
+        raise ValueError(f"'{tag}' has a non-finite number")
+    return vals
+
+
 def _parse_warp(tag: str):
     if tag in ("none", "", None):
         return None, None
     if tag.startswith("linear:"):
-        slope = float(tag.split(":", 1)[1])
+        vals = _descriptor_numbers(tag)
+        if len(vals) != 1:
+            raise ValueError(f"warp '{tag}' takes one slope")
+        slope = vals[0]
         return (lambda r: 1.0 + slope * r), slope
     raise ValueError(f"unknown warp '{tag}'")
 
@@ -249,12 +266,15 @@ def _parse_sigma(cfg: ScenarioConfig):
     if tag == "plane":
         return metric.PlaneSigma(cfg.sigma_offset)
     if tag.startswith("sphere:"):
-        vals = [float(x) for x in tag.split(":", 1)[1].split(",")]
+        vals = _descriptor_numbers(tag)
+        if len(vals) != cfg.d + 1 or vals[-1] <= 0:
+            raise ValueError(f"sigma '{tag}': a sphere takes {cfg.d} center coordinates and a radius > 0")
         return metric.sphere_level(vals[:-1], vals[-1])
     if tag.startswith("torus:"):
-        major, minor = (float(x) for x in tag.split(":", 1)[1].split(","))
-        center = (0.5,) * cfg.d
-        return metric.torus_level(center, major, minor)
+        vals = _descriptor_numbers(tag)
+        if cfg.d != 3 or len(vals) != 2 or min(vals) <= 0:
+            raise ValueError(f"sigma '{tag}': a torus takes two positive radii and needs d = 3")
+        return metric.torus_level((0.5,) * 3, *vals)
     raise ValueError(f"unknown sigma descriptor '{tag}'")
 
 

@@ -69,11 +69,8 @@ class HarmonicSolution:
 
     vertex_ids: np.ndarray      # global vertices of the collar (with boundary)
     values: np.ndarray          # h at those vertices
-    model: np.ndarray           # hbar at those vertices
     boundary_plus: np.ndarray   # global vertices held at c+
-    boundary_minus: np.ndarray
     sup_deviation: float        # max |h - hbar|
-    l2_deviation: float         # mass-weighted norm of h - hbar
 
     def scatter(self, n_vertices: int, fill: float = np.nan) -> np.ndarray:
         out = np.full(n_vertices, fill)
@@ -105,43 +102,17 @@ def solve_harmonic(mesh: Mesh, geom: CollarGeometry, consts: PlateauConstants) -
     )
     system = restrict_dirichlet(pair, boundary, values)
     h = system.solve()
-    model = hbar(geom.rho[pair.dof_map], geom.eta, consts)
-    diff = h - model
-    l2 = float(np.sqrt(max(diff @ (pair.M @ diff), 0.0)))
+    diff = h - hbar(geom.rho[pair.dof_map], geom.eta, consts)
     return HarmonicSolution(
         vertex_ids=pair.dof_map,
         values=h,
-        model=model,
         boundary_plus=b_plus,
-        boundary_minus=b_minus,
         sup_deviation=float(np.abs(diff).max()),
-        l2_deviation=l2,
     )
 
 
-def _adaptive_simpson(f: Callable, a: float, b: float, tol: float, depth: int = 24) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, depth)
-
-
 def warped_harmonic_1d(
-    w_profile: Callable[[float], float],
+    w_profile: Callable[[np.ndarray], np.ndarray],
     eta: float,
     consts: PlateauConstants,
     d: int,
@@ -151,44 +122,33 @@ def warped_harmonic_1d(
     Separation of variables reduces the collar problem to
     (w^{d-1} h')' = 0, so h' is proportional to w^{1-d} and
     h(rho) = c- + (c+ - c-) * int_{-eta}^{rho} w^{1-d} / int_{-eta}^{eta} w^{1-d}.
-    Integrals use adaptive Simpson quadrature on 64 panels to an absolute
-    tolerance of 1e-12; endpoint values are exact.
+    Integrals use the 8-point Gauss-Legendre rule on each of 64 panels and
+    on the partial panel up to rho; endpoint values are exact.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
+    x, weights = np.polynomial.legendre.leggauss(8)
 
-    def integrand(t):
-        w = w_profile(t)
-        if w <= 0:
-            raise ValueError(f"non-positive warp sample at rho={t}")
-        return w ** (1.0 - d)
+    def integral(a, b):
+        """int_a^b w^{1-d} over each pair of interval ends in the arrays a, b."""
+        half = 0.5 * (b - a)
+        t = (0.5 * (a + b))[:, None] + half[:, None] * x
+        w = np.broadcast_to(np.asarray(w_profile(t), dtype=float), t.shape)
+        if np.any(w <= 0):
+            raise ValueError(f"non-positive warp sample at rho={t[w <= 0][0]}")
+        return half * (w ** (1.0 - d) @ weights)
 
-    tol = 1e-12
     nodes = np.linspace(-eta, eta, 65)
-    pieces = np.array(
-        [
-            _adaptive_simpson(integrand, float(nodes[i]), float(nodes[i + 1]), tol / len(nodes))
-            for i in range(len(nodes) - 1)
-        ]
-    )
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
+    cumulative = np.concatenate([[0.0], np.cumsum(integral(nodes[:-1], nodes[1:]))])
     total = cumulative[-1]
 
     def h(rho):
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.empty_like(rho_arr)
-        for i, r in enumerate(rho_arr):
-            if r <= -eta:
-                out[i] = consts.c_minus
-            elif r >= eta:
-                out[i] = consts.c_plus
-            else:
-                k = int(np.searchsorted(nodes, r) - 1)
-                k = min(max(k, 0), len(nodes) - 2)
-                partial = cumulative[k] + _adaptive_simpson(
-                    integrand, float(nodes[k]), float(r), tol
-                )
-                out[i] = consts.c_minus + (consts.c_plus - consts.c_minus) * partial / total
+        inside = np.clip(rho_arr, -eta, eta)
+        k = np.clip(np.searchsorted(nodes, inside) - 1, 0, len(nodes) - 2)
+        partial = cumulative[k] + integral(nodes[k], inside)
+        out = consts.c_minus + (consts.c_plus - consts.c_minus) * partial / total
+        out = np.where(rho_arr <= -eta, consts.c_minus, np.where(rho_arr >= eta, consts.c_plus, out))
         return out if np.ndim(rho) else float(out[0])
 
     return h
@@ -211,21 +171,15 @@ class FourierCollarSolution:
 
     coefficients: np.ndarray      # (n_sigma,) sine coefficients
     eta: float
-    sigma_grid: np.ndarray
     grid_values: np.ndarray       # w on the collocation grid
     iterations: int
-    final_change: float
     contraction_ratio: Optional[float]
 
-    def evaluate_sigma(self, sigma) -> np.ndarray:
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        modes = np.arange(1, self.coefficients.shape[0] + 1)
-        sin_mat = np.sin(np.outer(sigma, modes))
-        return np.tensordot(sin_mat, self.coefficients, axes=(1, 0))
-
     def evaluate_rho(self, rho) -> np.ndarray:
-        sigma = (np.asarray(rho, dtype=float) + self.eta) * np.pi / (2.0 * self.eta)
-        return self.evaluate_sigma(sigma)
+        """w at rho, through the stretched coordinate sigma = (rho + eta) pi / (2 eta)."""
+        sigma = (np.atleast_1d(np.asarray(rho, dtype=float)) + self.eta) * np.pi / (2.0 * self.eta)
+        modes = np.arange(1, self.coefficients.shape[0] + 1)
+        return np.tensordot(np.sin(np.outer(sigma, modes)), self.coefficients, axes=(1, 0))
 
 
 def _h2_norm(coef: np.ndarray, modes_sq: np.ndarray) -> float:
@@ -285,7 +239,6 @@ def collar_fourier_solve(
     ratio = None
     growth_streak = 0
     iterations = 0
-    change = 0.0
     for iterations in range(1, 201):
         if G1 is None:
             new_coef = coef
@@ -310,9 +263,7 @@ def collar_fourier_solve(
     return FourierCollarSolution(
         coefficients=coef,
         eta=eta,
-        sigma_grid=sigma,
         grid_values=np.tensordot(sin_mat, coef, axes=(1, 0)),
         iterations=iterations,
-        final_change=change,
         contraction_ratio=ratio,
     )

@@ -50,6 +50,23 @@ class FacetTable:
 
 
 @dataclass
+class CellOperators:
+    """The part of P1 assembly that no conformal factor changes, kept on
+    its mesh by the mesh's first assembly.  (Sweep threads that assemble on
+    a fresh mesh at once may each build it; the builds are identical.)
+
+    ``slots[c, a, b]`` is the position in ``pattern.data`` of the entry
+    (cells[c, a], cells[c, b]), so K and M are ``np.bincount`` over the slots
+    of per-cell weighted local matrices.
+    """
+
+    stiffness: np.ndarray           # (C, d+1, d+1) local stiffness, reference metric
+    volumes: np.ndarray             # (C,) metric volumes
+    pattern: sparse.csr_matrix      # sparsity of K and M over all vertices
+    slots: np.ndarray               # (C, d+1, d+1) int32
+
+
+@dataclass
 class Mesh:
     """Simplicial mesh with an optional constant metric tensor per cell.
 
@@ -64,6 +81,7 @@ class Mesh:
     grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes)
     periodic: bool = False                       # combinatorial torus, no geometry
     _facets: Optional[FacetTable] = field(default=None, repr=False, compare=False)
+    _operators: Optional[CellOperators] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))

@@ -1,10 +1,88 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dumbbell import eigen, harmonic, metric
+from dumbbell import assembly, eigen, experiments, harmonic, metric
 from dumbbell.assembly import assemble, restrict_dirichlet, subdomain_neumann
-from dumbbell.mesh import build_box_grid
+from dumbbell.mesh import build_box_grid, simplex_gradient_data
 from dumbbell.metric import PlaneSigma, build_conformal_field, collar_geometry, signed_distance
+
+
+def _reference_pair(mesh, field=None, cell_mask=None):
+    """K and M built per call from the selected cells' local matrices, by COO."""
+    d = mesh.dim
+    cell_ids = np.arange(mesh.num_cells) if cell_mask is None else np.flatnonzero(cell_mask)
+    cells = mesh.cells[cell_ids]
+    dof_map = np.arange(mesh.num_vertices) if cell_mask is None else np.unique(cells)
+    local_cells = np.searchsorted(dof_map, cells)
+    grads = simplex_gradient_data(mesh, cell_ids)
+    G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
+    stiff = np.einsum("cka,ckl,clb->cab", G, ginv, G) * vol[:, None, None]
+    stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))
+    mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    mass = vol[:, None, None] * mass_ref[None, :, :]
+    if field is not None:
+        f = field.f[cell_ids]
+        stiff = stiff * (f ** (d / 2.0 - 1.0))[:, None, None]
+        mass = mass * (f ** (d / 2.0))[:, None, None]
+    n = dof_map.size
+    rows = np.repeat(local_cells, d + 1, axis=1).reshape(-1)
+    cols = np.tile(local_cells, (1, d + 1)).reshape(-1)
+    K = sparse.coo_matrix((stiff.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    M = sparse.coo_matrix((mass.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M, dof_map
+
+
+def _scene(d, n, warp=None):
+    m = build_box_grid(d, n, warp=warp)
+    geom = collar_geometry(m, signed_distance(m, PlaneSigma(0.5)), 0.25)
+    return m, geom
+
+
+@pytest.mark.parametrize("d, n, warp", [(2, 8, None), (3, 8, None), (3, 8, lambda r: 1.0 + r)])
+@pytest.mark.parametrize("profile", ["none", "step", "mollified"])
+@pytest.mark.parametrize("region", ["whole", "collar", "plus"])
+def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
+    # at d = 2 the stiffness weight f^0 is 1 on every cell, so a mask that
+    # multiplied before the power would leak the unselected cells into K
+    m, geom = _scene(d, n, warp)
+    fld = None if profile == "none" else build_conformal_field(
+        geom, 1e-3, d, profile=profile, mollify_n=None if profile == "step" else n // 2)
+    mask = {"whole": None, "collar": geom.region == metric.REGION_COLLAR,
+            "plus": geom.region == metric.REGION_PLUS}[region]
+    K, M, dof_map = _reference_pair(m, fld, mask)
+    pair = assemble(m, fld, cell_mask=mask)
+    assert np.array_equal(pair.dof_map, dof_map)
+    for got, want in ((pair.K, K), (pair.M, M)):
+        assert got.shape == want.shape
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+
+
+def test_assembled_pairs_do_not_share_the_cached_pattern(scene8):
+    m, geom = scene8
+    fld = build_conformal_field(geom, 1e-1, 3)
+    first = assemble(m, fld)
+    K, M = first.K.copy(), first.M.copy()
+    first.K.indices[:] = 0
+    first.M.indptr[:] = 0
+    again = assemble(m, fld)
+    assert abs(again.K - K).max() == 0 and abs(again.M - M).max() == 0
+
+
+def test_scaling_sweep_builds_cell_operators_once(monkeypatch):
+    calls = []
+
+    def counting(mesh, cell_ids=None):
+        calls.append(mesh)
+        return simplex_gradient_data(mesh, cell_ids)
+
+    monkeypatch.setattr(assembly, "simplex_gradient_data", counting)
+    cfg = experiments.ScenarioConfig.from_mapping(
+        {"scenario": "scaling", "n": 8, "oracle_resolution": 256})
+    assert len(cfg.epsilons) == 5
+    report = experiments.run_scenario(cfg)
+    assert not report.failures
+    assert len(calls) == 1
 
 
 def test_constants_in_null_space(box8):

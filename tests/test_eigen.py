@@ -231,8 +231,8 @@ def test_multilevel_agrees_with_shift_invert(case):
     ml = solve_smallest(pair, m, tol=1e-9, shift_estimate=shift)
     lu = solve_smallest(replace(pair, grid=None), m, tol=1e-9, shift_estimate=shift)
     assert ml.levels >= 1 and lu.levels == 0
-    # mode 0 is the exact constant; its residual is roundoff over the shift
-    assert ml.residuals[1:].max() <= 1e-9 and lu.residuals[1:].max() <= 1e-9
+    # mode 0, the exact constant, included: its residual is scaled by lambda1
+    assert ml.residuals.max() <= 1e-9 and lu.residuals.max() <= 1e-9
     rel = np.abs(ml.values[1:] - lu.values[1:]) / lu.values[1:]
     assert rel.max() <= 1e-10
 

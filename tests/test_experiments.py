@@ -190,6 +190,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "sigma = sphere:0.5,0.3",            # one center coordinate at d = 3
+    "sigma = sphere:0.5,0.5,0.5,-0.3",
+    "sigma = sphere:",
+    "sigma = sphere:0.5,0.5,0.5,nan",
+    "d = 2\nsigma = torus:0.3,0.1",      # a torus needs d = 3
+    "sigma = torus:0.3",
+    "sigma = torus:0.3,-0.1",
+    "warp = linear:abc",
+    "warp = linear:1,2",
+])
+def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scenario = gap\nn = 8\n{line}\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("mapping", [
+    {"sigma": "sphere:0.5,0.5,0.5,0.3"},
+    {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
+    {"sigma": "torus:0.3,0.1"},
+    {"warp": "linear:1.0"},
+])
+def test_well_formed_scene_descriptors_parse(mapping):
+    cfg = ScenarioConfig.from_mapping({"scenario": "gap", **mapping})
+    assert {k: getattr(cfg, k) for k in mapping} == mapping
+
+
 def _reports_by_worker_count(mapping):
     reports = []
     for workers in (1, 2):
