@@ -9,6 +9,7 @@ error), which keeps the volume and min-max identities sharp.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,23 +49,27 @@ class OperatorPair:
         return np.asarray(vertex_field)[self.dof_map]
 
 
+_BUILD_LOCK = threading.Lock()  # one build per mesh when sweep threads assemble at once
+
+
 def _cell_operators(mesh: Mesh) -> CellOperators:
-    if mesh._operators is not None:
+    with _BUILD_LOCK:
+        if mesh._operators is not None:
+            return mesh._operators
+        grads = simplex_gradient_data(mesh)
+        G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
+        stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
+        stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))  # exact symmetry
+        del grads, G, ginv
+        n = mesh.num_vertices
+        keys = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
+        entries = np.sort(keys, axis=None)  # row-major, the order CSR stores them in
+        entries = entries[np.append(True, entries[1:] != entries[:-1])]
+        slots = np.searchsorted(entries, keys).astype(np.int32)
+        indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+        pattern = sparse.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
+        mesh._operators = CellOperators(stiffness=stiff, volumes=vol, pattern=pattern, slots=slots)
         return mesh._operators
-    grads = simplex_gradient_data(mesh)
-    G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
-    stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
-    stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))  # exact symmetry
-    del grads, G, ginv
-    n = mesh.num_vertices
-    keys = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
-    entries = np.sort(keys, axis=None)  # row-major, the order CSR stores them in
-    entries = entries[np.append(True, entries[1:] != entries[:-1])]
-    slots = np.searchsorted(entries, keys).astype(np.int32)
-    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
-    pattern = sparse.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
-    mesh._operators = CellOperators(stiffness=stiff, volumes=vol, pattern=pattern, slots=slots)
-    return mesh._operators
 
 
 def assemble(

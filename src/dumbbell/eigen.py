@@ -1,14 +1,14 @@
 """Lowest modes of the generalized pencil K u = lambda M u.
 
-One loop serves both backends: a block of m + 2 vectors, M-orthogonal to the
-constant mode (reported apart as mode zero), is improved step by step and
-Rayleigh-Ritz extracted until the m - 1 leading relative residuals are at
-most ``tol``.  M is only applied, never inverted, which matters when the
-mass weights span many orders of magnitude at small epsilon.  The step is
-shift-invert, X <- (K - sigma M)^-1 M X with one sparse LU per run, or, for a
-pair assembled on a whole box grid whose axes are all even and above 8
-(``OperatorPair.grid``), one LOBPCG step (Knyazev 2001) preconditioned by a
-V-cycle on the nested Freudenthal/Kuhn grids (Bey 2000).
+A block of m + 2 vectors, M-orthogonal to the constant mode (reported apart
+as mode zero), is improved by LOBPCG steps (Knyazev 2001) and Rayleigh-Ritz
+extracted until the m - 1 leading relative residuals are at most ``tol``.
+M is only applied, never inverted, which matters when the mass weights span
+many orders of magnitude at small epsilon.  The preconditioner is a V-cycle
+for K + c M on the nested Freudenthal/Kuhn grids (Bey 2000), coarsened while
+every axis of ``OperatorPair.grid`` is even and above 8; its coarsest level
+is a sparse LU, so a pair that does not halve is preconditioned by that LU
+of the whole matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class EigenResult:
     vectors: np.ndarray     # (n_dof, m), M-orthonormal columns
     residuals: np.ndarray   # (m,) relative residuals
     iterations: int         # improving steps taken
-    levels: int             # grid coarsenings of the multilevel step; 0 for shift-invert
+    levels: int             # grid coarsenings of the preconditioner; 0 for none
 
 
 def _relative_residuals(K, M, vectors, values, floor):
@@ -49,12 +49,6 @@ def _relative_residuals(K, M, vectors, values, floor):
     num = np.linalg.norm(KX - MX * values[None, :], axis=0)
     den = np.maximum(values, floor) * np.linalg.norm(MX, axis=0)
     return num / np.maximum(den, 1e-300)
-
-
-def _factor(A):
-    """Symmetric-mode SuperLU: minimum degree on A'+A, diagonal pivots."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True})
 
 
 def _rayleigh_ritz(K, M, Y):
@@ -96,9 +90,10 @@ def _prolongation(grid: tuple) -> sparse.csr_matrix:
 
 
 def _v_cycle(A, grid):
-    """V-cycle for the SPD matrix A on a box grid that halves at least once:
+    """V-cycle for the SPD matrix A on a box grid, or on no grid (None):
     damped Jacobi (omega 0.6, two sweeps down, three up), Galerkin coarse
-    operators P'AP, and a sparse LU on the first grid that does not halve.
+    operators P'AP, and on the first grid that does not halve a
+    symmetric-mode SuperLU (minimum degree on A'+A, diagonal pivots).
     Returns (apply, number of coarsenings)."""
     hierarchy = []
     while _halves(grid):
@@ -106,7 +101,8 @@ def _v_cycle(A, grid):
         hierarchy.append((A, (0.6 / A.diagonal())[:, None], P))
         A = (P.T @ A @ P).tocsr()
         grid = tuple(k // 2 for k in grid)
-    coarsest = _factor(A)
+    coarsest = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
 
     def apply(r, depth=0):
         if depth == len(hierarchy):
@@ -132,10 +128,11 @@ def solve_smallest(
 ) -> EigenResult:
     """The m smallest eigenpairs, constant mode included.
 
-    The shift is a tenth of ``shift_estimate`` (an a priori guess for the
-    smallest nonzero eigenvalue), which keeps it below that value.  With no
-    estimate, shift-invert uses a tiny positive shift, which keeps the
-    factorization away from zero, and the V-cycle a tenth of 1.
+    The preconditioner approximates the inverse of K + c M, exactly when the
+    grid does not halve, with c a tenth of ``shift_estimate`` (an a priori
+    guess for the smallest nonzero eigenvalue), or a tenth of 1 with no
+    estimate.  A tenth of the estimate, at least 1e-8, also floors the
+    eigenvalue that scales the relative residuals.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -152,40 +149,21 @@ def solve_smallest(
         X -= np.outer(ones, (Mones @ X) / mass)
         return X
 
-    sigma = max(1e-8, 0.1 * (shift_estimate or 0.0))
+    floor = max(1e-8, 0.1 * (shift_estimate or 0.0))
     block = m + 2
-    if _halves(pair.grid):
-        precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
-        last_move = []  # the previous step's update, M-orthogonal to its block
-
-        def step(X, theta):
-            W = deflate(precondition(K @ X - (M @ X) * theta))
-            Z, theta = _rayleigh_ritz(K, M, np.hstack([X, W, *last_move]))
-            Z = Z[:, :block]
-            last_move[:] = [Z - X @ (X.T @ (M @ Z))]
-            return Z, theta[:block]
-    else:
-        levels, lu = 0, None
-        for _ in range(5):
-            try:
-                lu = _factor(K - sigma * M)
-                break
-            except RuntimeError:
-                sigma = sigma * 3.7 + 1e-10  # shift hit an eigenvalue; nudge it
-        if lu is None:
-            raise EigenConvergenceError("factorization of (K - sigma M) failed", float("inf"))
-
-        def step(X, theta):
-            return _rayleigh_ritz(K, M, deflate(lu.solve(M @ X)))
-
+    precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
     rng = np.random.default_rng(seed)
     X, theta = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))))
+    last_move = []  # the previous step's update, M-orthogonal to its block
     best = float("inf")
     for iterations in range(1, max_iterations + 1):
-        X, theta = step(X, theta)
+        W = deflate(precondition(K @ X - (M @ X) * theta))
+        Z, theta = _rayleigh_ritz(K, M, np.hstack([X, W, *last_move]))
+        Z, theta = Z[:, :block], theta[:block]
+        X, last_move = Z, [Z - X @ (X.T @ (M @ Z))]
         if X.shape[1] < m - 1:
             raise EigenConvergenceError("iteration subspace collapsed", best)
-        res = _relative_residuals(K, M, X[:, : m - 1], theta[: m - 1], sigma)
+        res = _relative_residuals(K, M, X[:, : m - 1], theta[: m - 1], floor)
         best = min(best, float(res.max()))
         if np.all(res <= tol):
             break

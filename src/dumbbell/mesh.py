@@ -52,8 +52,7 @@ class FacetTable:
 @dataclass
 class CellOperators:
     """The part of P1 assembly that no conformal factor changes, kept on
-    its mesh by the mesh's first assembly.  (Sweep threads that assemble on
-    a fresh mesh at once may each build it; the builds are identical.)
+    its mesh by the mesh's first assembly.
 
     ``slots[c, a, b]`` is the position in ``pattern.data`` of the entry
     (cells[c, a], cells[c, b]), so K and M are ``np.bincount`` over the slots

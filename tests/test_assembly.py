@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -69,16 +71,18 @@ def test_assembled_pairs_do_not_share_the_cached_pattern(scene8):
     assert abs(again.K - K).max() == 0 and abs(again.M - M).max() == 0
 
 
-def test_scaling_sweep_builds_cell_operators_once(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scaling_sweep_builds_cell_operators_once(monkeypatch, workers):
     calls = []
 
-    def counting(mesh, cell_ids=None):
+    def counting(mesh, cell_ids=None):  # slow, so a second thread arrives mid-build
         calls.append(mesh)
+        time.sleep(0.2)
         return simplex_gradient_data(mesh, cell_ids)
 
     monkeypatch.setattr(assembly, "simplex_gradient_data", counting)
     cfg = experiments.ScenarioConfig.from_mapping(
-        {"scenario": "scaling", "n": 8, "oracle_resolution": 256})
+        {"scenario": "scaling", "n": 8, "oracle_resolution": 256, "workers": workers})
     assert len(cfg.epsilons) == 5
     report = experiments.run_scenario(cfg)
     assert not report.failures

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import eigsh
 
 from dumbbell import assembly, eigen, metric, oracle
 from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
@@ -160,7 +162,7 @@ def test_point_reflection_oddness(dumbbell16):
 
 def test_severe_mass_ill_conditioning(scene16):
     # at eps = 1e-4 the mass weights span six orders of magnitude; the
-    # factorized pencil must still deliver clean small eigenvalues
+    # solver must still deliver clean small eigenvalues
     m, geom = scene16
     fld = build_conformal_field(geom, 1e-4, 3)
     pair = assembly.assemble(m, fld)
@@ -178,7 +180,7 @@ def test_nonconvergence_reports_best_residual(dumbbell16):
         solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
 
 
-def test_nonconvergence_reports_best_residual_lu(dumbbell16):
+def test_nonconvergence_reports_best_residual_unhalved(dumbbell16):
     pair = replace(dumbbell16["pair"], grid=None)
     with pytest.raises(eigen.EigenConvergenceError, match="residual") as err:
         solve_smallest(pair, 3, tol=1e-16, max_iterations=2)
@@ -212,6 +214,12 @@ def _sphere_pair():
     return assembly.assemble(m, build_conformal_field(geom, 1e-3, 3)), None
 
 
+def _gap_subdomain_pair():
+    m = build_box_grid(3, 16)
+    geom = collar_geometry(m, metric.signed_distance(m, metric.PlaneSigma(0.5)), 0.125)
+    return assembly.subdomain_neumann(m, geom, "plus"), 1.0
+
+
 BACKEND_CASES = {
     **{f"plane-eps{eps:g}": (lambda eps=eps: _plane_pair(3, 16, eps), 2)
        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
@@ -221,20 +229,39 @@ BACKEND_CASES = {
     "warped-harmonic-approx": (
         lambda: (assembly.assemble(build_box_grid(3, 20, warp=lambda r: 1.0 + r)), None), 3),
     "plane-2d-n32": (lambda: _plane_pair(2, 32, 1e-3), 2),
+    "gap-subdomain": (_gap_subdomain_pair, 2),
+    "odd-grid-n15": (lambda: (assembly.assemble(build_box_grid(3, 15)), 10.0), 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BACKEND_CASES))
 def test_multilevel_agrees_with_shift_invert(case):
+    # the reference is ARPACK in shift-invert mode, with and without the
+    # pair's grid; a seeded start, since the constant is an eigenvector
     build, m = BACKEND_CASES[case]
     pair, shift = build()
-    ml = solve_smallest(pair, m, tol=1e-9, shift_estimate=shift)
-    lu = solve_smallest(replace(pair, grid=None), m, tol=1e-9, shift_estimate=shift)
-    assert ml.levels >= 1 and lu.levels == 0
-    # mode 0, the exact constant, included: its residual is scaled by lambda1
-    assert ml.residuals.max() <= 1e-9 and lu.residuals.max() <= 1e-9
-    rel = np.abs(ml.values[1:] - lu.values[1:]) / lu.values[1:]
-    assert rel.max() <= 1e-10
+    v0 = np.random.default_rng(1).standard_normal(pair.n_dof)
+    ref = np.sort(eigsh(pair.K, k=m, M=pair.M, sigma=-1e-3, v0=v0)[0])
+    coarsens = eigen._halves(pair.grid)
+    for grid in dict.fromkeys((pair.grid, None)):
+        res = solve_smallest(replace(pair, grid=grid), m, tol=1e-9, shift_estimate=shift)
+        assert (res.levels >= 1) == (coarsens and grid is not None)
+        # mode 0, the exact constant, included: its residual is scaled by lambda1
+        assert res.residuals.max() <= 1e-9
+        rel = np.abs(res.values[1:] - ref[1:]) / ref[1:]
+        assert rel.max() <= 1e-10
+
+
+@pytest.mark.parametrize("d, n, m", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 4, 6)])
+def test_tiny_pairs_match_dense_eigh(d, n, m):
+    # few dofs against the 3(m + 2) LOBPCG basis columns (more than the dofs
+    # at n = 2 in 2d): Rayleigh-Ritz drops the dependent directions
+    pair = assembly.assemble(build_box_grid(d, n))
+    ref = scipy.linalg.eigh(pair.K.toarray(), pair.M.toarray(), eigvals_only=True)[:m]
+    res = solve_smallest(pair, m, tol=1e-9)
+    assert res.levels == 0 and res.residuals.max() <= 1e-9
+    assert (np.abs(res.values[1:] - ref[1:]) / ref[1:]).max() <= 1e-12
+    assert abs(res.values[0]) <= 1e-12 * ref[1]
 
 
 def test_iterations_and_levels_are_deterministic(dumbbell16):
@@ -246,7 +273,7 @@ def test_iterations_and_levels_are_deterministic(dumbbell16):
     assert np.array_equal(a.values, b.values)
 
 
-def test_restricted_and_file_pairs_take_shift_invert(scene16, tmp_path):
+def test_restricted_and_file_pairs_do_not_coarsen(scene16, tmp_path):
     m, geom = scene16
     assert assembly.assemble(m).grid == (16, 16, 16)
     sub = assembly.subdomain_neumann(m, geom, "plus")
