@@ -1,8 +1,10 @@
 """Lowest modes of the generalized pencil K u = lambda M u.
 
 A block of m + 2 vectors, M-orthogonal to the constant mode (reported apart
-as mode zero), is improved by LOBPCG steps (Knyazev 2001) and Rayleigh-Ritz
-extracted until the m - 1 leading relative residuals are at most ``tol``.
+as mode zero), is improved by LOBPCG steps (Knyazev 2001) until the m - 1
+leading relative residuals are at most ``tol``.  Only those active columns
+get search directions W and P (Duersch et al. 2018); the three guards share
+each Rayleigh-Ritz of the 3m columns [X, W, P], deflated as one basis.
 M is only applied, never inverted, which matters when the mass weights span
 many orders of magnitude at small epsilon.  The preconditioner is a V-cycle
 for K + c M on the nested Freudenthal/Kuhn grids (Bey 2000), coarsened while
@@ -42,10 +44,9 @@ class EigenResult:
     levels: int             # grid coarsenings of the preconditioner; 0 for none
 
 
-def _relative_residuals(K, M, vectors, values, floor):
-    """|K x - theta M x| / (max(theta, floor) |M x|) for each column x."""
-    KX = K @ vectors
-    MX = M @ vectors
+def _relative_residuals(KX, MX, values, floor):
+    """|K x - theta M x| / (max(theta, floor) |M x|) for each column x,
+    given the images KX and MX of the columns."""
     num = np.linalg.norm(KX - MX * values[None, :], axis=0)
     den = np.maximum(values, floor) * np.linalg.norm(MX, axis=0)
     return num / np.maximum(den, 1e-300)
@@ -132,7 +133,8 @@ def solve_smallest(
     grid does not halve, with c a tenth of ``shift_estimate`` (an a priori
     guess for the smallest nonzero eigenvalue), or a tenth of 1 with no
     estimate.  A tenth of the estimate, at least 1e-8, also floors the
-    eigenvalue that scales the relative residuals.
+    eigenvalue that scales the relative residuals.  The guards keep a cluster
+    at the edge of the wanted modes from stalling the steps.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -150,30 +152,32 @@ def solve_smallest(
         return X
 
     floor = max(1e-8, 0.1 * (shift_estimate or 0.0))
-    block = m + 2
+    block, active = m + 2, m - 1
     precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
     rng = np.random.default_rng(seed)
     X, theta = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))))
-    last_move = []  # the previous step's update, M-orthogonal to its block
+    KA, MA = K @ X[:, :active], M @ X[:, :active]
+    last_move = []  # the previous step's update of the active columns
     best = float("inf")
     for iterations in range(1, max_iterations + 1):
-        W = deflate(precondition(K @ X - (M @ X) * theta))
-        Z, theta = _rayleigh_ritz(K, M, np.hstack([X, W, *last_move]))
-        Z, theta = Z[:, :block], theta[:block]
-        X, last_move = Z, [Z - X @ (X.T @ (M @ Z))]
-        if X.shape[1] < m - 1:
+        W = precondition(KA - MA * theta[:active])
+        Z, theta = _rayleigh_ritz(K, M, deflate(np.hstack([X, W, *last_move])))
+        if Z.shape[1] < active:
             raise EigenConvergenceError("iteration subspace collapsed", best)
-        res = _relative_residuals(K, M, X[:, : m - 1], theta[: m - 1], floor)
+        Z, theta, A = Z[:, :block], theta[:block], Z[:, :active]
+        KA, MA = K @ A, M @ A
+        X, last_move = Z, [A - X @ (X.T @ MA)]
+        res = _relative_residuals(KA, MA, theta[:active], floor)
         best = min(best, float(res.max()))
         if np.all(res <= tol):
             break
     else:
         raise EigenConvergenceError(f"no convergence in {max_iterations} iterations", best)
 
-    vectors = np.column_stack([v0, X[:, : m - 1]])
-    values = np.concatenate([[lam0], theta[: m - 1]])
+    vectors = np.column_stack([v0, X[:, :active]])
+    values = np.concatenate([[lam0], theta[:active]])
     # the constant mode's eigenvalue is roundoff: scale its residual by lambda1
-    residuals = _relative_residuals(K, M, vectors, values, values[1])
+    residuals = _relative_residuals(K @ vectors, M @ vectors, values, values[1])
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        iterations=iterations, levels=levels)
 

@@ -231,20 +231,31 @@ BACKEND_CASES = {
     "plane-2d-n32": (lambda: _plane_pair(2, 32, 1e-3), 2),
     "gap-subdomain": (_gap_subdomain_pair, 2),
     "odd-grid-n15": (lambda: (assembly.assemble(build_box_grid(3, 15)), 10.0), 3),
+    # a cluster at the edge of the wanted modes, which the guard columns are for:
+    # the cube's triple lambda1, and gap's lambda2/lambda3 (8.24727, 8.24729)
+    "flat-box-m2": (lambda: (assembly.assemble(build_box_grid(3, 16)), 10.0), 2),
+    "plane-m3-eps1e-3": (lambda: _plane_pair(3, 16, 1e-3), 3),
 }
+
+
+def _backend_solves(case):
+    """A BACKEND_CASES pair and its solves, with its grid and without (grid None)."""
+    build, m = BACKEND_CASES[case]
+    pair, shift = build()
+    return pair, m, {grid: solve_smallest(replace(pair, grid=grid), m, tol=1e-9,
+                                          shift_estimate=shift)
+                     for grid in dict.fromkeys((pair.grid, None))}
 
 
 @pytest.mark.parametrize("case", sorted(BACKEND_CASES))
 def test_multilevel_agrees_with_shift_invert(case):
     # the reference is ARPACK in shift-invert mode, with and without the
     # pair's grid; a seeded start, since the constant is an eigenvector
-    build, m = BACKEND_CASES[case]
-    pair, shift = build()
+    pair, m, solves = _backend_solves(case)
     v0 = np.random.default_rng(1).standard_normal(pair.n_dof)
     ref = np.sort(eigsh(pair.K, k=m, M=pair.M, sigma=-1e-3, v0=v0)[0])
     coarsens = eigen._halves(pair.grid)
-    for grid in dict.fromkeys((pair.grid, None)):
-        res = solve_smallest(replace(pair, grid=grid), m, tol=1e-9, shift_estimate=shift)
+    for grid, res in solves.items():
         assert (res.levels >= 1) == (coarsens and grid is not None)
         # mode 0, the exact constant, included: its residual is scaled by lambda1
         assert res.residuals.max() <= 1e-9
@@ -252,10 +263,50 @@ def test_multilevel_agrees_with_shift_invert(case):
         assert rel.max() <= 1e-10
 
 
+@pytest.mark.parametrize("case", sorted(BACKEND_CASES))
+def test_returned_modes_are_free_of_the_constant(case):
+    # |1'Mx| / sqrt(1'M1 x'Mx) for every nontrivial mode x: the whole
+    # Rayleigh-Ritz basis is deflated, so no roundoff constant leaks back in
+    pair, m, solves = _backend_solves(case)
+    Mones = pair.M @ np.ones(pair.n_dof)
+    for res in solves.values():
+        X = res.vectors[:, 1:]
+        leak = np.abs(Mones @ X) / np.sqrt(Mones.sum() * np.einsum("ij,ij->j", X, pair.M @ X))
+        assert leak.max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
+    # the m - 1 wanted columns get a search direction; the three guard
+    # columns only take part in the Rayleigh-Ritz of X, W and P (3m columns)
+    pair, bound = _plane_pair(2, 32, 1e-3)
+    columns, bases = [], []
+    v_cycle, rayleigh_ritz = eigen._v_cycle, eigen._rayleigh_ritz
+
+    def counting_v_cycle(A, grid):
+        apply, levels = v_cycle(A, grid)
+
+        def counted(r):
+            columns.append(r.shape[1])
+            return apply(r)
+        return counted, levels
+
+    def counting_rayleigh_ritz(K, M, Y):
+        bases.append(Y.shape[1])
+        return rayleigh_ritz(K, M, Y)
+
+    monkeypatch.setattr(eigen, "_v_cycle", counting_v_cycle)
+    monkeypatch.setattr(eigen, "_rayleigh_ritz", counting_rayleigh_ritz)
+    res = solve_smallest(pair, m, tol=1e-9, shift_estimate=bound)
+    assert res.levels >= 1 and res.residuals.max() <= 1e-9
+    assert columns == [m - 1] * res.iterations
+    assert len(bases) == res.iterations + 1 and max(bases) <= 3 * m
+
+
 @pytest.mark.parametrize("d, n, m", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 4, 6)])
 def test_tiny_pairs_match_dense_eigh(d, n, m):
-    # few dofs against the 3(m + 2) LOBPCG basis columns (more than the dofs
-    # at n = 2 in 2d): Rayleigh-Ritz drops the dependent directions
+    # few dofs against the 3m LOBPCG basis columns (more than the 8 deflated
+    # dimensions at n = 2 in 2d): Rayleigh-Ritz drops the dependent directions
     pair = assembly.assemble(build_box_grid(d, n))
     ref = scipy.linalg.eigh(pair.K.toarray(), pair.M.toarray(), eigvals_only=True)[:m]
     res = solve_smallest(pair, m, tol=1e-9)
