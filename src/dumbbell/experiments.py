@@ -87,6 +87,7 @@ class ScenarioConfig:
             kwargs[key] = _coerce(value, fields[key])
         cfg = cls(**kwargs)
         _parse_sigma(cfg)  # scene descriptors fail here, as config errors
+        _check_torus_radii(cfg.torus_radii, "torus_radii")
         _parse_warp(cfg.warp)
         return cfg
 
@@ -261,6 +262,12 @@ def _parse_warp(tag: str):
     raise ValueError(f"unknown warp '{tag}'")
 
 
+def _check_torus_radii(radii, what: str) -> None:
+    """Radii (R, r) of an embedded torus, whose `metric.torus_level` is a distance."""
+    if len(radii) != 2 or not 0 < radii[1] < radii[0] < np.inf:
+        raise ValueError(f"{what}: a torus takes two radii R, r with 0 < r < R")
+
+
 def _parse_sigma(cfg: ScenarioConfig):
     tag = cfg.sigma
     if tag == "plane":
@@ -272,8 +279,9 @@ def _parse_sigma(cfg: ScenarioConfig):
         return metric.sphere_level(vals[:-1], vals[-1])
     if tag.startswith("torus:"):
         vals = _descriptor_numbers(tag)
-        if cfg.d != 3 or len(vals) != 2 or min(vals) <= 0:
-            raise ValueError(f"sigma '{tag}': a torus takes two positive radii and needs d = 3")
+        if cfg.d != 3:
+            raise ValueError(f"sigma '{tag}': a torus needs d = 3")
+        _check_torus_radii(vals, f"sigma '{tag}'")
         return metric.torus_level((0.5,) * 3, *vals)
     raise ValueError(f"unknown sigma descriptor '{tag}'")
 
@@ -672,8 +680,7 @@ def _run_morse(cfg: ScenarioConfig):
     # genus-1 level set: critical counts inside the solid torus bound the
     # Betti numbers (1, 1)
     mesh3 = build_box_grid(3, cfg.n)
-    major, minor = cfg.torus_radii
-    torus = metric.torus_level((0.5,) * 3, major, minor)
+    torus = metric.torus_level((0.5,) * 3, *cfg.torus_radii)
     phi = torus.func(mesh3.vertices)
     region = np.all(phi[mesh3.cells] < 0, axis=1)
     solid = morse.classify_critical_points(mesh3, phi, region=region)

@@ -41,10 +41,11 @@ class PlaneSigma:
 
 @dataclass(frozen=True)
 class LevelSetSigma:
-    """Hypersurface given as the zero set of a smooth level function.
+    """Hypersurface given as the zero set of its signed distance function.
 
-    ``func`` maps an (N, d) coordinate array to N level values; its gradient
-    must not vanish near the zero set.
+    ``func`` maps an (N, d) coordinate array to the N signed distances to the
+    hypersurface, positive on the plus side; `signed_distance` returns it
+    as is, so a level function that is not a distance bends the collar.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -64,7 +65,8 @@ def sphere_level(center, radius: float) -> LevelSetSigma:
 
 
 def torus_level(center, major: float, minor: float) -> LevelSetSigma:
-    """Genus-1 surface of revolution about the x3 axis through ``center``."""
+    """Genus-1 surface of revolution about the x3 axis through ``center``; its
+    hypot form is a signed distance only while embedded, 0 < minor < major."""
     center = np.asarray(center, dtype=float)
 
     def fn(x):
@@ -76,126 +78,21 @@ def torus_level(center, major: float, minor: float) -> LevelSetSigma:
 
 
 def signed_distance(mesh: Mesh, sigma: SigmaDescriptor) -> np.ndarray:
-    """Signed distance from every vertex to the hypersurface.
+    """Signed distance from every vertex to the hypersurface, in closed form.
 
-    Planes are exact.  Level sets are triangulated by marching simplices on
-    the vertex samples and the distance is the exact point-to-fragment
-    distance, signed by the level function; near the surface this is accurate
-    to second order in the mesh spacing.
+    Planes are their offset coordinate; a level set is its own ``func``
+    (the `LevelSetSigma` contract).  A hypersurface with every vertex on one
+    side does not separate the mesh.
     """
     if isinstance(sigma, PlaneSigma):
         return mesh.vertices[:, sigma.axis] - sigma.offset
     if not isinstance(sigma, LevelSetSigma):
         raise TypeError(f"unsupported sigma descriptor: {sigma!r}")
 
-    phi = np.asarray(sigma.func(mesh.vertices), dtype=float)
-    triangles = _zero_set_triangles(mesh, phi)
-    if triangles.shape[0] == 0:
-        raise SeparationError(f"{sigma.name} does not intersect the mesh")
-    dist = _distance_to_triangles(mesh.vertices, triangles, mesh.dim)
-    sign = np.where(phi >= 0, 1.0, -1.0)
-    return sign * dist
-
-
-# fan of a planar zero-set polygon, by its vertex count: the segment itself
-# in 2d, a triangle or a quad in 3d
-_FAN = {2: [(0, 1)], 3: [(0, 1, 2)], 4: [(0, 1, 2), (0, 2, 3)]}
-
-
-def _zero_set_triangles(mesh: Mesh, phi: np.ndarray) -> np.ndarray:
-    from .nodal import extract_nodal_set  # local import, no cycle at module load
-
-    d = mesh.dim
-    by_size = {}
-    for frag in extract_nodal_set(mesh, phi).fragments:
-        by_size.setdefault(frag.points.shape[0], []).append(frag.points)
-    tris = [np.stack(pts)[:, _FAN[k]].reshape(-1, d, d) for k, pts in by_size.items()]
-    return np.concatenate(tris) if tris else np.empty((0, d, d))
-
-
-def _distance_to_triangles(points: np.ndarray, tris: np.ndarray, dim: int) -> np.ndarray:
-    """Distance from each point to the nearest fragment (segment in 2d).
-
-    The nearest fragment is no farther than the nearest centroid, and all of
-    it lies within ``reach`` (the largest centroid-to-corner distance) of its
-    centroid, so only fragments whose centroid is within that sum of the
-    point are measured: the minimum over all fragments, to the bit.
-    """
-    from scipy.spatial import cKDTree  # level sets only; plane scenes skip its import
-
-    centroids = tris.mean(axis=1)
-    reach = np.linalg.norm(tris - centroids[:, None, :], axis=2).max()
-    tree = cKDTree(centroids)
-    out = np.empty(points.shape[0])
-    chunk = 4096
-    for start in range(0, points.shape[0], chunk):
-        p = points[start : start + chunk]
-        nearest, _ = tree.query(p)
-        near = tree.query_ball_point(p, (nearest + reach) * (1 + 1e-9) + 1e-12, return_sorted=False)
-        counts = np.array([len(c) for c in near])
-        pt = np.repeat(np.arange(p.shape[0]), counts)
-        corners = np.moveaxis(tris[np.concatenate(near).astype(np.int64)], 1, 0)
-        d2 = (_point_segment_sq if dim == 2 else _point_triangle_sq)(p[pt], *corners)
-        out[start : start + chunk] = np.sqrt(np.minimum.reduceat(d2, np.cumsum(counts) - counts))
-    return out
-
-
-def _dot(x, y):
-    """Inner product over the last axis, summed in a fixed order."""
-    return sum(x[..., k] * y[..., k] for k in range(x.shape[-1]))
-
-
-def _point_segment_sq(p, a, b):
-    """Squared point-to-segment distances; arguments broadcast, (..., d)."""
-    ab = b - a
-    ap = p - a
-    t = np.clip(_dot(ap, ab) / np.maximum(_dot(ab, ab), 1e-300), 0.0, 1.0)
-    diff = ap - t[..., None] * ab
-    return _dot(diff, diff)
-
-
-def _point_triangle_sq(p, a, b, c):
-    """Squared point-to-triangle distances (Ericson's region method);
-    arguments broadcast, (..., d)."""
-    ab = b - a
-    ac = c - a
-    ap, bp, cp = p - a, p - b, p - c
-    d1, d2 = _dot(ap, ab), _dot(ap, ac)
-    d3, d4 = _dot(bp, ab), _dot(bp, ac)
-    d5, d6 = _dot(cp, ab), _dot(cp, ac)
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-    denom = np.maximum(va + vb + vc, 1e-300)
-    v = vb / denom
-    w = vc / denom
-    # interior projection, then overwrite with the applicable edge/vertex case
-    proj = a + v[..., None] * ab + w[..., None] * ac
-
-    t_ab = np.clip(d1 / np.maximum(d1 - d3, 1e-300), 0.0, 1.0)
-    on_ab = a + t_ab[..., None] * ab
-    t_ac = np.clip(d2 / np.maximum(d2 - d6, 1e-300), 0.0, 1.0)
-    on_ac = a + t_ac[..., None] * ac
-    num_bc = d4 - d3
-    t_bc = np.clip(num_bc / np.maximum(num_bc + (d5 - d6), 1e-300), 0.0, 1.0)
-    on_bc = b + t_bc[..., None] * (c - b)
-
-    region_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    region_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    region_bc = (va <= 0) & (num_bc >= 0) & ((d5 - d6) >= 0)
-    vert_a = (d1 <= 0) & (d2 <= 0)
-    vert_b = (d3 >= 0) & (d4 <= d3)
-    vert_c = (d6 >= 0) & (d5 <= d6)
-
-    proj = np.where(region_bc[..., None], on_bc, proj)
-    proj = np.where(region_ac[..., None], on_ac, proj)
-    proj = np.where(region_ab[..., None], on_ab, proj)
-    proj = np.where(vert_c[..., None], c, proj)
-    proj = np.where(vert_b[..., None], b, proj)
-    proj = np.where(vert_a[..., None], a, proj)
-    diff = p - proj
-    return _dot(diff, diff)
+    rho = np.asarray(sigma.func(mesh.vertices), dtype=float)
+    if rho.min() >= 0 or rho.max() < 0:
+        raise SeparationError(f"{sigma.name} does not separate the mesh vertices")
+    return rho
 
 
 @dataclass

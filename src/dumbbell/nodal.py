@@ -2,8 +2,10 @@
 
 Marching simplices on the P1 interpolant: every cell whose vertex values
 change sign contributes a planar polygon (segment in 2d, triangle or quad in
-3d).  Exact zeros are broken deterministically by treating them as positive,
-the discrete stand-in for perturbing value v to v + 1e-300 (1 + vertex id).
+3d).  Values within ZERO_RTOL of the largest magnitude are exact zeros, so a
+zero by symmetry that a solver leaves as roundoff of either sign gives the
+same polygons, domains and crossings.  Exact zeros count as positive, the
+discrete stand-in for perturbing value v to v + 1e-300 (1 + vertex id).
 """
 
 from __future__ import annotations
@@ -25,9 +27,18 @@ class NonBoxSceneError(ValueError):
     """Raised by checks that need the structured grid (fiber) layout."""
 
 
+ZERO_RTOL = 1e-9  # far above eigensolver roundoff, far below a real sign change
+
+
+def _snap_zeros(u: np.ndarray) -> np.ndarray:
+    """``u`` with every value within ZERO_RTOL of its largest magnitude set to 0."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) <= ZERO_RTOL * np.abs(u).max(initial=0.0), 0.0, u)
+
+
 def tie_signs(u: np.ndarray) -> np.ndarray:
     """Effective signs of vertex values; exact zeros count as positive."""
-    return np.where(np.asarray(u) < 0, -1, 1).astype(np.int8)
+    return np.where(_snap_zeros(u) < 0, -1, 1).astype(np.int8)
 
 
 @dataclass
@@ -84,7 +95,7 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     once per pattern.  Components join fragments that share a sign-crossing
     facet.  An empty zero set is a valid result.
     """
-    u = np.asarray(u, dtype=float)
+    u = _snap_zeros(u)
     d = mesh.dim
     signs = tie_signs(u)
     cell_signs = signs[mesh.cells]

@@ -198,6 +198,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     "d = 2\nsigma = torus:0.3,0.1",      # a torus needs d = 3
     "sigma = torus:0.3",
     "sigma = torus:0.3,-0.1",
+    "sigma = torus:0.1,0.3",             # r > R: not embedded, hypot is no distance
+    "sigma = torus:0.3,0.3",
+    "torus_radii = 0.14, 0.3",
+    "torus_radii = 0.3",
     "warp = linear:abc",
     "warp = linear:1,2",
 ])

@@ -12,6 +12,7 @@ from dumbbell.metric import (
     kappa_zero,
     signed_distance,
     sphere_level,
+    torus_level,
     verify_volume_preservation,
     volume_rescale_factor,
 )
@@ -24,96 +25,42 @@ def test_plane_distance_exact(box8):
     assert np.abs(rho[on_plane]).max() == 0.0
 
 
-def test_sphere_distance_radial_oracle(box16):
-    # oracle: for the sphere, the signed distance is exactly |x - c| - r
-    rho = signed_distance(box16, sphere_level((0.5, 0.5, 0.5), 0.3))
-    exact = np.linalg.norm(box16.vertices - 0.5, axis=1) - 0.3
-    h = 1.0 / 16.0
-    near = np.abs(exact) < 0.1 + 1e-12
-    assert np.abs(rho - exact)[near].max() < 2.0 * h * h
+def test_sphere_distance_radial_oracle():
+    # oracle: for the sphere (the circle in 2d), the signed distance is
+    # exactly |x - c| - r
+    for d, n in ((3, 16), (2, 24)):
+        m = build_box_grid(d, n)
+        rho = signed_distance(m, sphere_level((0.5,) * d, 0.3))
+        exact = np.linalg.norm(m.vertices - 0.5, axis=1) - 0.3
+        assert np.abs(rho - exact).max() <= 1e-14, d
 
 
-def _loop_fan_triangles(mesh, phi):
-    """The per-fragment fan loop that `_zero_set_triangles` replaced, kept as reference."""
-    from dumbbell.nodal import extract_nodal_set
+def test_torus_distance_parametric_oracle(box16):
+    # the level set is returned as is; |func| against the nearest point of a dense (u, v) sample of the
+    # surface: never below the true distance, and above it by at most half
+    # the diagonal of a parameter cell
+    from scipy.spatial import cKDTree
 
-    tris = []
-    for frag in extract_nodal_set(mesh, phi).fragments:
-        pts = frag.points
-        if mesh.dim == 2:
-            tris.append(pts[None, :, :])
-        else:
-            for k in range(1, pts.shape[0] - 1):
-                tris.append(pts[None, (0, k, k + 1), :])
-    return np.concatenate(tris)
-
-
-def _brute_distance(points, tris, d):
-    """Distance to the nearest fragment over all point-fragment pairs, kept
-    as the reference for the pruned `_distance_to_triangles`."""
-    out = np.empty(points.shape[0])
-    chunk = max(1, 4_000_000 // tris.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        p = points[start : start + chunk, None, :]
-        if d == 2:
-            d2 = metric._point_segment_sq(p, tris[:, 0], tris[:, 1])
-        else:
-            d2 = metric._point_triangle_sq(p, tris[:, 0], tris[:, 1], tris[:, 2])
-        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
-    return out
-
-
-def _sorted_rows(tris):
-    flat = tris.reshape(tris.shape[0], -1)
-    return flat[np.lexsort(flat.T[::-1])]
-
-
-@pytest.mark.parametrize("d, n, sigma", [
-    (3, 16, metric.sphere_level((0.5, 0.5, 0.5), 0.3)),
-    (3, 16, metric.torus_level((0.5, 0.5, 0.5), 0.3, 0.14)),
-    (2, 24, metric.sphere_level((0.5, 0.5), 0.3)),
-], ids=["sphere", "torus", "circle"])
-def test_zero_set_fan_matches_reference_loop(d, n, sigma):
-    m = build_box_grid(d, n)
-    phi = sigma.func(m.vertices)
-    ref = _loop_fan_triangles(m, phi)
-    tris = metric._zero_set_triangles(m, phi)
-    assert tris.shape == ref.shape
-    assert np.array_equal(_sorted_rows(tris), _sorted_rows(ref))
-    ref_rho = np.where(phi >= 0, 1.0, -1.0) * _brute_distance(m.vertices, ref, d)
-    assert np.array_equal(signed_distance(m, sigma), ref_rho)
-
-
-def test_point_triangle_distance_brute_force():
-    # dense barycentric sampling can only overestimate the true distance,
-    # and never by more than the sampling spacing
-    from dumbbell.metric import _point_triangle_sq
-
-    rng = np.random.default_rng(0)
-    tris = rng.standard_normal((12, 3, 3))
-    pts = rng.standard_normal((10, 3)) * 1.5
-    d2 = _point_triangle_sq(pts[:, None], tris[:, 0], tris[:, 1], tris[:, 2])
-
-    n = 120
-    u, v = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n), indexing="ij")
-    keep = (u + v) <= 1.0
-    u, v = u[keep], v[keep]
-    edges = np.concatenate([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 1],
-                            tris[:, 2] - tris[:, 0]])
-    spacing = np.linalg.norm(edges, axis=1).max() / n
-    for t in range(tris.shape[0]):
-        a, b, c = tris[t]
-        cloud = a[None] + u[:, None] * (b - a)[None] + v[:, None] * (c - a)[None]
-        for p in range(pts.shape[0]):
-            sampled = np.sqrt(((pts[p][None] - cloud) ** 2).sum(axis=1).min())
-            exact = np.sqrt(d2[p, t])
-            assert exact <= sampled + 1e-12
-            assert sampled - exact <= 1.5 * spacing
+    major, minor, nu, nv = 0.3, 0.14, 1200, 600
+    torus = torus_level((0.5, 0.5, 0.5), major, minor)
+    rho = signed_distance(box16, torus)
+    assert np.array_equal(rho, torus.func(box16.vertices))
+    u, v = np.meshgrid(np.arange(nu) * (2 * np.pi / nu), np.arange(nv) * (2 * np.pi / nv),
+                       indexing="ij")
+    ring = major + minor * np.cos(v)
+    surface = np.stack([ring * np.cos(u), ring * np.sin(u), minor * np.sin(v)], axis=-1)
+    sampled, _ = cKDTree(surface.reshape(-1, 3) + 0.5).query(box16.vertices)
+    spacing = 0.5 * np.hypot(2 * np.pi * (major + minor) / nu, 2 * np.pi * minor / nv)
+    gap = sampled - np.abs(rho)
+    assert gap.min() >= -1e-12
+    assert gap.max() <= spacing
 
 
 def test_level_set_must_separate(box8):
-    with pytest.raises(SeparationError):
-        signed_distance(box8, sphere_level((5.0, 5.0, 5.0), 0.1))
+    # every vertex outside, then every vertex inside
+    for sigma in (sphere_level((5.0, 5.0, 5.0), 0.1), sphere_level((0.5, 0.5, 0.5), 5.0)):
+        with pytest.raises(SeparationError):
+            signed_distance(box8, sigma)
 
 
 def test_collar_volumes_partition(scene16):

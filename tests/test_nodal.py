@@ -175,6 +175,21 @@ def test_eigenfunction_nodal_set(dumbbell16):
     assert single_crossing_check(m, u1, geom)
 
 
+def test_polygons_ignore_solver_roundoff(dumbbell16):
+    # u1 vanishes by symmetry at 17 vertices, where the solver leaves values
+    # of either sign near 1e-14 max|u|; the next smallest is 7.6e-6 max|u|,
+    # so a 1e-12 max|u| perturbation moves crossings by under 1e-12 / 7.6e-6 h
+    m = dumbbell16["mesh"]
+    u = dumbbell16["result"].vectors[:, 1]
+    noise = np.random.default_rng(0).standard_normal(u.size)
+    base = extract_nodal_set(m, u)
+    moved = extract_nodal_set(m, u + 1e-12 * np.abs(u).max() * noise)
+    assert [f.cell for f in moved.fragments] == [f.cell for f in base.fragments]
+    for got, want in zip(moved.fragments, base.fragments):
+        assert got.points.shape == want.points.shape
+        np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-7)
+
+
 def _reference_fragment(u, mesh, cid):
     """Corners and metric area of one crossing cell: the per-cell loop, kept as reference."""
     cell = mesh.cells[cid]
