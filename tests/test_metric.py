@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dumbbell import metric
-from dumbbell.mesh import build_box_grid
 from dumbbell.metric import (
     PlaneSigma,
     SeparationError,
@@ -25,14 +24,11 @@ def test_plane_distance_exact(box8):
     assert np.abs(rho[on_plane]).max() == 0.0
 
 
-def test_sphere_distance_radial_oracle():
-    # oracle: for the sphere (the circle in 2d), the signed distance is
-    # exactly |x - c| - r
-    for d, n in ((3, 16), (2, 24)):
-        m = build_box_grid(d, n)
-        rho = signed_distance(m, sphere_level((0.5,) * d, 0.3))
-        exact = np.linalg.norm(m.vertices - 0.5, axis=1) - 0.3
-        assert np.abs(rho - exact).max() <= 1e-14, d
+def test_sphere_distance_radial_oracle(box16):
+    # oracle: for the sphere, the signed distance is exactly |x - c| - r
+    rho = signed_distance(box16, sphere_level((0.5, 0.5, 0.5), 0.3))
+    exact = np.linalg.norm(box16.vertices - 0.5, axis=1) - 0.3
+    assert np.abs(rho - exact).max() <= 1e-14
 
 
 def test_torus_distance_parametric_oracle(box16):

@@ -5,6 +5,7 @@ d/2 - 1 vanishes at d = 2); these tests exercise the pipeline end to end on
 planar scenes, and the scaling gate's band follows d.
 """
 
+import numpy as np
 import pytest
 
 from dumbbell import assembly, eigen, metric, nodal
@@ -42,6 +43,14 @@ def test_2d_nodal_segments(plane_scene):
     assert all(frag.points.shape == (2, 2) for frag in ns.fragments)
     assert nodal.nodal_domain_count(m, u) == 2
     assert nodal.single_crossing_check(m, u, geom)
+
+
+def test_2d_circle_level_set():
+    # the circle is its own signed distance: exactly |x - c| - r everywhere
+    m = build_box_grid(2, 24)
+    rho = metric.signed_distance(m, metric.sphere_level((0.5, 0.5), 0.3))
+    exact = np.linalg.norm(m.vertices - 0.5, axis=1) - 0.3
+    assert np.abs(rho - exact).max() <= 1e-14
 
 
 def test_2d_scaling_slope_band_follows_dimension():
