@@ -276,14 +276,18 @@ def _parse_sigma(cfg: ScenarioConfig):
         vals = _descriptor_numbers(tag)
         if len(vals) != cfg.d + 1 or vals[-1] <= 0:
             raise ValueError(f"sigma '{tag}': a sphere takes {cfg.d} center coordinates and a radius > 0")
-        return metric.sphere_level(vals[:-1], vals[-1])
-    if tag.startswith("torus:"):
+        r, sigma = vals[-1], metric.sphere_level(vals[:-1], vals[-1])
+    elif tag.startswith("torus:"):
         vals = _descriptor_numbers(tag)
         if cfg.d != 3:
             raise ValueError(f"sigma '{tag}': a torus needs d = 3")
         _check_torus_radii(vals, f"sigma '{tag}'")
-        return metric.torus_level((0.5,) * 3, *vals)
-    raise ValueError(f"unknown sigma descriptor '{tag}'")
+        r, sigma = vals[1], metric.torus_level((0.5,) * 3, *vals)
+    else:
+        raise ValueError(f"unknown sigma descriptor '{tag}'")
+    if r <= cfg.eta:  # no inside point lies beyond the collar: the minus region is empty
+        raise ValueError(f"sigma '{tag}': r = {r} must exceed eta = {cfg.eta} (no inside beyond the collar)")
+    return sigma
 
 
 def _build_scene(cfg: ScenarioConfig):

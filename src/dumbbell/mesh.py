@@ -80,6 +80,7 @@ class Mesh:
     grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes)
     periodic: bool = False                       # combinatorial torus, no geometry
     _facets: Optional[FacetTable] = field(default=None, repr=False, compare=False)
+    _edges: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _operators: Optional[CellOperators] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,10 +130,12 @@ class Mesh:
         table = self.facet_table()
         return table.facets[table.counts == 1]
 
-    def cell_edges(self):
-        """(a, b) endpoints of every local cell edge, pair-major (shared edges repeat)."""
-        i, j = np.array(list(itertools.combinations(range(self.dim + 1), 2))).T
-        return self.cells.T[i].reshape(-1), self.cells.T[j].reshape(-1)
+    def edge_table(self) -> tuple:
+        """(edges, cell_edges): unique (low, high) edges (E, 2) in lexicographic order
+        and each cell's edge ids (C, d(d+1)/2), local pairs in `itertools.combinations` order."""
+        if self._edges is None:
+            self._edges = _build_edge_table(self.cells, self.dim, self.num_vertices)
+        return self._edges
 
     def interior_facet_pairs(self):
         """(facets, cell_pairs) for facets shared by exactly two cells."""
@@ -155,27 +158,33 @@ class Mesh:
 def _build_facet_table(cells: np.ndarray, dim: int) -> FacetTable:
     per_cell = dim + 1
     keep = [[j for j in range(per_cell) if j != i] for i in range(per_cell)]
-    facets = np.sort(cells[:, keep].reshape(-1, dim), axis=1)
-    order = np.lexsort(facets.T[::-1])  # stable, so owners ascend within a run
-    facets = facets[order]
+    base = int(cells.max()) + 1 if cells.size else 1
+    if base**dim >= 2**63:
+        raise MeshValidationError(f"{base} vertices: facet keys need vertices**{dim} < 2**63 (3d: 2,097,151)")
+    # a sorted cell less one vertex is a sorted facet; keyed in base `base`, key order is row order
+    powers = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    keys = (np.sort(cells, axis=1)[:, keep] @ powers).reshape(-1)
+    order = np.argsort(keys, kind="stable")  # owners ascend within a run
+    keys = keys[order]
     owners = order // per_cell
     new_run = np.ones(order.size, dtype=bool)
-    new_run[1:] = np.any(facets[1:] != facets[:-1], axis=1)
+    new_run[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(new_run)
     counts = np.diff(np.append(starts, order.size))
     cells_of = np.full((starts.size, 2), -1, dtype=np.int64)
     cells_of[:, 0] = owners[starts]
     two = counts >= 2
     cells_of[two, 1] = owners[starts[two] + 1]
-    return FacetTable(facets=facets[starts], counts=counts, cells_of=cells_of)
+    facets = keys[starts, None] // powers % base
+    return FacetTable(facets=facets, counts=counts, cells_of=cells_of)
 
 
-def _vertex_graph(mesh: Mesh) -> sparse.csr_matrix:
-    rows, cols = mesh.cell_edges()
-    data = np.ones(rows.shape[0], dtype=np.int8)
-    n = mesh.num_vertices
-    g = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-    return (g + g.T).tocsr()
+def _build_edge_table(cells: np.ndarray, dim: int, num_vertices: int):
+    i, j = np.array(list(itertools.combinations(range(dim + 1), 2))).T
+    a, b = cells[:, i], cells[:, j]
+    keys = np.minimum(a, b) * num_vertices + np.maximum(a, b)
+    uniq, cell_edges = np.unique(keys, return_inverse=True)
+    return np.stack(np.divmod(uniq, num_vertices), axis=1), cell_edges.reshape(keys.shape)
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -218,7 +227,10 @@ def validate_mesh(mesh: Mesh) -> None:
         f = table.facets[np.argmax(table.counts > 2)]
         raise MeshValidationError(f"non-manifold facet: {tuple(int(i) for i in f)}")
 
-    n_comp, _ = connected_components(_vertex_graph(mesh), directed=False)
+    edges, _ = mesh.edge_table()
+    ones = np.ones(edges.shape[0], dtype=np.int8)
+    graph = sparse.coo_matrix((ones, edges.T), shape=(mesh.num_vertices,) * 2)
+    n_comp, _ = connected_components(graph, directed=False)
     if n_comp != 1:
         raise MeshValidationError(f"disconnected mesh: {n_comp} components")
 
@@ -259,6 +271,9 @@ def build_box_grid(
     With ``warp`` given, each cell carries the tensor diag(1, w^2, ..., w^2)
     evaluated at the cell barycenter's first coordinate minus
     ``sigma_offset``, realizing the warped product metric drho^2 + w(rho)^2 dy^2.
+    Valid by construction (its simplices translate d! positively oriented shapes), so
+    not run through `validate_mesh`; a warp sample that is not positive and finite,
+    squared too, is a ValueError.  The facet and edge tables are built on first use.
     """
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d}")
@@ -297,22 +312,22 @@ def build_box_grid(
     if warp is not None:
         bary = vertices[cells].mean(axis=1)
         w = np.asarray(warp(bary[:, 0] - sigma_offset), dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("non-positive warp sample")
+        with np.errstate(over="ignore"):  # an overflowing square is rejected below
+            w2 = w**2
+        if not np.all((w > 0) & (w2 > 0) & (w2 < np.inf)):
+            raise ValueError("warp sample not positive and finite")
         cell_metric = np.zeros((cells.shape[0], d, d))
         cell_metric[:, 0, 0] = 1.0
         for i in range(1, d):
-            cell_metric[:, i, i] = w**2
+            cell_metric[:, i, i] = w2
 
-    mesh = Mesh(
+    return Mesh(
         dim=d,
         vertices=vertices,
         cells=cells,
         cell_metric=cell_metric,
         grid_resolution=res,
     )
-    validate_mesh(mesh)
-    return mesh
 
 
 def periodic_unit_grid_2d(nx: int, ny: Optional[int] = None) -> Mesh:
@@ -321,10 +336,11 @@ def periodic_unit_grid_2d(nx: int, ny: Optional[int] = None) -> Mesh:
     Vertices carry fundamental-domain coordinates, so cells crossing the seam
     are geometric nonsense; only the combinatorics (links, adjacency) are
     meaningful.  Used by the critical-point benchmarks, rejected by assembly.
+    Valid by construction, as `build_box_grid`; two cells on an axis glue an edge to itself.
     """
     ny = nx if ny is None else ny
-    if nx < 2 or ny < 2:
-        raise ValueError("periodic grid needs at least 2 cells per axis")
+    if nx < 3 or ny < 3:
+        raise ValueError("periodic grid needs at least 3 cells per axis")
     xs = np.arange(nx) / nx
     ys = np.arange(ny) / ny
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -341,15 +357,13 @@ def periodic_unit_grid_2d(nx: int, ny: Optional[int] = None) -> Mesh:
     c = vid(i + 1, j + 1)
     e = vid(i, j + 1)
     cells = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, e], axis=1)])
-    mesh = Mesh(
+    return Mesh(
         dim=2,
         vertices=vertices,
         cells=cells,
         grid_resolution=(nx, ny),
         periodic=True,
     )
-    validate_mesh(mesh)
-    return mesh
 
 
 @dataclass

@@ -8,9 +8,10 @@ vertex id, the deterministic stand-in for a generic perturbation, so
 plateaus cannot occur.
 
 All links are counted at once in one sparse graph.  Its nodes are the
-(vertex, neighbor) pairs of the counted vertices; a link edge (a, b) of v
-joins (v, a) and (v, b) when a and b lie on the same side of v.  Every
-component of that graph is then one component of one lower or upper link.
+directed mesh edges v -> a, numbered 2e + (v > a) from the mesh's edge
+table; a link edge (a, b) of v joins v -> a and v -> b when a and b lie on
+the same side of v.  Every component of that graph whose owner v is counted
+is then one component of one lower or upper link.
 
 Only vertex value ORDER matters; coordinates are never read, which is why
 the combinatorial periodic grids are valid inputs here.
@@ -79,16 +80,16 @@ def classify_critical_points(
 
     Counts cover vertices whose star is contained in the region; on meshes
     with boundary, vertices on it are excluded as well (their links are
-    half-open, so extrema there are artifacts of truncation).
+    half-open, so extrema there are artifacts of truncation).  Link-graph nodes are the
+    directed edges of `Mesh.edge_table`; uncounted vertices keep 0 lower and upper components.
     """
     u = np.asarray(u, dtype=float)
     n = mesh.num_vertices
     in_region = np.full(mesh.num_cells, True) if region is None else np.asarray(region, dtype=bool)
-    cells = mesh.cells[in_region]
 
     # vertices touched by cells outside the region have truncated stars
     counted = np.zeros(n, dtype=bool)
-    counted[cells.reshape(-1)] = True
+    counted[mesh.cells[in_region].reshape(-1)] = True
     counted[mesh.cells[~in_region].reshape(-1)] = False
     if not mesh.periodic:
         counted &= ~mesh.boundary_vertex_mask()
@@ -97,28 +98,30 @@ def classify_critical_points(
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), u))] = np.arange(n)
 
-    # every link edge (a, b) of every cell vertex v, as nodes (v, a), (v, b)
+    # every link edge (a, b) of every counted cell vertex v, as nodes v -> a, v -> b
+    edges, cell_edges = mesh.edge_table()
     per = mesh.dim + 1
-    local = np.array([
-        (i, *ab)
-        for i in range(per)
-        for ab in itertools.combinations([j for j in range(per) if j != i], 2)
-    ])
-    v, a, b = (cells[:, local[:, k]].reshape(-1) for k in range(3))
-    keep = counted[v]
-    v, a, b = v[keep], a[keep], b[keep]
-    nodes, ends = np.unique(np.concatenate([v * n + a, v * n + b]), return_inverse=True)
-    owner, other = np.divmod(nodes, n)
-    lower = rank[other] < rank[owner]
-    ia, ib = ends[: v.size], ends[v.size :]
-    same = lower[ia] == lower[ib]
-    graph = sparse.coo_matrix(
-        (np.ones(int(same.sum()), dtype=np.int8), (ia[same], ib[same])),
-        shape=(nodes.size, nodes.size),
-    )
+    slot = {ij: k for k, ij in enumerate(itertools.combinations(range(per), 2))}
+
+    def node(i, j):  # directed edge from local vertex i to local vertex j of every cell
+        return 2 * cell_edges[:, slot[min(i, j), max(i, j)]] + (mesh.cells[:, i] > mesh.cells[:, j])
+
+    owner = edges.reshape(-1)
+    lower = (rank[edges[:, ::-1]] < rank[edges]).reshape(-1)  # the other end ranks below the owner
+    ia, ib = [], []
+    for i in range(per):
+        keep = counted[mesh.cells[:, i]]
+        out = {j: node(i, j)[keep] for j in range(per) if j != i}
+        for a, b in itertools.combinations(out.values(), 2):
+            same = lower[a] == lower[b]
+            ia.append(a[same])
+            ib.append(b[same])
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    graph = sparse.coo_matrix((np.ones(ia.size, dtype=np.int8), (ia, ib)), shape=(owner.size,) * 2)
     n_comp, comp = connected_components(graph, directed=False)
     rep = np.empty(n_comp, dtype=np.int64)
-    rep[comp] = np.arange(nodes.size)  # any node of a component: it lies in one link half
+    rep[comp] = np.arange(owner.size)  # any node of a component: it lies in one link half
+    rep = rep[counted[owner[rep]]]
     halves = np.bincount(2 * owner[rep] + lower[rep], minlength=2 * n)
     upper_comp, lower_comp = halves.reshape(n, 2).T
 

@@ -174,13 +174,10 @@ def localization_report(ns: NodalSet, geom: "CollarGeometry") -> LocalizationRep
 def nodal_domain_count(mesh: Mesh, u: np.ndarray) -> int:
     """Number of sign-constant vertex components under mesh adjacency."""
     signs = tie_signs(u)
-    a, b = mesh.cell_edges()
-    same = signs[a] == signs[b]
-    rows, cols = a[same], b[same]
-    n = mesh.num_vertices
-    g = sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-    n_comp, _ = connected_components(g + g.T, directed=False)
-    return int(n_comp)
+    edges, _ = mesh.edge_table()
+    same = edges[signs[edges[:, 0]] == signs[edges[:, 1]]]
+    g = sparse.coo_matrix((np.ones(same.shape[0], dtype=np.int8), same.T), shape=(mesh.num_vertices,) * 2)
+    return int(connected_components(g, directed=False)[0])
 
 
 def single_crossing_check(mesh: Mesh, u: np.ndarray, geom: "CollarGeometry") -> bool:

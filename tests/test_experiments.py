@@ -6,11 +6,13 @@ import pytest
 
 from dumbbell.experiments import (
     ScenarioConfig,
+    _build_scene,
     emit_plot_data,
     main,
     run_scenario,
     write_report,
 )
+from dumbbell.metric import SeparationError
 
 SMALL_SCALING = {
     "scenario": "scaling",
@@ -200,6 +202,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     "sigma = torus:0.3,-0.1",
     "sigma = torus:0.1,0.3",             # r > R: not embedded, hypot is no distance
     "sigma = torus:0.3,0.3",
+    "sigma = torus:0.3,0.1",             # minor radius within eta = 0.125: no minus region
+    "sigma = sphere:0.5,0.5,0.5,0.125",  # radius equal to eta
     "torus_radii = 0.14, 0.3",
     "torus_radii = 0.3",
     "warp = linear:abc",
@@ -215,12 +219,25 @@ def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
 @pytest.mark.parametrize("mapping", [
     {"sigma": "sphere:0.5,0.5,0.5,0.3"},
     {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
-    {"sigma": "torus:0.3,0.1"},
+    {"sigma": "torus:0.3,0.15"},
     {"warp": "linear:1.0"},
 ])
 def test_well_formed_scene_descriptors_parse(mapping):
     cfg = ScenarioConfig.from_mapping({"scenario": "gap", **mapping})
     assert {k: getattr(cfg, k) for k in mapping} == mapping
+
+
+def test_sigma_thinner_than_the_collar_is_a_config_error():
+    with pytest.raises(ValueError, match=r"r = 0\.1 must exceed eta = 0\.125"):
+        ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.1"})
+    with pytest.raises(ValueError, match=r"r = 0\.2 must exceed eta = 0\.25"):
+        ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "sphere:0.5,0.5,0.5,0.2", "eta": 0.25})
+    # torus_radii is the morse scenario's solid torus, which has no collar
+    ScenarioConfig.from_mapping({"scenario": "morse", "torus_radii": (0.3, 0.1)})
+    # r > eta can still leave no cell beyond the collar on a coarse grid
+    cfg = ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.14"})
+    with pytest.raises(SeparationError, match="minus region is empty"):
+        _build_scene(cfg)
 
 
 def _reports_by_worker_count(mapping):

@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from dumbbell import mesh
+from dumbbell.experiments import _parse_warp
 from dumbbell.mesh import (
     Mesh,
     MeshFormatError,
@@ -15,6 +17,8 @@ from dumbbell.mesh import (
     simplex_gradient_data,
     validate_mesh,
 )
+from dumbbell.morse import classify_critical_points
+from dumbbell.nodal import nodal_domain_count
 
 
 def test_box_grid_counts():
@@ -243,19 +247,103 @@ def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
     save_mesh(build_box_grid(3, 3), tmp_path / "box.mesh")
     calls = []
     real = mesh._build_facet_table
+    real_edges = mesh._build_edge_table
 
     def counting(cells, dim):
         calls.append(dim)
         return real(cells, dim)
 
+    def counting_edges(cells, dim, num_vertices):
+        calls.append("edges")
+        return real_edges(cells, dim, num_vertices)
+
     monkeypatch.setattr(mesh, "_build_facet_table", counting)
+    monkeypatch.setattr(mesh, "_build_edge_table", counting_edges)
     for build in (lambda: build_box_grid(3, 3), lambda: load_mesh(tmp_path / "box.mesh")):
         calls.clear()
         m = build()
         assert m.boundary_facets.shape == (6 * 2 * 9, 3)
         m.boundary_vertex_mask()
         m.interior_facet_pairs()
-        assert calls == [3]
+        u = m.vertices[:, 0] - 0.5
+        classify_critical_points(m, u)
+        nodal_domain_count(m, u)
+        validate_mesh(m)
+        assert sorted(calls, key=str) == [3, "edges"]
+
+
+_GENERATED = {
+    "d2-even": lambda: build_box_grid(2, 8),
+    "d2-odd": lambda: build_box_grid(2, 7),
+    "d3-even": lambda: build_box_grid(3, 6),
+    "d3-odd": lambda: build_box_grid(3, 5),
+    "d3-per-axis": lambda: build_box_grid(3, (4, 3, 2)),
+    "d2-per-axis": lambda: build_box_grid(2, (5, 2)),
+    "d3-warp": lambda: build_box_grid(3, 6, warp=_parse_warp("linear:1.0")[0]),
+    "d3-warp-odd": lambda: build_box_grid(3, 5, warp=_parse_warp("linear:1.0")[0], sigma_offset=0.3),
+    "d2-warp": lambda: build_box_grid(2, 9, warp=_parse_warp("linear:1.0")[0]),
+    "torus-even": lambda: periodic_unit_grid_2d(6),
+    "torus-odd": lambda: periodic_unit_grid_2d(5),
+    "torus-mixed": lambda: periodic_unit_grid_2d(4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_generated_grids_are_valid_by_construction(monkeypatch, name):
+    calls = []
+    for fn in ("validate_mesh", "_build_facet_table", "_build_edge_table"):
+        real = getattr(mesh, fn)
+        monkeypatch.setattr(mesh, fn, lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
+    m = _GENERATED[name]()
+    assert calls == []  # neither builder validates or builds a table
+    mesh.validate_mesh(m)  # the proof the builders no longer run
+    assert calls[0] == "validate_mesh"
+
+
+def test_periodic_grid_needs_three_cells_per_axis():
+    for nx, ny in ((2, 2), (2, 5), (5, 2)):
+        with pytest.raises(ValueError, match="at least 3"):
+            periodic_unit_grid_2d(nx, ny)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1e-200, 1e200])
+def test_non_finite_or_non_positive_warp_is_rejected_at_build(bad):
+    def warp(r):
+        w = 1.0 + r
+        w[r > 0.1] = bad
+        return w
+
+    with pytest.raises(ValueError, match="warp sample not positive and finite"):
+        build_box_grid(3, 4, warp=warp)
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_edge_table_indexes_each_cells_own_edges(name):
+    m = _GENERATED[name]()
+    edges, cell_edges = m.edge_table()
+    assert m.edge_table()[0] is edges  # cached
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert np.all(np.diff(edges[:, 0] * m.num_vertices + edges[:, 1]) > 0)  # unique, lexicographic
+    pairs = list(itertools.combinations(range(m.dim + 1), 2))
+    assert cell_edges.shape == (m.num_cells, len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        ends = np.sort(m.cells[:, [i, j]], axis=1)
+        assert np.array_equal(edges[cell_edges[:, k]], ends)
+    assert np.array_equal(np.unique(cell_edges), np.arange(edges.shape[0]))  # every edge has a cell
+    faces = m.facet_table().facets.shape[0] if m.dim == 3 else m.num_cells
+    if m.dim == 2:  # the facets of a triangle mesh are its edges
+        assert np.array_equal(m.facet_table().facets, edges)
+    euler = m.num_vertices - edges.shape[0] + faces - (m.num_cells if m.dim == 3 else 0)
+    assert euler == (0 if m.periodic else 1)
+
+
+def test_facet_keys_name_the_int64_limit():
+    cells = np.array([[0, 1, 2, 2_097_150], [1, 2, 3, 2_097_150]])
+    table = mesh._build_facet_table(cells, 3)  # the largest base whose cube fits
+    uniq, counts, cells_of = _unique_facet_table(cells, 3)
+    assert np.array_equal(table.facets, uniq) and np.array_equal(table.cells_of, cells_of)
+    with pytest.raises(MeshValidationError, match="2,097,151"):
+        mesh._build_facet_table(cells + 1, 3)
 
 
 def test_repeated_vertex_names_first_bad_cell():
