@@ -18,7 +18,6 @@ from .mesh import (
     MeshValidationError,
     build_box_grid,
     load_mesh,
-    periodic_unit_grid_2d,
     save_mesh,
     simplex_gradient_data,
     validate_mesh,

@@ -28,7 +28,8 @@ class OperatorPair:
     ``dof_map`` lists the global vertex ids behind the matrix rows; it is
     the identity for whole-mesh assembly.  ``grid`` is the per-axis cell
     count of a whole-mesh box grid assembly (vertex ids in the grid's
-    row-major order), and None for restricted pairs and unstructured meshes.
+    row-major order), and None for restricted pairs, unstructured meshes and
+    tori (the V-cycle's prolongation does not wrap).
     """
 
     K: sparse.csr_matrix
@@ -84,8 +85,6 @@ def assemble(
     ``cell_mask``; a restricted pair is then sliced to the vertices of the
     selected cells, imposing nothing on the new boundary (natural conditions).
     """
-    if mesh.periodic:
-        raise ValueError("assembly needs mesh geometry; periodic grids are combinatorial")
     d = mesh.dim
     keep = np.ones(mesh.num_cells, dtype=bool) if cell_mask is None else np.asarray(cell_mask, dtype=bool)
     if not keep.any():
@@ -105,7 +104,8 @@ def assemble(
     K = reweighted(ops.stiffness, f ** (d / 2.0 - 1.0))
     M = reweighted(mass_ref, f ** (d / 2.0) * ops.volumes)
     if cell_mask is None:
-        return OperatorPair(K=K, M=M, dof_map=np.arange(mesh.num_vertices), grid=mesh.grid_resolution)
+        return OperatorPair(K=K, M=M, dof_map=np.arange(mesh.num_vertices),
+                            grid=None if mesh.periodic else mesh.grid_resolution)
     dof_map = np.unique(mesh.cells[keep])
     return OperatorPair(K=K[dof_map][:, dof_map], M=M[dof_map][:, dof_map], dof_map=dof_map, grid=None)
 

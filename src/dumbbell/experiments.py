@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import assembly, eigen, harmonic, metric, morse, nodal, oracle
-from .mesh import Mesh, build_box_grid, load_mesh, periodic_unit_grid_2d
+from .mesh import Mesh, build_box_grid, load_mesh
 
 SCENARIO_NAMES = (
     "scaling",
@@ -45,7 +45,7 @@ class ScenarioConfig:
     each scenario writes its thresholds into its verdicts."""
 
     scenario: str
-    kind: str = "box"                      # box | warped-box | file
+    kind: str = "box"                      # box | file
     mesh_path: str = ""
     d: int = 3
     n: int = 16
@@ -63,7 +63,7 @@ class ScenarioConfig:
     etas: tuple = (0.2, 0.1, 0.05)
     mollify_widths: tuple = (4, 2, 1)      # transition widths in mesh spacings
     mollify_epsilon: float = 0.95          # see README: small eps cannot meet the 1% gate at desk scale
-    resolution: int = 32                   # periodic benchmark grid
+    resolution: int = 32                   # torus grid of the morse benchmark, >= 3
     torus_radii: tuple = (0.3, 0.14)
 
     def to_dict(self) -> dict:
@@ -86,6 +86,12 @@ class ScenarioConfig:
                 raise ValueError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(value, fields[key])
         cfg = cls(**kwargs)
+        if cfg.kind not in ("box", "file"):
+            raise ValueError(f"unknown scene kind '{cfg.kind}' (choose from box, file)")
+        if cfg.kind == "file" and not cfg.mesh_path:
+            raise ValueError("kind = file needs mesh_path")
+        if cfg.resolution < 3:
+            raise ValueError(f"resolution must be at least 3 (a torus grid), got {cfg.resolution}")
         _parse_sigma(cfg)  # scene descriptors fail here, as config errors
         _check_torus_radii(cfg.torus_radii, "torus_radii")
         _parse_warp(cfg.warp)
@@ -292,16 +298,10 @@ def _parse_sigma(cfg: ScenarioConfig):
 
 def _build_scene(cfg: ScenarioConfig):
     if cfg.kind == "file":
-        if not cfg.mesh_path:
-            raise ValueError("kind=file needs mesh_path")
         mesh = load_mesh(cfg.mesh_path)
-    elif cfg.kind in ("box", "warped-box"):
-        warp, _ = _parse_warp(cfg.warp)
-        if cfg.kind == "warped-box" and warp is None:
-            raise ValueError("warped-box needs warp=linear:<slope>")
-        mesh = build_box_grid(cfg.d, cfg.n, warp=warp, sigma_offset=cfg.sigma_offset)
     else:
-        raise ValueError(f"unknown scene kind '{cfg.kind}'")
+        warp, _ = _parse_warp(cfg.warp)
+        mesh = build_box_grid(cfg.d, cfg.n, warp=warp, sigma_offset=cfg.sigma_offset)
     sigma = _parse_sigma(cfg)
     rho = metric.signed_distance(mesh, sigma)
     snap = isinstance(sigma, metric.PlaneSigma) and mesh.grid_resolution is not None
@@ -673,8 +673,8 @@ def _run_mollify(cfg: ScenarioConfig):
 
 
 def _run_morse(cfg: ScenarioConfig):
-    # periodic cosine-product benchmark (two periods along x, one along y)
-    grid = periodic_unit_grid_2d(cfg.resolution)
+    # cosine-product benchmark on the flat 2-torus (two periods along x, one along y)
+    grid = build_box_grid(2, cfg.resolution, periodic=True)
     u_bench = morse.cosine_product_field(grid.vertices, periods=(2, 1))
     bench = morse.classify_critical_points(grid, u_bench)
     census = morse.cosine_product_census((2, 1))

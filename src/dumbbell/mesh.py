@@ -1,10 +1,11 @@
 """Simplicial meshes for unit-box spectral scenes.
 
 Structured grids use the Kuhn/Freudenthal subdivision (2 triangles per
-square, 6 tetrahedra per cube) so refinement is deterministic and meshes of
-the same resolution are bit-identical across runs.  Curvature enters only
-through a constant metric tensor per cell, which is enough to realize warped
-products diag(1, w(rho)^2, ...) without curved elements.  Generic simplicial
+square, 6 tetrahedra per cube) of the unit box or of the flat torus, so
+refinement is deterministic and meshes of the same resolution are
+bit-identical across runs.  Curvature enters only through a constant metric
+tensor per cell, which is enough to realize warped products
+diag(1, w(rho)^2, ...) without curved elements.  Generic simplicial
 meshes enter through a small ASCII format (see `load_mesh`).
 """
 
@@ -78,8 +79,8 @@ class Mesh:
     cells: np.ndarray                            # (C, d+1), positively oriented
     cell_metric: Optional[np.ndarray] = None     # (C, d, d) SPD, None = identity
     grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes)
-    periodic: bool = False                       # combinatorial torus, no geometry
-    _facets: Optional[FacetTable] = field(default=None, repr=False, compare=False)
+    periodic: bool = False                       # flat torus: ids wrap per axis, edges mod 1
+    _facets: Optional[FacetTable] = field(default=None, init=False, repr=False, compare=False)
     _edges: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _operators: Optional[CellOperators] = field(default=None, init=False, repr=False, compare=False)
 
@@ -97,10 +98,13 @@ class Mesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
-    def edge_matrices(self) -> np.ndarray:
-        """Per-cell (d, d) matrix whose rows are the edges v_i - v_0."""
-        v = self.vertices[self.cells]
-        return v[:, 1:, :] - v[:, :1, :]
+    def edge_matrices(self, cell_ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-cell (d, d) matrix whose rows are the edges v_i - v_0, for the cells
+        ``cell_ids`` (default every cell).  On a torus every edge is shorter than 1/2
+        per axis, so its true vector is the fundamental-domain difference mod 1."""
+        v = self.vertices[self.cells if cell_ids is None else self.cells[cell_ids]]
+        e = v[:, 1:, :] - v[:, :1, :]
+        return e - np.round(e) if self.periodic else e
 
     def signed_volumes(self) -> np.ndarray:
         """Euclidean signed volumes; positive for correctly oriented cells."""
@@ -190,9 +194,8 @@ def _build_edge_table(cells: np.ndarray, dim: int, num_vertices: int):
 def validate_mesh(mesh: Mesh) -> None:
     """Check every structural invariant, naming the violated one.
 
-    Idempotent: a valid mesh revalidates silently.  Periodic meshes are
-    combinatorial objects, so the geometric (orientation) check is skipped
-    for them.
+    Idempotent: a valid mesh revalidates silently.  Orientation is checked on
+    the true edge vectors (`Mesh.edge_matrices`), so torus grids get it too.
     """
     cells = mesh.cells
     if cells.size and (cells.min() < 0 or cells.max() >= mesh.num_vertices):
@@ -212,15 +215,13 @@ def validate_mesh(mesh: Mesh) -> None:
         bad = np.flatnonzero(~np.isfinite(mesh.cell_metric).reshape(mesh.num_cells, -1).all(axis=1))
         if bad.size:
             raise MeshValidationError(f"non-finite metric: cell {int(bad[0])}")
-    if not mesh.periodic:
-        signed = mesh.signed_volumes()
-        bad = np.flatnonzero(signed <= 0)
+    bad = np.flatnonzero(mesh.signed_volumes() <= 0)
+    if bad.size:
+        raise MeshValidationError(f"orientation: cell {int(bad[0])} has non-positive volume")
+    if mesh.cell_metric is not None:
+        bad = np.flatnonzero(np.linalg.eigvalsh(mesh.cell_metric).min(axis=1) <= 0)
         if bad.size:
-            raise MeshValidationError(f"orientation: cell {int(bad[0])} has non-positive volume")
-        if mesh.cell_metric is not None:
-            bad = np.flatnonzero(np.linalg.eigvalsh(mesh.cell_metric).min(axis=1) <= 0)
-            if bad.size:
-                raise MeshValidationError(f"metric not positive definite: cell {int(bad[0])}")
+            raise MeshValidationError(f"metric not positive definite: cell {int(bad[0])}")
 
     table = mesh.facet_table()
     if np.any(table.counts > 2):
@@ -265,12 +266,16 @@ def build_box_grid(
     n,
     warp: Optional[Warp] = None,
     sigma_offset: float = 0.5,
+    periodic: bool = False,
 ) -> Mesh:
     """Mesh the unit box [0,1]^d with n cells per axis (scalar or per-axis).
 
     With ``warp`` given, each cell carries the tensor diag(1, w^2, ..., w^2)
     evaluated at the cell barycenter's first coordinate minus
     ``sigma_offset``, realizing the warped product metric drho^2 + w(rho)^2 dy^2.
+    With ``periodic``, the flat torus R^d / Z^d: the Kuhn split is invariant under
+    integer translations, so vertex ids wrap per axis (at least 3 cells each, so no
+    edge is glued to itself) and `Mesh.edge_matrices` takes edge vectors mod 1.
     Valid by construction (its simplices translate d! positively oriented shapes), so
     not run through `validate_mesh`; a warp sample that is not positive and finite,
     squared too, is a ValueError.  The facet and edge tables are built on first use.
@@ -280,19 +285,22 @@ def build_box_grid(
     res = tuple(int(k) for k in (n if np.ndim(n) else (n,) * d))
     if len(res) != d:
         raise ValueError(f"expected {d} per-axis resolutions, got {res}")
-    if min(res) < 2:
-        raise ValueError(f"resolution must be at least 2, got {min(res)}")
+    least = 3 if periodic else 2
+    if min(res) < least:
+        raise ValueError(f"resolution must be at least {least}, got {min(res)}")
+    if periodic and warp is not None:
+        raise ValueError("a warp is not periodic")
 
-    grids = np.meshgrid(*[np.linspace(0.0, 1.0, k + 1) for k in res], indexing="ij")
+    shape = res if periodic else tuple(k + 1 for k in res)
+    grids = np.meshgrid(*[np.linspace(0.0, 1.0, k + 1)[:s] for k, s in zip(res, shape)], indexing="ij")
     vertices = np.stack(grids, axis=-1).reshape(-1, d)
-    shape = tuple(k + 1 for k in res)
 
     base = np.stack(
         np.meshgrid(*[np.arange(k) for k in res], indexing="ij"), axis=-1
     ).reshape(-1, d)
 
     def corner(offset):
-        return np.ravel_multi_index(tuple((base + offset).T), shape)
+        return np.ravel_multi_index(tuple((base + offset).T), shape, mode="wrap")
 
     if d == 2:
         a = corner((0, 0))
@@ -327,42 +335,7 @@ def build_box_grid(
         cells=cells,
         cell_metric=cell_metric,
         grid_resolution=res,
-    )
-
-
-def periodic_unit_grid_2d(nx: int, ny: Optional[int] = None) -> Mesh:
-    """Triangulated flat 2-torus on an nx-by-ny grid.
-
-    Vertices carry fundamental-domain coordinates, so cells crossing the seam
-    are geometric nonsense; only the combinatorics (links, adjacency) are
-    meaningful.  Used by the critical-point benchmarks, rejected by assembly.
-    Valid by construction, as `build_box_grid`; two cells on an axis glue an edge to itself.
-    """
-    ny = nx if ny is None else ny
-    if nx < 3 or ny < 3:
-        raise ValueError("periodic grid needs at least 3 cells per axis")
-    xs = np.arange(nx) / nx
-    ys = np.arange(ny) / ny
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    i, j = i.reshape(-1), j.reshape(-1)
-
-    def vid(ii, jj):
-        return (ii % nx) * ny + (jj % ny)
-
-    a = vid(i, j)
-    b = vid(i + 1, j)
-    c = vid(i + 1, j + 1)
-    e = vid(i, j + 1)
-    cells = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, e], axis=1)])
-    return Mesh(
-        dim=2,
-        vertices=vertices,
-        cells=cells,
-        grid_resolution=(nx, ny),
-        periodic=True,
+        periodic=periodic,
     )
 
 
@@ -389,12 +362,9 @@ class CellGradients:
 def simplex_gradient_data(mesh: Mesh, cell_ids: Optional[np.ndarray] = None) -> CellGradients:
     """Gradient operators, metric inverses and volumes of the cells
     ``cell_ids`` (default every cell), in that order."""
-    if mesh.periodic:
-        raise MeshValidationError("periodic meshes carry no usable geometry")
     d = mesh.dim
     ids = np.arange(mesh.num_cells) if cell_ids is None else np.asarray(cell_ids)
-    v = mesh.vertices[mesh.cells[ids]]
-    edges = v[:, 1:, :] - v[:, :1, :]
+    edges = mesh.edge_matrices(cell_ids)
     dets = np.linalg.det(edges)
     if np.any(np.abs(dets) < 1e-300):
         raise MeshValidationError(f"degenerate cell: {int(ids[np.argmin(np.abs(dets))])}")

@@ -13,8 +13,8 @@ table; a link edge (a, b) of v joins v -> a and v -> b when a and b lie on
 the same side of v.  Every component of that graph whose owner v is counted
 is then one component of one lower or upper link.
 
-Only vertex value ORDER matters; coordinates are never read, which is why
-the combinatorial periodic grids are valid inputs here.
+Only vertex value ORDER matters; coordinates are never read.  A torus grid
+has no boundary, so every vertex of it is counted.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ def single_crossing_check(mesh: Mesh, u: np.ndarray, geom: "CollarGeometry") -> 
 
     This certifies the zero set is a graph over the cross-section, the
     checkable surrogate for being a small deformation of the hypersurface.
-    Only structured box scenes expose fibers.
+    Only structured box scenes expose fibers; on a torus grid they are loops.
     """
     if mesh.grid_resolution is None or mesh.periodic:
         raise NonBoxSceneError("single-crossing check needs a structured box grid")

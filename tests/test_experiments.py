@@ -208,6 +208,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     "torus_radii = 0.3",
     "warp = linear:abc",
     "warp = linear:1,2",
+    "kind = bogus",
+    "kind = warped-box\nwarp = linear:1.0",  # a box with a warp
+    "kind = file",                        # no mesh_path
+    "resolution = 2",                     # the morse torus grid needs 3 cells per axis
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"

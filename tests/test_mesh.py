@@ -3,8 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from dumbbell import mesh
+from dumbbell.assembly import assemble
+from dumbbell.eigen import solve_smallest
 from dumbbell.experiments import _parse_warp
 from dumbbell.mesh import (
     Mesh,
@@ -12,7 +15,6 @@ from dumbbell.mesh import (
     MeshValidationError,
     build_box_grid,
     load_mesh,
-    periodic_unit_grid_2d,
     save_mesh,
     simplex_gradient_data,
     validate_mesh,
@@ -68,6 +70,8 @@ def test_resolution_validation():
         build_box_grid(3, 4, warp=lambda r: -np.ones_like(r))
     with pytest.raises(ValueError, match="dimension"):
         build_box_grid(4, 4)
+    with pytest.raises(ValueError, match="not periodic"):
+        build_box_grid(3, 4, warp=lambda r: 1.0 + r, periodic=True)
 
 
 def test_gradient_affine_reproduction(box8):
@@ -191,7 +195,7 @@ def test_interior_facets_pair_exactly(box8):
 
 
 def test_periodic_grid_is_closed():
-    m = periodic_unit_grid_2d(6)
+    m = build_box_grid(2, 6, periodic=True)
     assert m.boundary_facets.shape[0] == 0
     table = m.facet_table()
     assert np.all(table.counts == 2)
@@ -199,10 +203,59 @@ def test_periodic_grid_is_closed():
     assert m.num_vertices - table.facets.shape[0] + m.num_cells == 0
 
 
-def test_periodic_grid_rejected_by_geometry():
-    m = periodic_unit_grid_2d(4)
-    with pytest.raises(MeshValidationError, match="periodic"):
-        simplex_gradient_data(m)
+@pytest.mark.parametrize("shape", [(32, 32), (128, 128), (12, 9), (4, 3), (32, 16)])
+def test_torus_cells_follow_the_row_major_formula(shape):
+    # the census and `cosine-benchmark-counts` read these ids and this split
+    nx, ny = shape
+    m = build_box_grid(2, shape, periodic=True)
+    i, j = (a.reshape(-1) for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
+
+    def vid(ii, jj):
+        return (ii % nx) * ny + (jj % ny)
+
+    a, b, c, e = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    assert np.array_equal(m.cells, np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, e], 1)]))
+    # the builder's linspace differs from i / n in the last bit, except at powers of two
+    ref = np.stack([i / nx, j / ny], 1)
+    exact = all(k & (k - 1) == 0 for k in shape)
+    assert np.abs(m.vertices - ref).max() <= (0.0 if exact else 1e-15)
+
+
+@pytest.mark.parametrize("d, n, mult", [(2, 32, 4), (3, 12, 6)])
+def test_torus_pairs_match_arpack(d, n, mult):
+    # the flat torus R^d / Z^d: lambda1 = 4 pi^2 with eigenfunctions cos and sin
+    # of 2 pi x_i, so multiplicity 2d; the next eigenvalue is 8 pi^2
+    pair = assemble(build_box_grid(d, n, periodic=True))
+    assert pair.grid is None  # the V-cycle prolongation does not wrap
+    assert pair.total_mass == pytest.approx(1.0, rel=1e-12)
+    m = mult + 2
+    res = solve_smallest(pair, m)
+    v0 = np.random.default_rng(1).standard_normal(pair.n_dof)
+    ref = np.sort(eigsh(pair.K, k=m, M=pair.M, sigma=-1e-3, v0=v0)[0])
+    assert (np.abs(res.values[1:] - ref[1:]) / ref[1:]).max() <= 1e-10  # the constant deflated
+    assert abs(res.values[0]) <= 1e-12 * res.values[1]
+    rel = res.values[1:] / (4 * np.pi**2) - 1
+    assert np.all(np.abs(rel[:mult]) <= 0.03) and rel[mult] > 0.5
+
+
+def test_torus_geometry_is_the_box_geometry():
+    # same cell order, so the true torus edges are the box edges, seam cells included
+    torus, box = build_box_grid(3, (4, 3, 5), periodic=True), build_box_grid(3, (4, 3, 5))
+    assert np.abs(torus.edge_matrices() - box.edge_matrices()).max() <= 1e-15
+    ids = np.array([0, 7, torus.num_cells - 1])
+    assert np.array_equal(torus.edge_matrices(ids), torus.edge_matrices()[ids])
+    assert torus.total_volume() == pytest.approx(1.0, rel=1e-14)
+    tg, bg = simplex_gradient_data(torus), simplex_gradient_data(box)
+    assert np.abs(tg.gradients - bg.gradients).max() <= 1e-12
+    assert np.abs(tg.volumes - bg.volumes).max() <= 1e-15
+
+
+def test_replace_rebuilds_the_facet_table():
+    full = build_box_grid(2, 4)
+    assert full.boundary_facets.shape[0] == 16
+    cut = dataclasses.replace(full, cells=full.cells[:8])  # 8 triangles sharing no edge
+    assert cut.facet_table().facets.shape[0] == 24
+    assert cut.boundary_facets.shape[0] == 24
 
 
 def _unique_facet_table(cells, dim):
@@ -222,7 +275,8 @@ def _unique_facet_table(cells, dim):
 @pytest.mark.parametrize("make", [
     lambda: build_box_grid(3, (4, 3, 2)),
     lambda: build_box_grid(2, 5),
-    lambda: periodic_unit_grid_2d(5),
+    lambda: build_box_grid(2, 5, periodic=True),
+    lambda: build_box_grid(3, 4, periodic=True),
 ])
 def test_facet_table_matches_unique_reference(make):
     m = make()
@@ -282,9 +336,12 @@ _GENERATED = {
     "d3-warp": lambda: build_box_grid(3, 6, warp=_parse_warp("linear:1.0")[0]),
     "d3-warp-odd": lambda: build_box_grid(3, 5, warp=_parse_warp("linear:1.0")[0], sigma_offset=0.3),
     "d2-warp": lambda: build_box_grid(2, 9, warp=_parse_warp("linear:1.0")[0]),
-    "torus-even": lambda: periodic_unit_grid_2d(6),
-    "torus-odd": lambda: periodic_unit_grid_2d(5),
-    "torus-mixed": lambda: periodic_unit_grid_2d(4, 3),
+    "torus-even": lambda: build_box_grid(2, 6, periodic=True),
+    "torus-odd": lambda: build_box_grid(2, 5, periodic=True),
+    "torus-mixed": lambda: build_box_grid(2, (4, 3), periodic=True),
+    "torus3-three": lambda: build_box_grid(3, 3, periodic=True),
+    "torus3-four": lambda: build_box_grid(3, 4, periodic=True),
+    "torus3-mixed": lambda: build_box_grid(3, (4, 3, 5), periodic=True),
 }
 
 
@@ -301,9 +358,9 @@ def test_generated_grids_are_valid_by_construction(monkeypatch, name):
 
 
 def test_periodic_grid_needs_three_cells_per_axis():
-    for nx, ny in ((2, 2), (2, 5), (5, 2)):
+    for shape in ((2, 2), (2, 5), (5, 2), (3, 3, 2)):
         with pytest.raises(ValueError, match="at least 3"):
-            periodic_unit_grid_2d(nx, ny)
+            build_box_grid(len(shape), shape, periodic=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1e-200, 1e200])

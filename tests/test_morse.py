@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dumbbell import metric
-from dumbbell.mesh import build_box_grid, periodic_unit_grid_2d
+from dumbbell.mesh import build_box_grid
 from dumbbell.morse import (
     LABEL_MAX,
     LABEL_MIN,
@@ -14,7 +14,7 @@ from dumbbell.morse import (
 
 @pytest.fixture(scope="module")
 def torus32():
-    return periodic_unit_grid_2d(32)
+    return build_box_grid(2, 32, periodic=True)
 
 
 def test_monotone_field_has_no_interior_criticals(box8):
@@ -45,7 +45,7 @@ def test_single_period_census_is_half(torus32):
 
 
 def test_census_at_sixteen_per_period():
-    grid = periodic_unit_grid_2d(32, 16)
+    grid = build_box_grid(2, (32, 16), periodic=True)
     u = cosine_product_field(grid.vertices, periods=(2, 1))
     rep = classify_critical_points(grid, u)
     assert rep.counts == cosine_product_census((2, 1))
@@ -167,7 +167,7 @@ def _reference_classify(mesh, u, region=None):
 
 
 _MESHES = {
-    "torus": lambda: periodic_unit_grid_2d(12, 9),
+    "torus": lambda: build_box_grid(2, (12, 9), periodic=True),
     "box2": lambda: build_box_grid(2, 10),
     "box3": lambda: build_box_grid(3, 6),
 }
