@@ -211,8 +211,8 @@ def kappa(epsilon: float, vol_collar: float, vol_complement: float, d: int) -> f
     vol_collar + vol_complement, i.e. the conformal metric keeps the total
     volume of the reference metric.
     """
-    if vol_collar <= 0 or vol_complement <= 0:
-        raise ValueError("region volumes must be positive")
+    if not (0 < vol_collar < np.inf and 0 < vol_complement < np.inf):
+        raise ValueError("region volumes must be positive and finite")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     ratio = vol_collar / vol_complement
@@ -221,8 +221,8 @@ def kappa(epsilon: float, vol_collar: float, vol_complement: float, d: int) -> f
 
 def kappa_zero(vol_collar: float, vol_complement: float, d: int) -> float:
     """Limit of kappa as epsilon -> 0."""
-    if vol_collar <= 0 or vol_complement <= 0:
-        raise ValueError("region volumes must be positive")
+    if not (0 < vol_collar < np.inf and 0 < vol_complement < np.inf):
+        raise ValueError("region volumes must be positive and finite")
     return float((1.0 + vol_collar / vol_complement) ** (2.0 / d))
 
 

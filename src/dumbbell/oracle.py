@@ -20,6 +20,15 @@ import scipy.linalg
 from .metric import kappa as conformal_kappa
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule, odd sample count, in scipy.integrate.simpson's arithmetic."""
+    h0, h1 = np.diff(x).reshape(-1, 2).T  # the two spacings of each panel
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    return float(np.sum(hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / ratio)
+                                      + y[1:-1:2] * (hsum * (hsum / hprod))
+                                      + y[2::2] * (2.0 - ratio))))
+
+
 @dataclass
 class Profile1D:
     """Stiffness/mass weights of the reduced problem on (0,1).
@@ -57,17 +66,15 @@ def step_profile(
     else:
         def area(t):
             w = np.asarray(warp(np.asarray(t) - center), dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("non-positive warp sample")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError("warp sample not positive and finite")
             return w ** (d - 1)
 
-    from scipy.integrate import simpson
-
     inner = np.linspace(center - eta, center + eta, 2049)
-    vol_collar = float(simpson(area(inner), x=inner))
+    vol_collar = _simpson(area(inner), inner)
     left = np.linspace(0.0, center - eta, 2049)
     right = np.linspace(center + eta, 1.0, 2049)
-    vol_out = float(simpson(area(left), x=left)) + float(simpson(area(right), x=right))
+    vol_out = _simpson(area(left), left) + _simpson(area(right), right)
     kap = conformal_kappa(epsilon, vol_collar, vol_out, d)
 
     def factor(t):
@@ -86,10 +93,10 @@ def _dense_pencil(profile: Profile1D, n: int):
     mid = (np.arange(n) + 0.5) * h
     p = np.asarray(profile.p(mid), dtype=float)
     q = np.asarray(profile.q(mid), dtype=float)
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ValueError("non-positive profile")
-    K = np.zeros((n + 1, n + 1))
-    M = np.zeros((n + 1, n + 1))
+    if not np.all(np.isfinite(p) & (p > 0) & np.isfinite(q) & (q > 0)):
+        raise ValueError("non-positive or non-finite profile")
+    K = np.zeros((n + 1, n + 1), order="F")
+    M = np.zeros((n + 1, n + 1), order="F")
     idx = np.arange(n)
     np.add.at(K, (idx, idx), p / h)
     np.add.at(K, (idx + 1, idx + 1), p / h)
@@ -100,6 +107,12 @@ def _dense_pencil(profile: Profile1D, n: int):
     np.add.at(M, (idx, idx + 1), q * h / 6.0)
     np.add.at(M, (idx + 1, idx), q * h / 6.0)
     return K, M
+
+
+def _lowest_modes(profile: Profile1D, n: int, m: int) -> np.ndarray:
+    # the pencil is Fortran-ordered, so xSYGVX overwrites it in place; it is freed on return
+    return scipy.linalg.eigh(*_dense_pencil(profile, n), subset_by_index=(0, m - 1),
+                             eigvals_only=True, overwrite_a=True, overwrite_b=True)
 
 
 @dataclass
@@ -121,13 +134,10 @@ def sturm_liouville_neumann(profile: Profile1D, m: int, refine: bool = True) -> 
     n = profile.resolution
     if n < 64:
         raise ValueError(f"resolution must be at least 64, got {n}")
-    K, M = _dense_pencil(profile, n)
-    vals = scipy.linalg.eigh(K, M, subset_by_index=(0, m - 1), eigvals_only=True)
+    vals = _lowest_modes(profile, n, m)
     refined = None
     if refine:
-        K2, M2 = _dense_pencil(profile, 2 * n)
-        vals2 = scipy.linalg.eigh(K2, M2, subset_by_index=(0, m - 1), eigvals_only=True)
-        refined = (4.0 * vals2 - vals) / 3.0
+        refined = (4.0 * _lowest_modes(profile, 2 * n, m) - vals) / 3.0
     return OracleEigenvalues(values=vals, refined=refined, resolution=n)
 
 
@@ -144,8 +154,8 @@ def scaling_fit(epsilons: Sequence[float], lambdas: Sequence[float]) -> PowerFit
     lam = np.asarray(lambdas, dtype=float)
     if eps.size < 3:
         raise ValueError("need at least 3 sweep points")
-    if np.any(eps <= 0) or np.any(lam <= 0):
-        raise ValueError("scaling fit needs positive data")
+    if not np.all(np.isfinite(eps) & (eps > 0) & np.isfinite(lam) & (lam > 0)):
+        raise ValueError("scaling fit needs positive finite data")
     x = np.log(eps)
     y = np.log(lam)
     slope, intercept = np.polyfit(x, y, 1)

@@ -106,6 +106,15 @@ def test_kappa_validation():
         kappa(0.0, 0.25, 0.75, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kappa_rejects_non_finite_volumes(bad):
+    for vols in ((bad, 0.75), (0.25, bad)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kappa(0.5, *vols, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            kappa_zero(*vols, 3)
+
+
 def test_step_field_two_values(scene16):
     _, geom = scene16
     fld = build_conformal_field(geom, 0.1, 3)

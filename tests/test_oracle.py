@@ -1,12 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
+import dumbbell
 from dumbbell.oracle import (
     Profile1D,
+    _dense_pencil,
+    _simpson,
     scaling_fit,
     step_profile,
     sturm_liouville_neumann,
 )
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def flat_profile(n):
@@ -112,3 +124,96 @@ def test_warped_profile_volume_kappa():
     prof = step_profile(0.5, 0.2, 3, warp=lambda r: 1.0 + r, resolution=256)
     res = sturm_liouville_neumann(prof, 2, refine=False)
     assert res.values[1] > 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_warp_rejected(bad):
+    # one bad sample beyond the collar is enough; a NaN used to reach eigh as a NaN kappa
+    warp = lambda r: np.where(np.asarray(r) > 0.3, bad, 1.0 + np.asarray(r))
+    with pytest.raises(ValueError, match="warp sample not positive and finite"):
+        step_profile(0.5, 0.125, 3, warp=warp, resolution=128)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_non_finite_profile_rejected(bad, which):
+    def coeff(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0.9, bad, 1.0)
+
+    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
+    prof = Profile1D(p=coeff if which == "p" else one, q=coeff if which == "q" else one,
+                     resolution=128)
+    with pytest.raises(ValueError, match="non-positive or non-finite profile"):
+        _dense_pencil(prof, 128)
+    with pytest.raises(ValueError, match="non-positive or non-finite profile"):
+        sturm_liouville_neumann(prof, 2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_scaling_fit_rejects_non_finite(bad):
+    eps = [1e-1, 1e-2, 1e-3]
+    with pytest.raises(ValueError, match="positive finite data"):
+        scaling_fit([1e-1, bad, 1e-3], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="positive finite data"):
+        scaling_fit(eps, [1.0, bad, 3.0])
+
+
+@pytest.mark.parametrize("center, eta", [(0.5, 0.125), (0.4, 0.1)])
+@pytest.mark.parametrize("warped", [False, True])
+def test_simpson_is_scipy_simpson(center, eta, warped):
+    # the three intervals of step_profile, sampled as it samples them; bit
+    # equality keeps the volumes, kappa and every oracle eigenvalue unchanged
+    for lo, hi in ((center - eta, center + eta), (0.0, center - eta), (center + eta, 1.0)):
+        x = np.linspace(lo, hi, 2049)
+        y = (1.0 + (x - center)) ** 2 if warped else np.ones_like(x)
+        assert _simpson(y, x) == float(scipy.integrate.simpson(y, x=x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simpson_is_scipy_simpson_on_irregular_samples(seed):
+    # uniform smooth samples hide a reordered sum; random ones do not
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, 2049))
+    y = rng.standard_normal(2049)
+    assert _simpson(y, x) == float(scipy.integrate.simpson(y, x=x))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-3])
+def test_in_place_solve_matches_eigh_on_copies(eps):
+    # the oracle hands LAPACK its Fortran-ordered pencil to overwrite; the
+    # reference is eigh on C-ordered copies, which it copies once more itself
+    prof = step_profile(eps, 0.125, 3, resolution=1024)
+    res = sturm_liouville_neumann(prof, 3, refine=True)
+    ref = []
+    for n in (1024, 2048):
+        K, M = _dense_pencil(prof, n)
+        assert K.flags.f_contiguous and M.flags.f_contiguous
+        ref.append(scipy.linalg.eigh(np.ascontiguousarray(K), np.ascontiguousarray(M),
+                                     subset_by_index=(0, 2), eigvals_only=True))
+        del K, M
+    assert np.array_equal(res.values, ref[0])
+    assert np.array_equal(res.refined, (4.0 * ref[1] - ref[0]) / 3.0)
+
+
+# labbench/probe.py's set-up scene: mesh, metric, assembly, eigen and oracle
+TINY_SCENE = {"scenario": "scaling", "n": 8, "epsilons": (1e-1, 1e-2, 1e-3),
+              "oracle_resolution": 64}
+
+
+def test_tiny_scene_imports_no_heavy_scipy():
+    # scipy.integrate pulls in optimize, special, spatial and fft, about 0.3 s
+    # of start-up on every run; nothing the lab runs needs them
+    code = (
+        "import sys\n"
+        "from dumbbell import experiments\n"
+        f"cfg = experiments.ScenarioConfig.from_mapping({TINY_SCENE!r})\n"
+        "assert not experiments.run_scenario(cfg).failures\n"
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special')"
+        " if m in sys.modules))\n"
+    )
+    src = str(Path(dumbbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == ""
