@@ -38,7 +38,7 @@ from .metric import (
     verify_volume_preservation,
     volume_rescale_factor,
 )
-from .assembly import OperatorPair, assemble, restrict_dirichlet, subdomain_neumann
+from .assembly import OperatorPair, assemble, subdomain_neumann
 from .eigen import (
     EigenConvergenceError,
     EigenResult,

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .mesh import CellOperators, Mesh, simplex_gradient_data
 from .metric import REGION_MINUS, REGION_PLUS, CollarGeometry, ConformalField
@@ -40,14 +39,6 @@ class OperatorPair:
     @property
     def n_dof(self) -> int:
         return self.K.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.M.sum())
-
-    def restrict_field(self, vertex_field: np.ndarray) -> np.ndarray:
-        """Pull a full-mesh vertex field onto this operator's dofs."""
-        return np.asarray(vertex_field)[self.dof_map]
 
 
 _BUILD_LOCK = threading.Lock()  # one build per mesh when sweep threads assemble at once
@@ -123,70 +114,3 @@ def subdomain_neumann(mesh: Mesh, geom: CollarGeometry, side: str) -> OperatorPa
     if not np.any(mask):
         raise ValueError(f"empty region '{side}'")
     return assemble(mesh, field=None, cell_mask=mask)
-
-
-@dataclass
-class DirichletSystem:
-    """Reduced SPD system for a Dirichlet solve plus its affine lift."""
-
-    pair: OperatorPair
-    interior: np.ndarray        # positions into pair.dof_map
-    boundary: np.ndarray        # positions into pair.dof_map
-    boundary_values: np.ndarray
-    K_reduced: sparse.csc_matrix
-    rhs: np.ndarray
-
-    def solve(self) -> np.ndarray:
-        """Solve and lift; returns values over all pair dofs."""
-        out = np.zeros(self.pair.n_dof)
-        out[self.boundary] = self.boundary_values
-        if self.interior.size:
-            try:
-                lu = splu(self.K_reduced)
-                x = lu.solve(self.rhs)
-            except RuntimeError as exc:
-                raise RuntimeError(f"singular reduced system (disconnected interior?): {exc}") from exc
-            if not np.all(np.isfinite(x)):
-                raise RuntimeError("singular reduced system (disconnected interior?)")
-            out[self.interior] = x
-        return out
-
-
-def restrict_dirichlet(
-    pair: OperatorPair,
-    boundary_vertices: np.ndarray,
-    values: np.ndarray,
-) -> DirichletSystem:
-    """Eliminate the given global vertices at fixed values.
-
-    The solution of the reduced system, lifted by the boundary data, is the
-    unique discrete harmonic-type extension: the full stiffness applied to it
-    vanishes on interior dofs up to solver tolerance.
-    """
-    boundary_vertices = np.asarray(boundary_vertices, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if boundary_vertices.size != values.size:
-        raise ValueError("boundary vertex and value counts differ")
-    if np.unique(boundary_vertices).size != boundary_vertices.size:
-        raise ValueError("boundary vertices must be unique")
-    pos = np.searchsorted(pair.dof_map, boundary_vertices)
-    if np.any(pos >= pair.dof_map.size) or np.any(pair.dof_map[np.minimum(pos, pair.dof_map.size - 1)] != boundary_vertices):
-        raise ValueError("boundary vertex not in operator domain")
-    mask = np.zeros(pair.n_dof, dtype=bool)
-    mask[pos] = True
-    interior = np.flatnonzero(~mask)
-    if interior.size == 0:
-        raise ValueError("boundary covers all vertices; nothing to solve")
-
-    K = pair.K.tocsr()
-    K_ii = K[interior][:, interior].tocsc()
-    K_ib = K[interior][:, pos]
-    rhs = -K_ib @ values
-    return DirichletSystem(
-        pair=pair,
-        interior=interior,
-        boundary=pos,
-        boundary_values=values,
-        K_reduced=K_ii,
-        rhs=np.asarray(rhs).reshape(-1),
-    )

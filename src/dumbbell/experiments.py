@@ -15,7 +15,6 @@ import json
 import operator
 import sys
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,11 +41,11 @@ SCENARIO_NAMES = (
 @dataclass
 class ScenarioConfig:
     """One scenario run: the scene and its sweep.  Gates are not configurable;
-    each scenario writes its thresholds into its verdicts."""
+    each scenario writes its thresholds, and the values they are read
+    against, into its code."""
 
     scenario: str
-    kind: str = "box"                      # box | file
-    mesh_path: str = ""
+    mesh_path: str = ""                    # a mesh file; a box grid when empty
     d: int = 3
     n: int = 16
     eta: float = 0.125
@@ -59,12 +58,7 @@ class ScenarioConfig:
     workers: int = 1
     out: str = "out"
     oracle_resolution: int = 1024
-    n_sigma: int = 64
-    etas: tuple = (0.2, 0.1, 0.05)
-    mollify_widths: tuple = (4, 2, 1)      # transition widths in mesh spacings
-    mollify_epsilon: float = 0.95          # see README: small eps cannot meet the 1% gate at desk scale
     resolution: int = 32                   # torus grid of the morse benchmark, >= 3
-    torus_radii: tuple = (0.3, 0.14)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -86,14 +80,9 @@ class ScenarioConfig:
                 raise ValueError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(value, fields[key])
         cfg = cls(**kwargs)
-        if cfg.kind not in ("box", "file"):
-            raise ValueError(f"unknown scene kind '{cfg.kind}' (choose from box, file)")
-        if cfg.kind == "file" and not cfg.mesh_path:
-            raise ValueError("kind = file needs mesh_path")
         if cfg.resolution < 3:
             raise ValueError(f"resolution must be at least 3 (a torus grid), got {cfg.resolution}")
         _parse_sigma(cfg)  # scene descriptors fail here, as config errors
-        _check_torus_radii(cfg.torus_radii, "torus_radii")
         _parse_warp(cfg.warp)
         return cfg
 
@@ -126,10 +115,7 @@ def _coerce(value, fld: dataclasses.Field):
         return value
     kind = fld.type if isinstance(fld.type, str) else getattr(fld.type, "__name__", "str")
     if kind == "tuple":
-        parts = [p for p in value.replace(",", " ").split() if p]
-        base = fld.default
-        caster = int if (isinstance(base, tuple) and base and isinstance(base[0], int)) else float
-        return tuple(caster(p) for p in parts)
+        return tuple(float(p) for p in value.replace(",", " ").split())
     if kind == "int":
         return int(value)
     if kind == "float":
@@ -268,12 +254,6 @@ def _parse_warp(tag: str):
     raise ValueError(f"unknown warp '{tag}'")
 
 
-def _check_torus_radii(radii, what: str) -> None:
-    """Radii (R, r) of an embedded torus, whose `metric.torus_level` is a distance."""
-    if len(radii) != 2 or not 0 < radii[1] < radii[0] < np.inf:
-        raise ValueError(f"{what}: a torus takes two radii R, r with 0 < r < R")
-
-
 def _parse_sigma(cfg: ScenarioConfig):
     tag = cfg.sigma
     if tag == "plane":
@@ -287,7 +267,8 @@ def _parse_sigma(cfg: ScenarioConfig):
         vals = _descriptor_numbers(tag)
         if cfg.d != 3:
             raise ValueError(f"sigma '{tag}': a torus needs d = 3")
-        _check_torus_radii(vals, f"sigma '{tag}'")
+        if len(vals) != 2 or not 0 < vals[1] < vals[0]:  # embedded, so torus_level is a distance
+            raise ValueError(f"sigma '{tag}': a torus takes two radii R, r with 0 < r < R")
         r, sigma = vals[1], metric.torus_level((0.5,) * 3, *vals)
     else:
         raise ValueError(f"unknown sigma descriptor '{tag}'")
@@ -297,7 +278,7 @@ def _parse_sigma(cfg: ScenarioConfig):
 
 
 def _build_scene(cfg: ScenarioConfig):
-    if cfg.kind == "file":
+    if cfg.mesh_path:
         mesh = load_mesh(cfg.mesh_path)
     else:
         warp, _ = _parse_warp(cfg.warp)
@@ -531,7 +512,7 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
         raise ValueError("harmonic-approx needs a warped scene (warp=linear:<slope>)")
 
     # flat benchmark: the affine model is discrete-harmonic, so h matches it
-    flat_cfg = dataclasses.replace(cfg, warp="none", kind="box")
+    flat_cfg = dataclasses.replace(cfg, warp="none", mesh_path="")
     mesh_flat, geom_flat = _build_scene(flat_cfg)
     consts_flat = _plateaus(geom_flat, cfg.d)
     flat = harmonic.solve_harmonic(mesh_flat, geom_flat, consts_flat)
@@ -541,11 +522,11 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 
     rows = []
     devs = []
-    for eta in cfg.etas:
+    for eta in (0.2, 0.1, 0.05):  # halving eta should halve the deviation
         geom = metric.collar_geometry(mesh, rho, eta)
         consts = _plateaus(geom, cfg.d)
         sol = harmonic.solve_harmonic(mesh, geom, consts)
-        if not rows:  # etas[0] also backs the spectral solve below
+        if not rows:  # the widest eta also backs the spectral solve below
             geom0, consts0, sol0 = geom, consts, sol
         dev = sol.sup_deviation / consts.gap
         devs.append(dev)
@@ -553,8 +534,9 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     ratios = [devs[i] / devs[i + 1] for i in range(len(devs) - 1)]
 
     # spectral collar solve against the 1d closed form, at the widest eta
-    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, cfg.n_sigma)
-    fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=cfg.n_sigma)
+    n_sigma = 64  # the 1e-4 gate below reads the truncation at 64 modes
+    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, n_sigma)
+    fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=n_sigma)
     h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, cfg.d)
     rr = np.linspace(-geom0.eta, geom0.eta, 801)
     h_fourier = harmonic.hbar(rr, geom0.eta, consts0) + fsol.evaluate_rho(rr)
@@ -581,7 +563,7 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
         "fourier": _table(
             ["eta", "n_sigma", "iterations", "contraction_ratio", "rel_error",
              "fem_vs_fourier"],
-            [[geom0.eta, cfg.n_sigma, fsol.iterations,
+            [[geom0.eta, n_sigma, fsol.iterations,
               fsol.contraction_ratio if fsol.contraction_ratio is not None else 0.0,
               fourier_rel, fem_vs_fourier]],
         ),
@@ -627,8 +609,10 @@ def _run_nodal(cfg: ScenarioConfig):
 
 
 def _run_mollify(cfg: ScenarioConfig):
+    if cfg.n % 4:
+        raise ValueError("mollify widths of 4, 2 and 1 spacings need n divisible by 4")
     mesh, geom = _build_scene(cfg)
-    eps = cfg.mollify_epsilon
+    eps = 0.95  # see README: small eps cannot meet the 1% gate at desk scale
     fld, pair, bound, ref = _solve_point(mesh, geom, cfg, eps)
     lam_ref = float(ref.values[1])
     u_ref = ref.vectors[:, 1]
@@ -637,13 +621,9 @@ def _run_mollify(cfg: ScenarioConfig):
     rows = []
     diffs = []
     vec_sup = None
-    for k in cfg.mollify_widths:
-        if cfg.n % k:
-            raise ValueError(f"mollify width {k}h needs n divisible by {k}")
+    for k in (4, 2, 1):  # transition widths in mesh spacings
         n_moll = cfg.n // k
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # width below spacing would warn
-            fm = metric.build_conformal_field(geom, eps, cfg.d, profile="mollified", mollify_n=n_moll)
+        fm = metric.build_conformal_field(geom, eps, cfg.d, profile="mollified", mollify_n=n_moll)
         gamma = metric.volume_rescale_factor(fm, geom, cfg.d)
         pm = assembly.assemble(mesh, fm)
         rm = eigen.solve_smallest(pm, 2, shift_estimate=lam_ref, seed=cfg.seed)
@@ -652,7 +632,7 @@ def _run_mollify(cfg: ScenarioConfig):
         diff = abs(lam - lam_ref) / lam_ref
         diffs.append(diff)
         sup = float(np.abs(rm.vectors[:, 1] - u_ref).max()) / consts.gap
-        if k == cfg.mollify_widths[-1]:
+        if k == 1:
             vec_sup = sup
         rows.append([k, 1.0 / n_moll, gamma, lam, diff, sup])
 
@@ -684,7 +664,7 @@ def _run_morse(cfg: ScenarioConfig):
     # genus-1 level set: critical counts inside the solid torus bound the
     # Betti numbers (1, 1)
     mesh3 = build_box_grid(3, cfg.n)
-    torus = metric.torus_level((0.5,) * 3, *cfg.torus_radii)
+    torus = metric.torus_level((0.5,) * 3, 0.3, 0.14)
     phi = torus.func(mesh3.vertices)
     region = np.all(phi[mesh3.cells] < 0, axis=1)
     solid = morse.classify_critical_points(mesh3, phi, region=region)

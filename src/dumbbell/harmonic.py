@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
-from .assembly import assemble, restrict_dirichlet
+from .assembly import assemble
 from .mesh import Mesh
 from .metric import REGION_COLLAR, REGION_MINUS, REGION_PLUS, CollarGeometry
 
@@ -42,8 +43,9 @@ class PlateauConstants:
 
 def compute_plateaus(vol_plus: float, vol_minus: float, kappa0: float, d: int) -> PlateauConstants:
     """Closed-form solution of the zero-mean, unit-norm plateau system."""
-    if vol_plus <= 0 or vol_minus <= 0:
-        raise ValueError("region volumes must be positive")
+    inputs = np.array([vol_plus, vol_minus, kappa0], dtype=float)
+    if not np.all(np.isfinite(inputs) & (inputs > 0)):
+        raise ValueError(f"region volumes and kappa0 must be positive and finite, got {inputs.tolist()}")
     c_plus = kappa0 ** (-d / 4.0) * math.sqrt(vol_minus / (vol_plus * (vol_plus + vol_minus)))
     c_minus = -c_plus * vol_plus / vol_minus
     return PlateauConstants(c_plus=c_plus, c_minus=c_minus, kappa0=kappa0)
@@ -92,16 +94,29 @@ def solve_harmonic(mesh: Mesh, geom: CollarGeometry, consts: PlateauConstants) -
     """Dirichlet solve of the reference-metric Laplacian on the collar.
 
     Boundary data is c+ on the interface to the plus region and c- on the
-    minus one; outer box faces inside the collar stay natural.
+    minus one; outer box faces inside the collar stay natural.  The interior
+    values solve the reduced system K_ii h_i = -K_ib h_b, so the full
+    stiffness applied to h vanishes on interior dofs up to solver tolerance.
     """
     pair = assemble(mesh, field=None, cell_mask=geom.region == REGION_COLLAR)
     b_plus, b_minus = collar_boundary_vertices(mesh, geom)
-    boundary = np.concatenate([b_plus, b_minus])
+    if np.intersect1d(b_plus, b_minus, assume_unique=True).size:
+        raise ValueError("collar thinner than a cell: a vertex borders both bulk regions")
+    boundary = np.searchsorted(pair.dof_map, np.concatenate([b_plus, b_minus]))  # all in dof_map
     values = np.concatenate(
         [np.full(b_plus.size, consts.c_plus), np.full(b_minus.size, consts.c_minus)]
     )
-    system = restrict_dirichlet(pair, boundary, values)
-    h = system.solve()
+    interior = np.setdiff1d(np.arange(pair.n_dof), boundary, assume_unique=True)
+    K_i = pair.K[interior]
+    try:
+        x = splu(K_i[:, interior].tocsc()).solve(-K_i[:, boundary] @ values)
+    except RuntimeError as exc:
+        raise RuntimeError(f"singular reduced system (disconnected interior?): {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError("singular reduced system (disconnected interior?)")
+    h = np.zeros(pair.n_dof)
+    h[boundary] = values
+    h[interior] = x
     diff = h - hbar(geom.rho[pair.dof_map], geom.eta, consts)
     return HarmonicSolution(
         vertex_ids=pair.dof_map,
@@ -134,8 +149,9 @@ def warped_harmonic_1d(
         half = 0.5 * (b - a)
         t = (0.5 * (a + b))[:, None] + half[:, None] * x
         w = np.broadcast_to(np.asarray(w_profile(t), dtype=float), t.shape)
-        if np.any(w <= 0):
-            raise ValueError(f"non-positive warp sample at rho={t[w <= 0][0]}")
+        bad = ~(np.isfinite(w) & (w > 0))
+        if bad.any():
+            raise ValueError(f"non-positive or non-finite warp sample at rho={t[bad][0]}")
         return half * (w ** (1.0 - d) @ weights)
 
     nodes = np.linspace(-eta, eta, 65)

@@ -35,14 +35,6 @@ LABEL_MIN = 1
 LABEL_MAX = 2
 LABEL_SADDLE = 3
 
-_LABEL_NAMES = {
-    LABEL_EXCLUDED: "excluded",
-    LABEL_REGULAR: "regular",
-    LABEL_MIN: "minimum",
-    LABEL_MAX: "maximum",
-    LABEL_SADDLE: "saddle",
-}
-
 
 @dataclass
 class CriticalReport:

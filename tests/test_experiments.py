@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ def test_removed_gate_key_is_unknown(key):
         ScenarioConfig.from_mapping({"scenario": "gap", key: "1"})
 
 
+# scene knobs with one value in use, at that value; the scenarios fix them now
+REMOVED_SCENE_KEYS = {
+    "kind": "box", "n_sigma": "64", "etas": "0.2, 0.1, 0.05", "mollify_widths": "4, 2, 1",
+    "mollify_epsilon": "0.95", "torus_radii": "0.3, 0.14",
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_SCENE_KEYS)
+def test_removed_scene_key_is_a_config_error(tmp_path, capsys, key):
+    cfg_file = tmp_path / "old.cfg"
+    cfg_file.write_text(f"scenario = gap\nn = 8\n{key} = {REMOVED_SCENE_KEYS[key]}\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: unknown config key '{key}'")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_parse(path):
+    assert ScenarioConfig.from_file(path).scenario == path.stem
+
+
 def test_config_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
         ScenarioConfig.from_mapping({"scenario": "does-not-exist"})
@@ -94,7 +116,7 @@ def test_worker_override_keeps_results():
 
 def test_failure_captured_with_stage(tmp_path):
     cfg = ScenarioConfig.from_mapping(
-        {"scenario": "nodal", "kind": "file", "mesh_path": str(tmp_path / "missing.mesh")}
+        {"scenario": "nodal", "mesh_path": str(tmp_path / "missing.mesh")}
     )
     report = run_scenario(cfg)
     assert report.failures
@@ -154,8 +176,9 @@ def test_gap_scenario_from_file_mesh(tmp_path):
     path = tmp_path / "box.mesh"
     save_mesh(build_box_grid(3, 8), path)
     cfg = ScenarioConfig.from_mapping(
-        {"scenario": "gap", "kind": "file", "mesh_path": str(path), "n": 8}
+        {"scenario": "gap", "mesh_path": str(path), "n": 8}
     )
+    assert _build_scene(cfg)[0].grid_resolution is None  # read from the file, not built
     report = run_scenario(cfg)
     assert not report.failures
     assert report.all_passed()
@@ -204,13 +227,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     "sigma = torus:0.3,0.3",
     "sigma = torus:0.3,0.1",             # minor radius within eta = 0.125: no minus region
     "sigma = sphere:0.5,0.5,0.5,0.125",  # radius equal to eta
-    "torus_radii = 0.14, 0.3",
-    "torus_radii = 0.3",
     "warp = linear:abc",
     "warp = linear:1,2",
-    "kind = bogus",
-    "kind = warped-box\nwarp = linear:1.0",  # a box with a warp
-    "kind = file",                        # no mesh_path
     "resolution = 2",                     # the morse torus grid needs 3 cells per axis
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
@@ -236,8 +254,6 @@ def test_sigma_thinner_than_the_collar_is_a_config_error():
         ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.1"})
     with pytest.raises(ValueError, match=r"r = 0\.2 must exceed eta = 0\.25"):
         ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "sphere:0.5,0.5,0.5,0.2", "eta": 0.25})
-    # torus_radii is the morse scenario's solid torus, which has no collar
-    ScenarioConfig.from_mapping({"scenario": "morse", "torus_radii": (0.3, 0.1)})
     # r > eta can still leave no cell beyond the collar on a coarse grid
     cfg = ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.14"})
     with pytest.raises(SeparationError, match="minus region is empty"):

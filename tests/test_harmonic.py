@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dumbbell.assembly import assemble
 from dumbbell.harmonic import (
     CollarIterationError,
     PlateauConstants,
+    collar_boundary_vertices,
     collar_fourier_solve,
     compute_plateaus,
     hbar,
@@ -12,7 +14,14 @@ from dumbbell.harmonic import (
     warped_harmonic_1d,
 )
 from dumbbell.mesh import build_box_grid
-from dumbbell.metric import PlaneSigma, collar_geometry, kappa_zero, signed_distance
+from dumbbell.metric import (
+    REGION_COLLAR,
+    PlaneSigma,
+    collar_geometry,
+    kappa_zero,
+    signed_distance,
+    sphere_level,
+)
 
 
 def warped_scene(n=20, eta=0.2, slope=1.0):
@@ -57,6 +66,14 @@ def test_plateau_rejects_zero_volume():
         compute_plateaus(0.0, 1.0, 1.0, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["vol_plus", "vol_minus", "kappa0"])
+def test_plateau_rejects_non_finite_input(slot, bad):
+    args = {"vol_plus": 0.4, "vol_minus": 0.5, "kappa0": 1.2, slot: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        compute_plateaus(**args, d=3)
+
+
 def test_hbar_endpoints_midpoint_root():
     c = PlateauConstants(1.0, -0.5, 1.0)
     assert hbar(0.2, 0.2, c) == pytest.approx(1.0)
@@ -82,6 +99,10 @@ def test_flat_collar_harmonic_is_affine(scene16):
     assert sol.sup_deviation <= 1e-10
     values_on_plus = sol.values[np.isin(sol.vertex_ids, sol.boundary_plus)]
     assert np.abs(values_on_plus - consts.c_plus).max() < 1e-14
+    # the full collar stiffness applied to h vanishes on interior dofs
+    pair = assemble(m, cell_mask=geom.region == REGION_COLLAR)
+    interior = ~np.isin(pair.dof_map, np.concatenate(collar_boundary_vertices(m, geom)))
+    assert np.abs((pair.K @ sol.values)[interior]).max() < 1e-10
 
 
 def test_constant_boundary_gives_constant(scene8):
@@ -89,6 +110,15 @@ def test_constant_boundary_gives_constant(scene8):
     consts = PlateauConstants(0.7, 0.7, 1.0)
     sol = solve_harmonic(m, geom, consts)
     assert np.abs(sol.values - 0.7).max() < 1e-10
+
+
+def test_collar_thinner_than_a_cell_is_rejected():
+    # at n = 6 two vertices of the sphere's collar touch both bulk regions,
+    # so they would be held at c+ and at c- at once
+    m = build_box_grid(3, 6)
+    geom = collar_geometry(m, signed_distance(m, sphere_level((0.5,) * 3, 0.3)), 0.125, snap=False)
+    with pytest.raises(ValueError, match="borders both bulk regions"):
+        solve_harmonic(m, geom, PlateauConstants(1.0, -1.0, 1.0))
 
 
 def test_discrete_maximum_principle(scene16):
@@ -154,6 +184,13 @@ def test_warped_1d_rejects_bad_profile():
     c = PlateauConstants(1.0, -1.0, 1.0)
     with pytest.raises(ValueError, match="non-positive"):
         warped_harmonic_1d(lambda r: r, 0.2, c, 3)(0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_warped_1d_rejects_non_finite_profile(bad):
+    c = PlateauConstants(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite warp sample"):
+        warped_harmonic_1d(lambda r: np.where(r > 0.05, bad, 1.0), 0.2, c, 3)
 
 
 def fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
