@@ -169,6 +169,24 @@ def test_minmax_lower_bound_random_probes(scene8):
         assert eigen.rayleigh_quotient(pair, v) >= lam1 - 1e-9
 
 
+def test_dirichlet_constant_boundary(scene8):
+    m, geom = scene8
+    sol = harmonic.solve_harmonic(m, geom, harmonic.PlateauConstants(3.3, 3.3, 1.0))
+    assert np.abs(sol.values - 3.3).max() < 1e-10
+
+
+def test_dirichlet_affine_exact_on_flat_collar(scene8):
+    m, geom = scene8
+    sol = harmonic.solve_harmonic(m, geom, harmonic.PlateauConstants(1.0, -1.0, 1.0))
+    expected = geom.rho[sol.vertex_ids] / geom.eta
+    assert np.abs(sol.values - expected).max() < 1e-10
+    # interior residual of the full operator vanishes
+    pair = assemble(m, cell_mask=geom.region == metric.REGION_COLLAR)
+    boundary = np.concatenate(harmonic.collar_boundary_vertices(m, geom))
+    interior = np.setdiff1d(np.arange(pair.n_dof), np.searchsorted(pair.dof_map, boundary))
+    assert np.abs((pair.K @ sol.values)[interior]).max() < 1e-10
+
+
 def test_dirichlet_warped_matches_1d_oracle():
     eta = 0.2
     warp = lambda r: 1.0 + r

@@ -230,6 +230,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     "warp = linear:abc",
     "warp = linear:1,2",
     "resolution = 2",                     # the morse torus grid needs 3 cells per axis
+    "torus_radii = 0.14, 0.3",            # removed keys are unknown config keys
+    "torus_radii = 0.3",
+    "kind = bogus",
+    "kind = warped-box\nwarp = linear:1.0",
+    "kind = file",
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from dumbbell.assembly import assemble
 from dumbbell.harmonic import (
     CollarIterationError,
     PlateauConstants,
-    collar_boundary_vertices,
     collar_fourier_solve,
     compute_plateaus,
     hbar,
@@ -14,14 +12,7 @@ from dumbbell.harmonic import (
     warped_harmonic_1d,
 )
 from dumbbell.mesh import build_box_grid
-from dumbbell.metric import (
-    REGION_COLLAR,
-    PlaneSigma,
-    collar_geometry,
-    kappa_zero,
-    signed_distance,
-    sphere_level,
-)
+from dumbbell.metric import PlaneSigma, collar_geometry, kappa_zero, signed_distance, sphere_level
 
 
 def warped_scene(n=20, eta=0.2, slope=1.0):
@@ -99,10 +90,6 @@ def test_flat_collar_harmonic_is_affine(scene16):
     assert sol.sup_deviation <= 1e-10
     values_on_plus = sol.values[np.isin(sol.vertex_ids, sol.boundary_plus)]
     assert np.abs(values_on_plus - consts.c_plus).max() < 1e-14
-    # the full collar stiffness applied to h vanishes on interior dofs
-    pair = assemble(m, cell_mask=geom.region == REGION_COLLAR)
-    interior = ~np.isin(pair.dof_map, np.concatenate(collar_boundary_vertices(m, geom)))
-    assert np.abs((pair.K @ sol.values)[interior]).max() < 1e-10
 
 
 def test_constant_boundary_gives_constant(scene8):
