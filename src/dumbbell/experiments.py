@@ -80,6 +80,9 @@ class ScenarioConfig:
                 raise ValueError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(value, fields[key])
         cfg = cls(**kwargs)
+        for key in ("eta", "epsilon", "sigma_offset", "epsilons"):
+            if not np.all(np.isfinite(getattr(cfg, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
         if cfg.resolution < 3:
             raise ValueError(f"resolution must be at least 3 (a torus grid), got {cfg.resolution}")
         _parse_sigma(cfg)  # scene descriptors fail here, as config errors

@@ -149,10 +149,12 @@ def warped_harmonic_1d(
         half = 0.5 * (b - a)
         t = (0.5 * (a + b))[:, None] + half[:, None] * x
         w = np.broadcast_to(np.asarray(w_profile(t), dtype=float), t.shape)
-        bad = ~(np.isfinite(w) & (w > 0))
+        with np.errstate(all="ignore"):  # a power that leaves the finite positives is rejected below
+            power = w ** (1.0 - d)
+        bad = ~(np.isfinite(w) & (w > 0) & np.isfinite(power) & (power > 0))
         if bad.any():
             raise ValueError(f"non-positive or non-finite warp sample at rho={t[bad][0]}")
-        return half * (w ** (1.0 - d) @ weights)
+        return half * (power @ weights)
 
     nodes = np.linspace(-eta, eta, 65)
     cumulative = np.concatenate([[0.0], np.cumsum(integral(nodes[:-1], nodes[1:]))])

@@ -12,6 +12,7 @@ meshes enter through a small ASCII format (see `load_mesh`).
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Optional
@@ -21,6 +22,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 Warp = Callable[[np.ndarray], np.ndarray]
+_OPERATORS_LOCK = threading.Lock()  # one `CellOperators` build per mesh when sweep threads assemble at once
 
 
 class MeshFormatError(ValueError):
@@ -52,18 +54,15 @@ class FacetTable:
 
 @dataclass
 class CellOperators:
-    """The part of P1 assembly that no conformal factor changes, kept on
-    its mesh by the mesh's first assembly.
+    """The part of P1 assembly that no conformal factor changes, built once per
+    mesh by `Mesh.cell_operators`.  A symmetric matrix is held by its upper entries:
+    one per vertex (the diagonal), then one per edge of `Mesh.edge_table`; a cell's
+    ``local`` row is its diagonal, then its edges in ``cell_edges`` order."""
 
-    ``slots[c, a, b]`` is the position in ``pattern.data`` of the entry
-    (cells[c, a], cells[c, b]), so K and M are ``np.bincount`` over the slots
-    of per-cell weighted local matrices.
-    """
-
-    stiffness: np.ndarray           # (C, d+1, d+1) local stiffness, reference metric
+    local: np.ndarray               # (C, d+1 + d(d+1)/2) local stiffness, reference metric
     volumes: np.ndarray             # (C,) metric volumes
     pattern: sparse.csr_matrix      # sparsity of K and M over all vertices
-    slots: np.ndarray               # (C, d+1, d+1) int32
+    gather: np.ndarray              # (nnz,) upper entry of each stored entry
 
 
 @dataclass
@@ -98,11 +97,11 @@ class Mesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
-    def edge_matrices(self, cell_ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-cell (d, d) matrix whose rows are the edges v_i - v_0, for the cells
-        ``cell_ids`` (default every cell).  On a torus every edge is shorter than 1/2
-        per axis, so its true vector is the fundamental-domain difference mod 1."""
-        v = self.vertices[self.cells if cell_ids is None else self.cells[cell_ids]]
+    def edge_matrices(self) -> np.ndarray:
+        """Per-cell (d, d) matrix whose rows are the edges v_i - v_0.  On a torus
+        every edge is shorter than 1/2 per axis, so its true vector is the
+        fundamental-domain difference mod 1."""
+        v = self.vertices[self.cells]
         e = v[:, 1:, :] - v[:, :1, :]
         return e - np.round(e) if self.periodic else e
 
@@ -140,6 +139,13 @@ class Mesh:
         if self._edges is None:
             self._edges = _build_edge_table(self.cells, self.dim, self.num_vertices)
         return self._edges
+
+    def cell_operators(self) -> CellOperators:
+        """The mesh's `CellOperators`, built on first use."""
+        with _OPERATORS_LOCK:
+            if self._operators is None:
+                self._operators = _build_operators(self)
+            return self._operators
 
     def interior_facet_pairs(self):
         """(facets, cell_pairs) for facets shared by exactly two cells."""
@@ -189,6 +195,27 @@ def _build_edge_table(cells: np.ndarray, dim: int, num_vertices: int):
     keys = np.minimum(a, b) * num_vertices + np.maximum(a, b)
     uniq, cell_edges = np.unique(keys, return_inverse=True)
     return np.stack(np.divmod(uniq, num_vertices), axis=1), cell_edges.reshape(keys.shape)
+
+
+def _build_operators(mesh: Mesh) -> CellOperators:
+    d, n = mesh.dim, mesh.num_vertices
+    edges, _ = mesh.edge_table()
+    diag, ids = np.arange(n), np.arange(n, n + edges.shape[0])
+    rows = np.concatenate([diag, edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([diag, edges[:, 1], edges[:, 0]])
+    order = np.lexsort((cols, rows))  # row-major, the order CSR stores them in
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    pattern = sparse.csr_matrix((np.zeros(order.size), cols[order], indptr), shape=(n, n))
+    gather = np.concatenate([diag, ids, ids])[order]
+    del rows, cols, order
+
+    G, ginv, vol = simplex_gradient_data(mesh)
+    stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
+    del G, ginv
+    i, j = np.triu_indices(d + 1, 1)  # the `itertools.combinations` order of `cell_edges`
+    a, b = np.concatenate([np.arange(d + 1), i]), np.concatenate([np.arange(d + 1), j])
+    local = 0.5 * (stiff[:, a, b] + stiff[:, b, a])  # exact symmetry
+    return CellOperators(local=local, volumes=vol, pattern=pattern, gather=gather)
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -339,49 +366,29 @@ def build_box_grid(
     )
 
 
-@dataclass
-class CellGradients:
-    """Per-cell affine gradient operators in the cell metric.
-
-    ``gradients[c] @ u[cells[c]]`` is the (coordinate) gradient of the P1
-    interpolant on cell c; it reproduces affine fields exactly.  The metric
-    norm uses the inverse tensor: |du|_g^2 = du . g^{-1} . du.
-    """
-
-    gradients: np.ndarray     # (C, d, d+1)
-    metric_inv: np.ndarray    # (C, d, d)
-    volumes: np.ndarray       # (C,) metric volumes
-
-    def gradient_of(self, u: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        return np.einsum("cka,ca->ck", self.gradients, u[cells])
-
-    def metric_norm_sq(self, grad: np.ndarray) -> np.ndarray:
-        return np.einsum("ck,ckl,cl->c", grad, self.metric_inv, grad)
-
-
-def simplex_gradient_data(mesh: Mesh, cell_ids: Optional[np.ndarray] = None) -> CellGradients:
-    """Gradient operators, metric inverses and volumes of the cells
-    ``cell_ids`` (default every cell), in that order."""
+def simplex_gradient_data(mesh: Mesh) -> tuple:
+    """(gradients, metric_inv, volumes) of every cell: ``gradients[c] @ u[cells[c]]``
+    (C, d, d+1) is the coordinate gradient of the P1 interpolant on cell c, exact on
+    affine fields; ``metric_inv`` (C, d, d) gives |du|_g^2 = du . g^{-1} . du, and
+    ``volumes`` (C,) are the metric volumes."""
     d = mesh.dim
-    ids = np.arange(mesh.num_cells) if cell_ids is None else np.asarray(cell_ids)
-    edges = mesh.edge_matrices(cell_ids)
+    edges = mesh.edge_matrices()
     dets = np.linalg.det(edges)
     if np.any(np.abs(dets) < 1e-300):
-        raise MeshValidationError(f"degenerate cell: {int(ids[np.argmin(np.abs(dets))])}")
+        raise MeshValidationError(f"degenerate cell: {int(np.argmin(np.abs(dets)))}")
     einv = np.linalg.inv(edges)
     # difference operator: (u_1 - u_0, ..., u_d - u_0)
     diff = np.zeros((d, d + 1))
     diff[:, 0] = -1.0
     diff[:, 1:] = np.eye(d)
     gradients = np.einsum("ckl,la->cka", einv, diff)
-    volumes = np.abs(dets / factorial(d))  # as Mesh.cell_volumes, on the selected cells
+    volumes = np.abs(dets / factorial(d))  # as Mesh.cell_volumes
     if mesh.cell_metric is None:
-        metric_inv = np.broadcast_to(np.eye(d), (ids.size, d, d)).copy()
+        metric_inv = np.broadcast_to(np.eye(d), (mesh.num_cells, d, d)).copy()
     else:
-        g = mesh.cell_metric[ids]
-        metric_inv = np.linalg.inv(g)
-        volumes = volumes * np.sqrt(np.linalg.det(g))
-    return CellGradients(gradients=gradients, metric_inv=metric_inv, volumes=volumes)
+        metric_inv = np.linalg.inv(mesh.cell_metric)
+        volumes = volumes * np.sqrt(np.linalg.det(mesh.cell_metric))
+    return gradients, metric_inv, volumes
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh, simplex_gradient_data
+from .mesh import Mesh
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metric import CollarGeometry
@@ -137,9 +137,12 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     )
     n_components, labels = connected_components(graph, directed=False)
 
-    if crossing.size:  # gradient operators of the crossing cells only
-        grads = simplex_gradient_data(mesh, crossing)
-        min_grad = float(np.sqrt(grads.metric_norm_sq(grads.gradient_of(u, mesh.cells[crossing])).min()))
+    if crossing.size:  # |du|_g^2 vol = u_c' S_c u_c = -sum_{a<b} S_ab (u_a - u_b)^2, S_c kills constants
+        ops = mesh.cell_operators()
+        uc = u[mesh.cells[crossing]]
+        i, j = np.triu_indices(d + 1, 1)  # the order of the edge entries of `CellOperators.local`
+        energy = -(ops.local[crossing, d + 1 :] * (uc[:, i] - uc[:, j]) ** 2).sum(axis=1)
+        min_grad = float(np.sqrt((energy / ops.volumes[crossing]).min()))
     else:
         min_grad = float("inf")
 

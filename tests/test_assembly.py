@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dumbbell import assembly, eigen, experiments, harmonic, metric
+from dumbbell import eigen, experiments, harmonic, mesh, metric
 from dumbbell.assembly import assemble, subdomain_neumann
 from dumbbell.mesh import build_box_grid, simplex_gradient_data
 from dumbbell.metric import PlaneSigma, build_conformal_field, collar_geometry, signed_distance
@@ -17,8 +17,7 @@ def _reference_pair(mesh, field=None, cell_mask=None):
     cells = mesh.cells[cell_ids]
     dof_map = np.arange(mesh.num_vertices) if cell_mask is None else np.unique(cells)
     local_cells = np.searchsorted(dof_map, cells)
-    grads = simplex_gradient_data(mesh, cell_ids)
-    G, ginv, vol = grads.gradients, grads.metric_inv, grads.volumes
+    G, ginv, vol = (a[cell_ids] for a in simplex_gradient_data(mesh))
     stiff = np.einsum("cka,ckl,clb->cab", G, ginv, G) * vol[:, None, None]
     stiff = 0.5 * (stiff + stiff.swapaxes(1, 2))
     mass_ref = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
@@ -75,12 +74,12 @@ def test_assembled_pairs_do_not_share_the_cached_pattern(scene8):
 def test_scaling_sweep_builds_cell_operators_once(monkeypatch, workers):
     calls = []
 
-    def counting(mesh, cell_ids=None):  # slow, so a second thread arrives mid-build
-        calls.append(mesh)
+    def counting(m):  # slow, so a second thread arrives mid-build
+        calls.append(m)
         time.sleep(0.2)
-        return simplex_gradient_data(mesh, cell_ids)
+        return simplex_gradient_data(m)
 
-    monkeypatch.setattr(assembly, "simplex_gradient_data", counting)
+    monkeypatch.setattr(mesh, "simplex_gradient_data", counting)
     cfg = experiments.ScenarioConfig.from_mapping(
         {"scenario": "scaling", "n": 8, "oracle_resolution": 256, "workers": workers})
     assert len(cfg.epsilons) == 5

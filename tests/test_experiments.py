@@ -235,6 +235,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     "kind = bogus",
     "kind = warped-box\nwarp = linear:1.0",
     "kind = file",
+    "eta = inf",                          # non-finite floats fail here, not mid-run
+    "eta = nan",
+    "epsilon = nan",
+    "sigma_offset = nan",
+    "epsilons = 1e-1, nan, 1e-3",
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"

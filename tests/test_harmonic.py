@@ -180,6 +180,14 @@ def test_warped_1d_rejects_non_finite_profile(bad):
         warped_harmonic_1d(lambda r: np.where(r > 0.05, bad, 1.0), 0.2, c, 3)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_warped_1d_rejects_a_warp_whose_power_leaves_the_floats(scale):
+    # w^(1-d) at d = 3 overflows to inf (1e-200) or underflows to 0 (1e200)
+    c = PlateauConstants(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite warp sample"):
+        warped_harmonic_1d(lambda r: np.full_like(r, scale), 0.2, c, 3)
+
+
 def fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
     n_grid = max(grid_factor * n_sigma, 8)
     sig = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from dumbbell import mesh
@@ -74,18 +75,20 @@ def test_resolution_validation():
         build_box_grid(3, 4, warp=lambda r: 1.0 + r, periodic=True)
 
 
+def _gradients(m, u):
+    G, ginv, _ = simplex_gradient_data(m)
+    return np.einsum("cka,ca->ck", G, u[m.cells]), ginv
+
+
 def test_gradient_affine_reproduction(box8):
-    grads = simplex_gradient_data(box8)
     rng = np.random.default_rng(3)
     a = rng.standard_normal(3)
-    u = box8.vertices @ a + 1.7
-    g = grads.gradient_of(u, box8.cells)
+    g, _ = _gradients(box8, box8.vertices @ a + 1.7)
     assert np.abs(g - a).max() < 1e-13
 
 
 def test_gradient_constant_field(box8):
-    grads = simplex_gradient_data(box8)
-    g = grads.gradient_of(np.full(box8.num_vertices, 4.2), box8.cells)
+    g, _ = _gradients(box8, np.full(box8.num_vertices, 4.2))
     assert np.abs(g).max() < 1e-13
 
 
@@ -94,20 +97,8 @@ def test_gradient_metric_norm():
     cm = np.tile(np.diag([4.0, 1.0, 1.0]), (m.num_cells, 1, 1))
     warped = Mesh(3, m.vertices, m.cells, cell_metric=cm,
                   grid_resolution=(2, 2, 2))
-    grads = simplex_gradient_data(warped)
-    g = grads.gradient_of(warped.vertices[:, 0], warped.cells)
-    assert np.abs(grads.metric_norm_sq(g) - 0.25).max() < 1e-13
-
-
-def test_gradient_data_of_selected_cells_is_the_full_slice():
-    warped = build_box_grid(3, 8, warp=lambda r: 1.0 + r)
-    full = simplex_gradient_data(warped)
-    rng = np.random.default_rng(3)
-    for ids in (np.flatnonzero(np.abs(warped.barycenters()[:, 0] - 0.5) < 0.2),
-                rng.permutation(warped.num_cells)[:100], np.array([], dtype=np.int64)):
-        part = simplex_gradient_data(warped, ids)
-        for name in ("gradients", "metric_inv", "volumes"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[ids]), name
+    g, ginv = _gradients(warped, warped.vertices[:, 0])
+    assert np.abs(np.einsum("ck,ckl,cl->c", g, ginv, g) - 0.25).max() < 1e-13
 
 
 def test_single_tetrahedron_file(tmp_path):
@@ -242,12 +233,10 @@ def test_torus_geometry_is_the_box_geometry():
     # same cell order, so the true torus edges are the box edges, seam cells included
     torus, box = build_box_grid(3, (4, 3, 5), periodic=True), build_box_grid(3, (4, 3, 5))
     assert np.abs(torus.edge_matrices() - box.edge_matrices()).max() <= 1e-15
-    ids = np.array([0, 7, torus.num_cells - 1])
-    assert np.array_equal(torus.edge_matrices(ids), torus.edge_matrices()[ids])
     assert torus.total_volume() == pytest.approx(1.0, rel=1e-14)
-    tg, bg = simplex_gradient_data(torus), simplex_gradient_data(box)
-    assert np.abs(tg.gradients - bg.gradients).max() <= 1e-12
-    assert np.abs(tg.volumes - bg.volumes).max() <= 1e-15
+    (tg, _, tv), (bg, _, bv) = simplex_gradient_data(torus), simplex_gradient_data(box)
+    assert np.abs(tg - bg).max() <= 1e-12
+    assert np.abs(tv - bv).max() <= 1e-15
 
 
 def test_replace_rebuilds_the_facet_table():
@@ -323,6 +312,7 @@ def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
         classify_critical_points(m, u)
         nodal_domain_count(m, u)
         validate_mesh(m)
+        assemble(m)  # the K/M pattern is read off the edge table too
         assert sorted(calls, key=str) == [3, "edges"]
 
 
@@ -392,6 +382,29 @@ def test_edge_table_indexes_each_cells_own_edges(name):
         assert np.array_equal(m.facet_table().facets, edges)
     euler = m.num_vertices - edges.shape[0] + faces - (m.num_cells if m.dim == 3 else 0)
     assert euler == (0 if m.periodic else 1)
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_cell_operator_pattern_is_the_coo_pattern(name):
+    m = _GENERATED[name]()
+    ops = m.cell_operators()
+    assert m.cell_operators() is ops  # cached
+    k = m.dim + 1
+    rows, cols = np.repeat(m.cells, k, axis=1).reshape(-1), np.tile(m.cells, (1, k)).reshape(-1)
+    ref = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=ops.pattern.shape).tocsr()
+    ref.sort_indices()
+    assert np.array_equal(ops.pattern.indptr, ref.indptr)
+    assert np.array_equal(ops.pattern.indices, ref.indices)
+    # every stored entry is reached by a cell, so the mass has no explicit zeros
+    assert assemble(m).M.data.min() > 0
+    # gather names the diagonal by vertex id, an edge by its place after the vertices
+    edges, _ = m.edge_table()
+    r = np.repeat(np.arange(m.num_vertices), np.diff(ops.pattern.indptr))
+    c = ops.pattern.indices
+    ends = edges[np.maximum(ops.gather - m.num_vertices, 0)]
+    off = r != c
+    assert np.array_equal(ops.gather[~off], r[~off])
+    assert np.array_equal(ends[off], np.sort(np.stack([r, c], axis=1)[off], axis=1))
 
 
 def test_facet_keys_name_the_int64_limit():

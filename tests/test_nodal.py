@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dumbbell import harmonic, nodal
-from dumbbell.experiments import emit_plot_data
+from dumbbell.experiments import ScenarioConfig, _build_scene, _solve_point, emit_plot_data
+from dumbbell.mesh import simplex_gradient_data
 from dumbbell.nodal import (
     NonBoxSceneError,
     extract_nodal_set,
@@ -42,6 +43,25 @@ def test_plane_gradient_is_one(box8):
     u = box8.vertices[:, 0] - 0.5
     ns = extract_nodal_set(box8, u)
     assert ns.min_gradient == pytest.approx(1.0)
+
+
+def _explicit_min_gradient(m, u):
+    """min over the crossing cells of the metric norm of the P1 gradient, cell by cell."""
+    s = nodal.tie_signs(u)[m.cells]
+    crossing = np.flatnonzero(~np.all(s == s[:, :1], axis=1))
+    G, ginv, _ = simplex_gradient_data(m)
+    g = np.einsum("cka,ca->ck", G[crossing], nodal._snap_zeros(u)[m.cells[crossing]])
+    return np.sqrt(np.einsum("ck,ckl,cl->c", g, ginv[crossing], g).min())
+
+
+@pytest.mark.parametrize("warp", [None, "linear:1.0"])
+def test_min_gradient_is_the_explicit_gradient_floor(warp):
+    cfg = ScenarioConfig.from_mapping({"scenario": "nodal", **({"warp": warp} if warp else {})})
+    m, geom = _build_scene(cfg)
+    *_, result = _solve_point(m, geom, cfg, cfg.epsilon)
+    u = result.vectors[:, 1]
+    expected = _explicit_min_gradient(m, u)
+    assert extract_nodal_set(m, u).min_gradient == pytest.approx(expected, rel=1e-14)
 
 
 def test_affine_collar_gradient(scene16):
