@@ -266,6 +266,7 @@ def _parse_sigma(cfg: ScenarioConfig):
         if len(vals) != cfg.d + 1 or vals[-1] <= 0:
             raise ValueError(f"sigma '{tag}': a sphere takes {cfg.d} center coordinates and a radius > 0")
         r, sigma = vals[-1], metric.sphere_level(vals[:-1], vals[-1])
+        wall = min(min(vals[:-1]), 1.0 - max(vals[:-1])) - r  # from the sphere to the unit box wall
     elif tag.startswith("torus:"):
         vals = _descriptor_numbers(tag)
         if cfg.d != 3:
@@ -273,10 +274,15 @@ def _parse_sigma(cfg: ScenarioConfig):
         if len(vals) != 2 or not 0 < vals[1] < vals[0]:  # embedded, so torus_level is a distance
             raise ValueError(f"sigma '{tag}': a torus takes two radii R, r with 0 < r < R")
         r, sigma = vals[1], metric.torus_level((0.5,) * 3, *vals)
+        wall = 0.5 - vals[0] - r
     else:
         raise ValueError(f"unknown sigma descriptor '{tag}'")
     if r <= cfg.eta:  # no inside point lies beyond the collar: the minus region is empty
         raise ValueError(f"sigma '{tag}': r = {r} must exceed eta = {cfg.eta} (no inside beyond the collar)")
+    if not cfg.mesh_path and (r - cfg.eta) * cfg.n < 1:  # a core thinner than a cell falls apart on the grid
+        raise ValueError(f"sigma '{tag}': its core r - eta = {r - cfg.eta:g} is thinner than one cell (n = {cfg.n})")
+    if not cfg.mesh_path and wall <= cfg.eta:  # the collar would cut pockets off the outside at the wall
+        raise ValueError(f"sigma '{tag}': its collar reaches the box wall ({wall:g} away, eta = {cfg.eta})")
     return sigma
 
 
@@ -664,18 +670,18 @@ def _run_morse(cfg: ScenarioConfig):
     bench_counts = [bench.counts.get(0, 0), bench.counts.get(1, 0), bench.counts.get(2, 0)]
     census_counts = [census[0], census[1], census[2]]
 
-    # genus-1 level set: critical counts inside the solid torus bound the
-    # Betti numbers (1, 1)
-    mesh3 = build_box_grid(3, cfg.n)
-    torus = metric.torus_level((0.5,) * 3, 0.3, 0.14)
-    phi = torus.func(mesh3.vertices)
-    region = np.all(phi[mesh3.cells] < 0, axis=1)
-    solid = morse.classify_critical_points(mesh3, phi, region=region)
-
     # eigenfunction census, report-only
     mesh, geom = _build_scene(cfg)
     _, _, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
     eig_rep = morse.classify_critical_points(mesh, result.vectors[:, 1])
+
+    # genus-1 level set: critical counts inside the solid torus bound the
+    # Betti numbers (1, 1); a 3d n-grid scene is that grid (a warp is only its metric)
+    mesh3 = mesh if cfg.d == 3 and not cfg.mesh_path else build_box_grid(3, cfg.n)
+    torus = metric.torus_level((0.5,) * 3, 0.3, 0.14)
+    phi = torus.func(mesh3.vertices)
+    region = np.all(phi[mesh3.cells] < 0, axis=1)
+    solid = morse.classify_critical_points(mesh3, phi, region=region)
 
     verdicts = [
         Verdict("cosine-benchmark-counts", bench_counts, census_counts, "=="),

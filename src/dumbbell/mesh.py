@@ -5,8 +5,12 @@ square, 6 tetrahedra per cube) of the unit box or of the flat torus, so
 refinement is deterministic and meshes of the same resolution are
 bit-identical across runs.  Curvature enters only through a constant metric
 tensor per cell, which is enough to realize warped products
-diag(1, w(rho)^2, ...) without curved elements.  Generic simplicial
-meshes enter through a small ASCII format (see `load_mesh`).
+diag(1, w(rho)^2, ...) without curved elements.  Every cell of a structured
+grid translates one of d! Kuhn shapes, so its cell operators come from the
+gradients of d! representative cells; they are also the mesh's one source of
+cell volumes, which the collar partition reads.  Generic simplicial meshes
+enter through a small ASCII format (see `load_mesh`) and get their operators
+cell by cell.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class Mesh:
     vertices: np.ndarray                         # (V, d)
     cells: np.ndarray                            # (C, d+1), positively oriented
     cell_metric: Optional[np.ndarray] = None     # (C, d, d) SPD, None = identity
-    grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes)
+    grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes: d! blocks of one Kuhn shape)
     periodic: bool = False                       # flat torus: ids wrap per axis, edges mod 1
     _facets: Optional[FacetTable] = field(default=None, init=False, repr=False, compare=False)
     _edges: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -109,15 +113,8 @@ class Mesh:
         """Euclidean signed volumes; positive for correctly oriented cells."""
         return np.linalg.det(self.edge_matrices()) / factorial(self.dim)
 
-    def cell_volumes(self) -> np.ndarray:
-        """Reference-metric volumes, sqrt(det g) times the Euclidean volume."""
-        vol = np.abs(self.signed_volumes())
-        if self.cell_metric is not None:
-            vol = vol * np.sqrt(np.linalg.det(self.cell_metric))
-        return vol
-
     def total_volume(self) -> float:
-        return float(np.add.reduce(self.cell_volumes()))
+        return float(np.add.reduce(self.cell_operators().volumes))
 
     def barycenters(self) -> np.ndarray:
         return self.vertices[self.cells].mean(axis=1)
@@ -209,13 +206,26 @@ def _build_operators(mesh: Mesh) -> CellOperators:
     gather = np.concatenate([diag, ids, ids])[order]
     del rows, cols, order
 
-    G, ginv, vol = simplex_gradient_data(mesh)
-    stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
-    del G, ginv
     i, j = np.triu_indices(d + 1, 1)  # the `itertools.combinations` order of `cell_edges`
     a, b = np.concatenate([np.arange(d + 1), i]), np.concatenate([np.arange(d + 1), j])
-    local = 0.5 * (stiff[:, a, b] + stiff[:, b, a])  # exact symmetry
-    return CellOperators(local=local, volumes=vol, pattern=pattern, gather=gather)
+    cm, C = mesh.cell_metric, mesh.num_cells
+    if mesh.grid_resolution is None or (cm is not None and np.count_nonzero(cm) > d * C):  # not diagonal
+        G, ginv, vol = simplex_gradient_data(mesh)
+        stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
+        del G, ginv
+        local = 0.5 * (stiff[:, a, b] + stiff[:, b, a])  # exact symmetry
+        return CellOperators(local=local, volumes=vol, pattern=pattern, gather=gather)
+    # a box grid is d! blocks of one Kuhn shape each: with shape k's terms T_ki = vol_k g_ki' g_ki
+    # (g_ki row i of its gradient), a cell of metric diag(m) has stiffness sum_i sqrt(det m) / m_i T_ki
+    shapes = factorial(d)
+    block = C // shapes
+    G, _, vol = simplex_gradient_data(Mesh(d, mesh.vertices, mesh.cells[::block], periodic=mesh.periodic))
+    T = vol[:, None, None] * G[:, :, a] * G[:, :, b]  # (d!, d, local entries)
+    m = np.ones((shapes, 1, d)) if cm is None else np.diagonal(cm, axis1=1, axis2=2).reshape(shapes, block, d)
+    root = np.sqrt(np.prod(m, axis=2, keepdims=True))
+    local = np.broadcast_to(root / m @ T, (shapes, block, a.size)).reshape(C, -1)
+    volumes = np.broadcast_to(vol[:, None] * root[..., 0], (shapes, block)).reshape(C)
+    return CellOperators(local=local, volumes=volumes, pattern=pattern, gather=gather)
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -382,7 +392,7 @@ def simplex_gradient_data(mesh: Mesh) -> tuple:
     diff[:, 0] = -1.0
     diff[:, 1:] = np.eye(d)
     gradients = np.einsum("ckl,la->cka", einv, diff)
-    volumes = np.abs(dets / factorial(d))  # as Mesh.cell_volumes
+    volumes = np.abs(dets / factorial(d))
     if mesh.cell_metric is None:
         metric_inv = np.broadcast_to(np.eye(d), (mesh.num_cells, d, d)).copy()
     else:

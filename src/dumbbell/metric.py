@@ -151,7 +151,7 @@ def collar_geometry(
         eta = max(1.0, round(eta / spacing)) * spacing
 
     cell_rho = rho[mesh.cells].mean(axis=1)
-    volumes = mesh.cell_volumes()
+    volumes = mesh.cell_operators().volumes
     region = np.full(mesh.num_cells, REGION_COLLAR, dtype=np.int8)
     region[cell_rho >= eta] = REGION_PLUS
     region[cell_rho <= -eta] = REGION_MINUS

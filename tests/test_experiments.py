@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dumbbell import experiments
 from dumbbell.experiments import (
     ScenarioConfig,
     _build_scene,
@@ -251,7 +252,7 @@ def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
 @pytest.mark.parametrize("mapping", [
     {"sigma": "sphere:0.5,0.5,0.5,0.3"},
     {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
-    {"sigma": "torus:0.3,0.15"},
+    {"sigma": "torus:0.25,0.14", "eta": 0.0625},
     {"warp": "linear:1.0"},
 ])
 def test_well_formed_scene_descriptors_parse(mapping):
@@ -264,10 +265,35 @@ def test_sigma_thinner_than_the_collar_is_a_config_error():
         ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.1"})
     with pytest.raises(ValueError, match=r"r = 0\.2 must exceed eta = 0\.25"):
         ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "sphere:0.5,0.5,0.5,0.2", "eta": 0.25})
-    # r > eta can still leave no cell beyond the collar on a coarse grid
-    cfg = ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.14"})
-    with pytest.raises(SeparationError, match="minus region is empty"):
+    # r > eta with no cell beyond the collar on the grid is a config error too
+    with pytest.raises(ValueError, match=r"core r - eta = 0\.015 is thinner than one cell \(n = 16\)"):
+        ScenarioConfig.from_mapping({"scenario": "gap", "sigma": "torus:0.3,0.14"})
+
+
+@pytest.mark.parametrize("sigma, eta, why", [
+    ("torus:0.3,0.14", 0.0625, "collar reaches the box wall"),     # R + r + eta = 0.5025
+    ("torus:0.25,0.14", 0.125, "thinner than one cell"),            # core 0.015 < 1/32, wall 0.515
+    ("sphere:0.5,0.5,0.5,0.4", 0.125, "collar reaches the box wall"),
+    ("torus:0.2,0.14", 0.125, "thinner than one cell"),             # core 0.015 < 1/32
+])
+def test_closed_sigma_that_splits_a_region_is_a_config_error(tmp_path, capsys, sigma, eta, why):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scenario = gap\nn = 32\nsigma = {sigma}\neta = {eta}\nepsilon = 1e-7\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and why in err
+
+
+def test_closed_sigma_rules_leave_the_discrete_failure_to_the_run():
+    # (0.2, 0.16): core 0.035 against 1/32 and 0.015 to the wall, so it builds
+    _build_scene(ScenarioConfig.from_mapping({"scenario": "gap", "n": 32, "sigma": "torus:0.2,0.16"}))
+    # (0.21, 0.16) passes both rules with 0.005 to the wall, and its grid collar still cuts a pocket
+    cfg = ScenarioConfig.from_mapping({"scenario": "gap", "n": 32, "sigma": "torus:0.21,0.16"})
+    with pytest.raises(SeparationError, match="plus region is disconnected"):
         _build_scene(cfg)
+    # a file scene has no box wall and no cell size to hold the collar to
+    for sphere in ("sphere:0.5,0.5,0.5,0.4", "sphere:0.5,0.5,0.5,0.15"):
+        ScenarioConfig.from_mapping({"scenario": "gap", "mesh_path": "box.mesh", "sigma": sphere})
 
 
 def _reports_by_worker_count(mapping):
@@ -320,3 +346,40 @@ def test_cli_emit_malformed_report_exits_2(tmp_path, capsys, report, kind):
     assert main(["emit", str(path), "--kind", kind, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("emit error: ")
     assert not out.exists()  # checked before any output is written
+
+
+def _morse_grids(monkeypatch, mapping):
+    built = []
+    real = experiments.build_box_grid
+
+    def counting(d, n, **kw):
+        built.append((d, kw.get("periodic", False)))
+        return real(d, n, **kw)
+
+    monkeypatch.setattr(experiments, "build_box_grid", counting)
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "morse", **mapping}))
+    assert not report.failures
+    return built, report
+
+
+def test_morse_classifies_the_solid_torus_on_the_scene_grid(monkeypatch):
+    built, report = _morse_grids(monkeypatch, {"n": 20})
+    assert built == [(2, True), (3, False)]  # the 2d torus and the scene, nothing more
+    # the counts the run printed when it built a second 3d grid for the solid torus
+    assert report.tables["solid_torus"]["rows"] == [[0, 14], [1, 14], [2, 0], [3, 0]]
+    assert report.tables["eigenfunction"]["rows"] == [[0.001, i, 0] for i in range(4)]
+    # a warp changes only the cell metric, which the classifier does not read
+    built, warped = _morse_grids(monkeypatch, {"n": 20, "warp": "linear:0.5"})
+    assert built == [(2, True), (3, False)]
+    assert warped.tables["solid_torus"] == report.tables["solid_torus"]
+
+
+def test_morse_scene_that_is_not_the_3d_grid_builds_its_own(monkeypatch, tmp_path):
+    from dumbbell.mesh import build_box_grid, save_mesh
+
+    built, _ = _morse_grids(monkeypatch, {"n": 8, "d": 2})
+    assert built == [(2, True), (2, False), (3, False)]
+    save_mesh(build_box_grid(3, 4), tmp_path / "box.mesh")
+    built, report = _morse_grids(monkeypatch, {"n": 20, "mesh_path": str(tmp_path / "box.mesh")})
+    assert built == [(2, True), (3, False)]  # the scene is read, the solid torus gets an n-grid
+    assert report.tables["solid_torus"]["rows"] == [[0, 14], [1, 14], [2, 0], [3, 0]]

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -405,6 +406,35 @@ def test_cell_operator_pattern_is_the_coo_pattern(name):
     off = r != c
     assert np.array_equal(ops.gather[~off], r[~off])
     assert np.array_equal(ends[off], np.sort(np.stack([r, c], axis=1)[off], axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_box_grid_operators_come_from_the_kuhn_shapes(monkeypatch, name):
+    m = _GENERATED[name]()
+    seen = []
+    real = mesh.simplex_gradient_data
+    monkeypatch.setattr(mesh, "simplex_gradient_data", lambda sub: seen.append(sub.num_cells) or real(sub))
+    ops = m.cell_operators()
+    assert seen == [math.factorial(m.dim)]  # one representative cell per shape
+    # the per-cell path: each cell's own gradients, metric and volume
+    G, ginv, vol = real(m)
+    stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
+    i, j = np.triu_indices(m.dim + 1, 1)
+    a, b = np.r_[np.arange(m.dim + 1), i], np.r_[np.arange(m.dim + 1), j]
+    assert np.abs(ops.local - stiff[:, a, b]).max() <= 1e-14 * np.abs(stiff).max()
+    assert np.abs(ops.volumes - vol).max() <= 1e-14 * vol.max()
+    K = assemble(m).K
+    assert np.abs(K @ np.ones(m.num_vertices)).max() <= 1e-14 * np.abs(K.data).max()
+
+
+def test_file_mesh_operators_come_cell_by_cell(monkeypatch, tmp_path):
+    save_mesh(build_box_grid(3, 3), tmp_path / "box.mesh")
+    m = load_mesh(tmp_path / "box.mesh")
+    seen = []
+    real = mesh.simplex_gradient_data
+    monkeypatch.setattr(mesh, "simplex_gradient_data", lambda sub: seen.append(sub.num_cells) or real(sub))
+    assert np.array_equal(m.cell_operators().volumes, real(m)[2])
+    assert seen == [m.num_cells]
 
 
 def test_facet_keys_name_the_int64_limit():
