@@ -356,7 +356,7 @@ def _run_scaling(cfg: ScenarioConfig):
 
     def oracle_point(eps):
         prof = oracle.step_profile(eps, geom.eta, cfg.d, center=cfg.sigma_offset,
-                                   resolution=cfg.oracle_resolution)
+                                   warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
         ev = oracle.sturm_liouville_neumann(prof, 2, refine=False)
         return float(ev.values[1])
 
@@ -519,9 +519,11 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     warp_fn, slope = _parse_warp(cfg.warp)
     if warp_fn is None:
         raise ValueError("harmonic-approx needs a warped scene (warp=linear:<slope>)")
+    if cfg.sigma != "plane" or cfg.mesh_path:
+        raise ValueError("harmonic-approx needs the plane scene on a box grid (sigma=plane, no mesh_path)")
 
     # flat benchmark: the affine model is discrete-harmonic, so h matches it
-    flat_cfg = dataclasses.replace(cfg, warp="none", mesh_path="")
+    flat_cfg = dataclasses.replace(cfg, warp="none")
     mesh_flat, geom_flat = _build_scene(flat_cfg)
     consts_flat = _plateaus(geom_flat, cfg.d)
     flat = harmonic.solve_harmonic(mesh_flat, geom_flat, consts_flat)
@@ -710,7 +712,7 @@ def _run_oracle_compare(cfg: ScenarioConfig):
     def point(eps):
         _, _, bound, result = _solve_point(mesh, geom, cfg, eps)
         prof = oracle.step_profile(eps, geom.eta, cfg.d, center=cfg.sigma_offset,
-                                   resolution=cfg.oracle_resolution)
+                                   warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
         ev = oracle.sturm_liouville_neumann(prof, 2)
         lam3, lam1 = float(result.values[1]), float(ev.values[1])
         return [eps, lam3, lam1, float(ev.refined[1]), abs(lam3 - lam1) / lam1]

@@ -265,37 +265,30 @@ def validate_mesh(mesh: Mesh) -> None:
         f = table.facets[np.argmax(table.counts > 2)]
         raise MeshValidationError(f"non-manifold facet: {tuple(int(i) for i in f)}")
 
-    edges, _ = mesh.edge_table()
-    ones = np.ones(edges.shape[0], dtype=np.int8)
-    graph = sparse.coo_matrix((ones, edges.T), shape=(mesh.num_vertices,) * 2)
-    n_comp, _ = connected_components(graph, directed=False)
+    n_comp, _ = components(mesh.num_vertices, *mesh.edge_table()[0].T)
     if n_comp != 1:
         raise MeshValidationError(f"disconnected mesh: {n_comp} components")
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def components(n: int, i: np.ndarray, j: np.ndarray) -> tuple:
+    """(count, labels) of the connected components of the undirected graph on
+    nodes 0..n-1 with an edge i[k] - j[k] for each k."""
+    graph = sparse.coo_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
-def _freudenthal_patterns() -> list:
-    """Vertex-offset quadruples of the 6-tet cube split, positively oriented."""
-    patterns = []
-    for perm in itertools.permutations(range(3)):
-        offs = [(0, 0, 0)]
-        cur = [0, 0, 0]
-        for axis in perm:
-            cur[axis] += 1
-            offs.append(tuple(cur))
-        if _perm_sign(perm) < 0:
-            offs[2], offs[3] = offs[3], offs[2]
-        patterns.append(offs)
-    return patterns
+def _kuhn_shapes(d: int) -> list:
+    """Vertex offsets (d+1, d) of the d! Kuhn simplices of the unit cube, in
+    `itertools.permutations` order: each walks from the origin one axis at a time,
+    and an odd walk swaps its last two vertices, so every shape is positively
+    oriented (Freudenthal, Ann. of Math. 43, 1942; Bey, Numer. Math. 85, 2000)."""
+    shapes = []
+    for perm in itertools.permutations(range(d)):
+        walk = np.vstack([np.zeros(d, dtype=np.int64), np.eye(d, dtype=np.int64)[list(perm)].cumsum(axis=0)])
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            walk[[-2, -1]] = walk[[-1, -2]]
+        shapes.append(walk)
+    return shapes
 
 
 def build_box_grid(
@@ -339,19 +332,7 @@ def build_box_grid(
     def corner(offset):
         return np.ravel_multi_index(tuple((base + offset).T), shape, mode="wrap")
 
-    if d == 2:
-        a = corner((0, 0))
-        b = corner((1, 0))
-        c = corner((1, 1))
-        e = corner((0, 1))
-        cells = np.concatenate(
-            [np.stack([a, b, c], axis=1), np.stack([a, c, e], axis=1)]
-        )
-    else:
-        blocks = []
-        for offs in _freudenthal_patterns():
-            blocks.append(np.stack([corner(o) for o in offs], axis=1))
-        cells = np.concatenate(blocks)
+    cells = np.concatenate([np.stack([corner(o) for o in shape], axis=1) for shape in _kuhn_shapes(d)])
 
     cell_metric = None
     if warp is not None:

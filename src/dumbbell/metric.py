@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh
+from .mesh import Mesh, components
 
 REGION_COLLAR = 0
 REGION_PLUS = 1
@@ -195,11 +193,7 @@ def _check_region_connected(mesh: Mesh, region: np.ndarray, label: int) -> None:
     pairs = pairs[both]
     local = np.full(mesh.num_cells, -1, dtype=np.int64)
     local[ids] = np.arange(ids.size)
-    g = sparse.coo_matrix(
-        (np.ones(pairs.shape[0], dtype=np.int8), (local[pairs[:, 0]], local[pairs[:, 1]])),
-        shape=(ids.size, ids.size),
-    )
-    n_comp, _ = connected_components(g, directed=False)
+    n_comp, _ = components(ids.size, local[pairs[:, 0]], local[pairs[:, 1]])
     if n_comp != 1:
         raise SeparationError(f"{_REGION_NAMES[label]} region is disconnected")
 

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh
+from .mesh import Mesh, components
 
 LABEL_EXCLUDED = -1
 LABEL_REGULAR = 0
@@ -109,8 +107,7 @@ def classify_critical_points(
             ia.append(a[same])
             ib.append(b[same])
     ia, ib = np.concatenate(ia), np.concatenate(ib)
-    graph = sparse.coo_matrix((np.ones(ia.size, dtype=np.int8), (ia, ib)), shape=(owner.size,) * 2)
-    n_comp, comp = connected_components(graph, directed=False)
+    n_comp, comp = components(owner.size, ia, ib)
     rep = np.empty(n_comp, dtype=np.int64)
     rep[comp] = np.arange(owner.size)  # any node of a component: it lies in one link half
     rep = rep[counted[owner[rep]]]

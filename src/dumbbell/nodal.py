@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
-from .mesh import Mesh
+from .mesh import Mesh, components
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metric import CollarGeometry
@@ -131,11 +129,7 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     facets, pairs = mesh.interior_facet_pairs()
     fs = signs[facets]
     linked = frag_of_cell[pairs[fs.min(axis=1) < fs.max(axis=1)]]  # both cells of it cross
-    graph = sparse.coo_matrix(
-        (np.ones(linked.shape[0], dtype=np.int8), (linked[:, 0], linked[:, 1])),
-        shape=(crossing.size, crossing.size),
-    )
-    n_components, labels = connected_components(graph, directed=False)
+    n_components, labels = components(crossing.size, linked[:, 0], linked[:, 1])
 
     if crossing.size:  # |du|_g^2 vol = u_c' S_c u_c = -sum_{a<b} S_ab (u_a - u_b)^2, S_c kills constants
         ops = mesh.cell_operators()
@@ -179,8 +173,7 @@ def nodal_domain_count(mesh: Mesh, u: np.ndarray) -> int:
     signs = tie_signs(u)
     edges, _ = mesh.edge_table()
     same = edges[signs[edges[:, 0]] == signs[edges[:, 1]]]
-    g = sparse.coo_matrix((np.ones(same.shape[0], dtype=np.int8), same.T), shape=(mesh.num_vertices,) * 2)
-    return int(connected_components(g, directed=False)[0])
+    return int(components(mesh.num_vertices, *same.T)[0])
 
 
 def single_crossing_check(mesh: Mesh, u: np.ndarray, geom: "CollarGeometry") -> bool:

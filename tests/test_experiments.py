@@ -383,3 +383,22 @@ def test_morse_scene_that_is_not_the_3d_grid_builds_its_own(monkeypatch, tmp_pat
     built, report = _morse_grids(monkeypatch, {"n": 20, "mesh_path": str(tmp_path / "box.mesh")})
     assert built == [(2, True), (3, False)]  # the scene is read, the solid torus gets an n-grid
     assert report.tables["solid_torus"]["rows"] == [[0, 14], [1, 14], [2, 0], [3, 0]]
+
+
+def test_warped_oracle_compare_reads_the_scene_warp():
+    # the flat oracle read this scene 0.330 off at eps = 0.1
+    report = run_scenario(ScenarioConfig.from_mapping(
+        {"scenario": "oracle-compare", "warp": "linear:1.0", "epsilons": (0.1, 0.01), "oracle_resolution": 256}
+    ))
+    assert report.all_passed(), report.to_dict()["verdicts"]
+
+
+@pytest.mark.parametrize("scene", ["sigma", "mesh_path"])
+def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scene):
+    from dumbbell.mesh import build_box_grid, save_mesh
+
+    save_mesh(build_box_grid(3, 4), tmp_path / "box.mesh")
+    value = {"sigma": "sphere:0.5,0.5,0.5,0.35", "mesh_path": str(tmp_path / "box.mesh")}[scene]
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "harmonic-approx", "eta": 0.1, scene: value}))
+    assert report.failures == [{"stage": "harmonic-approx", "error": "ValueError: harmonic-approx needs "
+                                "the plane scene on a box grid (sigma=plane, no mesh_path)"}]

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,56 @@ def test_generated_grids_are_valid_by_construction(monkeypatch, name):
     assert calls == []  # neither builder validates or builds a table
     mesh.validate_mesh(m)  # the proof the builders no longer run
     assert calls[0] == "validate_mesh"
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_cells_are_the_kuhn_permutation_walk(name):
+    # block k walks the k-th permutation of the axes from each cell's lowest corner,
+    # one axis at a time; an odd permutation swaps its last two vertices
+    m = _GENERATED[name]()
+    d, res = m.dim, np.array(m.grid_resolution)
+    shape = res if m.periodic else res + 1
+    strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]  # row-major vertex ids
+    base = np.stack(np.meshgrid(*[np.arange(k) for k in res], indexing="ij"), -1).reshape(-1, 1, d)
+    perms = list(itertools.permutations(range(d)))
+    edges = m.edge_matrices().reshape(len(perms), -1, d, d)
+    blocks = []
+    for k, perm in enumerate(perms):
+        P = np.eye(d, dtype=np.int64)[list(perm)]
+        walk = np.r_[np.zeros((1, d), dtype=np.int64), np.cumsum(P, axis=0)]
+        if np.linalg.det(P) < 0:
+            walk[-2:] = walk[[-1, -2]]
+        assert np.linalg.det(walk[1:]) > 0
+        assert np.array_equal(mesh._kuhn_shapes(d)[k], walk)
+        assert np.abs(edges[k] - walk[1:] / res).max() <= 1e-15  # block k is shape k
+        blocks.append((base + walk) % shape @ strides)
+    assert np.array_equal(m.cells, np.concatenate(blocks))
+
+
+def test_components_labels_an_isolated_node():
+    count, labels = mesh.components(5, np.array([0, 2, 3]), np.array([1, 1, 3]))  # 3 has a self-loop, 4 no edge
+    assert count == 3
+    assert labels[0] == labels[1] == labels[2]
+    assert len({labels[0], labels[3], labels[4]}) == 3
+    assert mesh.components(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))[0] == 3
+
+
+def test_only_mesh_imports_csgraph():
+    # `mesh.components` is the one path for counting connectivity
+    importers = set()
+    for path in Path(mesh.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "csgraph":  # sparse.csgraph.<function>
+                names = ["scipy.sparse.csgraph"]
+            else:
+                continue
+            if any(n.startswith("scipy.sparse.csgraph") for n in names):
+                importers.add(path.name)
+    assert importers == {"mesh.py"}
 
 
 def test_periodic_grid_needs_three_cells_per_axis():
