@@ -214,7 +214,7 @@ def normalize_and_sign(result: EigenResult, pair: OperatorPair, geom: CollarGeom
     return replace(result, vectors=vectors)
 
 
-def collar_ramp_vector(geom: CollarGeometry, field: ConformalField, d: int):
+def collar_ramp_vector(geom: CollarGeometry, field: ConformalField):
     """Lipschitz comparison field: 1 on the minus side, affine ramp across
     the collar, constant 1 - 2 a eta on the plus side.
 
@@ -222,8 +222,8 @@ def collar_ramp_vector(geom: CollarGeometry, field: ConformalField, d: int):
     using the same discrete volumes the operators were assembled from.
     Returns (vector over all vertices, a).
     """
-    eps_w = field.epsilon ** (d / 2.0)
-    kap_w = field.kappa ** (d / 2.0)
+    eps_w = field.epsilon ** (geom.dim / 2.0)
+    kap_w = field.kappa ** (geom.dim / 2.0)
     collar = geom.region == REGION_COLLAR
     moment = float(
         np.add.reduce(geom.cell_volumes[collar] * (geom.eta + geom.cell_rho[collar]))
@@ -240,12 +240,7 @@ def collar_ramp_vector(geom: CollarGeometry, field: ConformalField, d: int):
     return u, float(a)
 
 
-def test_function_bound(
-    geom: CollarGeometry,
-    field: ConformalField,
-    pair: OperatorPair,
-    d: int,
-) -> float:
+def test_function_bound(geom: CollarGeometry, field: ConformalField, pair: OperatorPair) -> float:
     """Energy quotient of the explicit collar ramp; an upper bound for the
     first nontrivial eigenvalue of the same pair by min-max.
 
@@ -257,7 +252,7 @@ def test_function_bound(
         raise ValueError("collar half-width is not grid aligned; ramp is not representable")
     if field.profile != "step":
         raise ValueError("the ramp bound is defined for the step profile")
-    u, _ = collar_ramp_vector(geom, field, d)
+    u, _ = collar_ramp_vector(geom, field)
     u = u[pair.dof_map]
     ones = np.ones(pair.n_dof)
     Mones = pair.M @ ones

@@ -46,7 +46,7 @@ class ScenarioConfig:
 
     scenario: str
     mesh_path: str = ""                    # a mesh file; a box grid when empty
-    d: int = 3
+    d: int = 3                             # the scene's dimension; a mesh file's must match
     n: int = 16
     eta: float = 0.125
     sigma: str = "plane"                   # plane | sphere:cx,cy,cz,r | torus:R,r
@@ -59,6 +59,19 @@ class ScenarioConfig:
     out: str = "out"
     oracle_resolution: int = 1024
     resolution: int = 32                   # torus grid of the morse benchmark, >= 3
+
+    def __post_init__(self):
+        for key in ("eta", "epsilon", "sigma_offset", "epsilons"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        if not self.epsilons:
+            raise ValueError("epsilons must list at least one value")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.resolution < 3:
+            raise ValueError(f"resolution must be at least 3 (a torus grid), got {self.resolution}")
+        _parse_sigma(self)  # scene descriptors fail here, as config errors
+        _parse_warp(self.warp)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -79,15 +92,7 @@ class ScenarioConfig:
             if key not in fields:
                 raise ValueError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(value, fields[key])
-        cfg = cls(**kwargs)
-        for key in ("eta", "epsilon", "sigma_offset", "epsilons"):
-            if not np.all(np.isfinite(getattr(cfg, key))):
-                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
-        if cfg.resolution < 3:
-            raise ValueError(f"resolution must be at least 3 (a torus grid), got {cfg.resolution}")
-        _parse_sigma(cfg)  # scene descriptors fail here, as config errors
-        _parse_warp(cfg.warp)
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -287,21 +292,24 @@ def _parse_sigma(cfg: ScenarioConfig):
 
 
 def _build_scene(cfg: ScenarioConfig):
+    """The scene's mesh and collar; past here the mesh, not ``cfg.d``, is the dimension."""
     if cfg.mesh_path:
         mesh = load_mesh(cfg.mesh_path)
+        if mesh.dim != cfg.d:
+            raise ValueError(f"mesh file '{cfg.mesh_path}' is {mesh.dim}d, but the config sets d = {cfg.d}")
     else:
-        warp, _ = _parse_warp(cfg.warp)
-        mesh = build_box_grid(cfg.d, cfg.n, warp=warp, sigma_offset=cfg.sigma_offset)
-    sigma = _parse_sigma(cfg)
-    rho = metric.signed_distance(mesh, sigma)
-    snap = isinstance(sigma, metric.PlaneSigma) and mesh.grid_resolution is not None
-    geom = metric.collar_geometry(mesh, rho, cfg.eta, snap=snap)
-    return mesh, geom
+        mesh = build_box_grid(cfg.d, cfg.n, warp=_parse_warp(cfg.warp)[0], sigma_offset=cfg.sigma_offset)
+    return mesh, metric.collar_geometry(mesh, _parse_sigma(cfg), cfg.eta)
 
 
-def _plateaus(geom: metric.CollarGeometry, d: int) -> harmonic.PlateauConstants:
-    k0 = metric.kappa_zero(geom.vol_collar, geom.vol_complement, d)
-    return harmonic.compute_plateaus(geom.vol_plus, geom.vol_minus, k0, d)
+def _plateaus(geom: metric.CollarGeometry) -> harmonic.PlateauConstants:
+    k0 = metric.kappa_zero(geom.vol_collar, geom.vol_complement, geom.dim)
+    return harmonic.compute_plateaus(geom.vol_plus, geom.vol_minus, k0, geom.dim)
+
+
+def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float):
+    return oracle.step_profile(eps, geom.eta, geom.dim, center=cfg.sigma_offset,
+                               warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
 
 
 def _solve_point(mesh, geom, cfg, eps, m=2):
@@ -310,9 +318,9 @@ def _solve_point(mesh, geom, cfg, eps, m=2):
     Non-grid-aligned collars (file meshes, curved interfaces) have no exact
     ramp, so the bound comes back None and the solver starts unseeded.
     """
-    fld = metric.build_conformal_field(geom, eps, cfg.d)
+    fld = metric.build_conformal_field(geom, eps)
     pair = assembly.assemble(mesh, fld)
-    bound = eigen.test_function_bound(geom, fld, pair, cfg.d) if geom.grid_aligned else None
+    bound = eigen.test_function_bound(geom, fld, pair) if geom.grid_aligned else None
     result = eigen.solve_smallest(pair, m, shift_estimate=bound, seed=cfg.seed)
     result = eigen.normalize_and_sign(result, pair, geom)
     return fld, pair, bound, result
@@ -348,16 +356,14 @@ def _run_scaling(cfg: ScenarioConfig):
 
     def point(eps):
         fld, pair, bound, result = _solve_point(mesh, geom, cfg, eps)
-        vol_err = metric.verify_volume_preservation(fld, geom, cfg.d)
+        vol_err = metric.verify_volume_preservation(fld, geom)
         return (eps, result.values[1], result.values[0], bound, fld.kappa, vol_err,
                 float(result.residuals[1:].max()))
 
     rows = _map_sweep(cfg, point, cfg.epsilons)
 
     def oracle_point(eps):
-        prof = oracle.step_profile(eps, geom.eta, cfg.d, center=cfg.sigma_offset,
-                                   warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
-        ev = oracle.sturm_liouville_neumann(prof, 2, refine=False)
+        ev = oracle.sturm_liouville_neumann(_oracle_profile(cfg, geom, eps), 2, refine=False)
         return float(ev.values[1])
 
     oracle_lams = _map_sweep(cfg, oracle_point, cfg.epsilons)
@@ -367,7 +373,7 @@ def _run_scaling(cfg: ScenarioConfig):
     fit3d = oracle.scaling_fit(cfg.epsilons, lam1)
     fit1d = oracle.scaling_fit(cfg.epsilons, oracle_lams)
 
-    slope = cfg.d / 2 - 1  # lambda1 ~ eps^(d/2 - 1)
+    slope = geom.dim / 2 - 1  # lambda1 ~ eps^(d/2 - 1)
     verdicts = [
         Verdict("eigenvalue-scaling-slope", fit3d.slope, [slope - 0.1, slope + 0.1], "in"),
         Verdict("oracle-scaling-slope", fit1d.slope, [slope - 0.05, slope + 0.05], "in"),
@@ -418,7 +424,7 @@ def _run_gap(cfg: ScenarioConfig):
     return tables, verdicts, {}
 
 
-def _plateau_sups(mesh, geom, consts, u1):
+def _plateau_sups(geom, consts, u1):
     far_plus = (geom.rho >= 2 * geom.eta - 1e-12)
     far_minus = (geom.rho <= -2 * geom.eta + 1e-12)
     sup_plus = float(np.abs(u1[far_plus] - consts.c_plus).max())
@@ -428,12 +434,12 @@ def _plateau_sups(mesh, geom, consts, u1):
 
 def _run_plateau(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
-    consts = _plateaus(geom, cfg.d)
+    consts = _plateaus(geom)
     sweep = tuple(sorted(cfg.epsilons, reverse=True))  # monotone gate reads large -> small
 
     def point(eps):
         _, _, _, result = _solve_point(mesh, geom, cfg, eps)
-        sp, sm = _plateau_sups(mesh, geom, consts, result.vectors[:, 1])
+        sp, sm = _plateau_sups(geom, consts, result.vectors[:, 1])
         return eps, result.values[1], sp, sm, max(sp, sm) / consts.gap
 
     rows = _map_sweep(cfg, point, sweep)
@@ -466,7 +472,7 @@ def _center_fiber(mesh: Mesh):
 
 def _run_collar(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
-    consts = _plateaus(geom, cfg.d)
+    consts = _plateaus(geom)
     hsol = harmonic.solve_harmonic(mesh, geom, consts)
     h_full = hsol.scatter(mesh.num_vertices)
     on_collar = ~np.isnan(h_full)
@@ -525,17 +531,17 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     # flat benchmark: the affine model is discrete-harmonic, so h matches it
     flat_cfg = dataclasses.replace(cfg, warp="none")
     mesh_flat, geom_flat = _build_scene(flat_cfg)
-    consts_flat = _plateaus(geom_flat, cfg.d)
+    consts_flat = _plateaus(geom_flat)
     flat = harmonic.solve_harmonic(mesh_flat, geom_flat, consts_flat)
 
     mesh = build_box_grid(cfg.d, cfg.n, warp=warp_fn, sigma_offset=cfg.sigma_offset)
-    rho = metric.signed_distance(mesh, metric.PlaneSigma(cfg.sigma_offset))
+    sigma = metric.PlaneSigma(cfg.sigma_offset)
 
     rows = []
     devs = []
     for eta in (0.2, 0.1, 0.05):  # halving eta should halve the deviation
-        geom = metric.collar_geometry(mesh, rho, eta)
-        consts = _plateaus(geom, cfg.d)
+        geom = metric.collar_geometry(mesh, sigma, eta)
+        consts = _plateaus(geom)
         sol = harmonic.solve_harmonic(mesh, geom, consts)
         if not rows:  # the widest eta also backs the spectral solve below
             geom0, consts0, sol0 = geom, consts, sol
@@ -546,9 +552,9 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 
     # spectral collar solve against the 1d closed form, at the widest eta
     n_sigma = 64  # the 1e-4 gate below reads the truncation at 64 modes
-    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, cfg.d, n_sigma)
+    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, geom0.dim, n_sigma)
     fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=n_sigma)
-    h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, cfg.d)
+    h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, geom0.dim)
     rr = np.linspace(-geom0.eta, geom0.eta, 801)
     h_fourier = harmonic.hbar(rr, geom0.eta, consts0) + fsol.evaluate_rho(rr)
     h_exact = h1d(rr)
@@ -584,14 +590,14 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 
 def _run_nodal(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
-    consts = _plateaus(geom, cfg.d)
+    consts = _plateaus(geom)
     fld, pair, bound, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
     u1 = result.vectors[:, 1]
 
     ns = nodal.extract_nodal_set(mesh, u1)
     report = nodal.localization_report(ns, geom)
     domains = nodal.nodal_domain_count(mesh, u1)
-    single = nodal.single_crossing_check(mesh, u1, geom)
+    single = nodal.single_crossing_check(mesh, u1)
     min_grad = ns.min_gradient
     grad_floor = 0.5 * consts.gap / (2.0 * geom.eta)  # half the affine model's slope
 
@@ -627,15 +633,15 @@ def _run_mollify(cfg: ScenarioConfig):
     fld, pair, bound, ref = _solve_point(mesh, geom, cfg, eps)
     lam_ref = float(ref.values[1])
     u_ref = ref.vectors[:, 1]
-    consts = _plateaus(geom, cfg.d)
+    consts = _plateaus(geom)
 
     rows = []
     diffs = []
     vec_sup = None
     for k in (4, 2, 1):  # transition widths in mesh spacings
         n_moll = cfg.n // k
-        fm = metric.build_conformal_field(geom, eps, cfg.d, profile="mollified", mollify_n=n_moll)
-        gamma = metric.volume_rescale_factor(fm, geom, cfg.d)
+        fm = metric.build_conformal_field(geom, eps, profile="mollified", mollify_n=n_moll)
+        gamma = metric.volume_rescale_factor(fm, geom)
         pm = assembly.assemble(mesh, fm)
         rm = eigen.solve_smallest(pm, 2, shift_estimate=lam_ref, seed=cfg.seed)
         rm = eigen.normalize_and_sign(rm, pm, geom)
@@ -679,7 +685,7 @@ def _run_morse(cfg: ScenarioConfig):
 
     # genus-1 level set: critical counts inside the solid torus bound the
     # Betti numbers (1, 1); a 3d n-grid scene is that grid (a warp is only its metric)
-    mesh3 = mesh if cfg.d == 3 and not cfg.mesh_path else build_box_grid(3, cfg.n)
+    mesh3 = mesh if mesh.dim == 3 and mesh.grid_resolution is not None else build_box_grid(3, cfg.n)
     torus = metric.torus_level((0.5,) * 3, 0.3, 0.14)
     phi = torus.func(mesh3.vertices)
     region = np.all(phi[mesh3.cells] < 0, axis=1)
@@ -700,7 +706,7 @@ def _run_morse(cfg: ScenarioConfig):
         ),
         "eigenfunction": _table(
             ["epsilon", "index", "count"],
-            [[cfg.epsilon, i, eig_rep.counts.get(i, 0)] for i in range(cfg.d + 1)],
+            [[cfg.epsilon, i, eig_rep.counts.get(i, 0)] for i in range(mesh.dim + 1)],
         ),
     }
     return tables, verdicts, {}
@@ -711,9 +717,7 @@ def _run_oracle_compare(cfg: ScenarioConfig):
 
     def point(eps):
         _, _, bound, result = _solve_point(mesh, geom, cfg, eps)
-        prof = oracle.step_profile(eps, geom.eta, cfg.d, center=cfg.sigma_offset,
-                                   warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
-        ev = oracle.sturm_liouville_neumann(prof, 2)
+        ev = oracle.sturm_liouville_neumann(_oracle_profile(cfg, geom, eps), 2)
         lam3, lam1 = float(result.values[1]), float(ev.values[1])
         return [eps, lam3, lam1, float(ev.refined[1]), abs(lam3 - lam1) / lam1]
 
@@ -858,15 +862,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        try:
-            config = ScenarioConfig.from_file(args.config)
+        overrides = {k: v for k, v in (("workers", args.workers), ("out", args.out)) if v is not None}
+        try:  # overrides pass the same checks as the file's keys
+            config = dataclasses.replace(ScenarioConfig.from_file(args.config), **overrides)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if args.workers is not None:
-            config = dataclasses.replace(config, workers=args.workers)
-        if args.out is not None:
-            config = dataclasses.replace(config, out=args.out)
         report = run_scenario(config)
         paths = write_report(report, config.out)
         for failure in report.failures:

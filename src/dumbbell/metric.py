@@ -102,6 +102,7 @@ class CollarGeometry:
     volume exactly.
     """
 
+    dim: int                   # the mesh's dimension, which sets every f^{d/2} weight
     rho: np.ndarray            # (V,) vertex signed distance
     cell_rho: np.ndarray       # (C,) barycenter signed distance
     cell_volumes: np.ndarray   # (C,) reference-metric volumes
@@ -125,27 +126,19 @@ class CollarGeometry:
         return self.region == label
 
 
-def collar_geometry(
-    mesh: Mesh,
-    rho: np.ndarray,
-    eta: float,
-    snap: Optional[bool] = None,
-) -> CollarGeometry:
-    """Label cells by barycenter distance and take discrete region volumes.
+def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeometry:
+    """Label cells by barycenter distance to ``sigma`` and take discrete region volumes.
 
-    For box grids ``eta`` snaps to the nearest grid plane (at least one cell
-    layer), which puts the collar boundary on mesh facets; ``snap=False``
-    keeps eta as given (curved hypersurfaces).
+    A plane on a box grid snaps ``eta`` to the nearest grid plane (at least
+    one cell layer), which puts the collar boundary on mesh facets; any
+    other scene keeps eta as given.
     """
     if eta <= 0:
         raise ValueError(f"collar half-width must be positive, got {eta}")
-    rho = np.asarray(rho, dtype=float)
+    rho = signed_distance(mesh, sigma)
     spacing = mesh.spacing()
-    if snap is None:
-        snap = spacing is not None
+    snap = isinstance(sigma, PlaneSigma) and spacing is not None
     if snap:
-        if spacing is None:
-            raise ValueError("cannot snap eta without a grid resolution")
         eta = max(1.0, round(eta / spacing)) * spacing
 
     cell_rho = rho[mesh.cells].mean(axis=1)
@@ -171,6 +164,7 @@ def collar_geometry(
         and np.any(np.abs(rho + eta) < 1e-12)
     )
     return CollarGeometry(
+        dim=mesh.dim,
         rho=rho,
         cell_rho=cell_rho,
         cell_volumes=volumes,
@@ -252,7 +246,6 @@ class ConformalField:
 def build_conformal_field(
     geom: CollarGeometry,
     epsilon: float,
-    d: int,
     profile: str = "step",
     mollify_n: Optional[int] = None,
 ) -> ConformalField:
@@ -264,7 +257,7 @@ def build_conformal_field(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    kap = kappa(epsilon, geom.vol_collar, geom.vol_complement, d)
+    kap = kappa(epsilon, geom.vol_collar, geom.vol_complement, geom.dim)
     if profile == "step":
         f = np.where(geom.region == REGION_COLLAR, epsilon, kap)
         return ConformalField(epsilon, kap, "step", None, f)
@@ -283,25 +276,25 @@ def build_conformal_field(
     return ConformalField(epsilon, kap, "mollified", width, f)
 
 
-def conformal_volume(field: ConformalField, geom: CollarGeometry, d: int) -> float:
+def conformal_volume(field: ConformalField, geom: CollarGeometry) -> float:
     """Total volume under the conformal metric, sum of f^{d/2} cell volumes."""
-    return float(np.add.reduce(field.f ** (d / 2.0) * geom.cell_volumes))
+    return float(np.add.reduce(field.f ** (geom.dim / 2.0) * geom.cell_volumes))
 
 
-def verify_volume_preservation(field: ConformalField, geom: CollarGeometry, d: int) -> float:
+def verify_volume_preservation(field: ConformalField, geom: CollarGeometry) -> float:
     """Relative volume defect of the conformal metric.
 
     Zero to roundoff for the step profile (kappa is computed from the same
     discrete volumes); strictly positive for mollified profiles.
     """
     total = geom.total_volume
-    return abs(conformal_volume(field, geom, d) - total) / total
+    return abs(conformal_volume(field, geom) - total) / total
 
 
-def volume_rescale_factor(field: ConformalField, geom: CollarGeometry, d: int) -> float:
+def volume_rescale_factor(field: ConformalField, geom: CollarGeometry) -> float:
     """Constant gamma with gamma^{d/2} Vol(f g0) = Vol(g0).
 
     Rescaling a mollified metric by gamma restores the volume without
     changing eigenfunctions; eigenvalues divide by gamma.
     """
-    return float((geom.total_volume / conformal_volume(field, geom, d)) ** (2.0 / d))
+    return float((geom.total_volume / conformal_volume(field, geom)) ** (2.0 / geom.dim))

@@ -176,7 +176,7 @@ def nodal_domain_count(mesh: Mesh, u: np.ndarray) -> int:
     return int(components(mesh.num_vertices, *same.T)[0])
 
 
-def single_crossing_check(mesh: Mesh, u: np.ndarray, geom: "CollarGeometry") -> bool:
+def single_crossing_check(mesh: Mesh, u: np.ndarray) -> bool:
     """True iff every grid fiber along the distance axis changes sign once.
 
     This certifies the zero set is a graph over the cross-section, the

@@ -15,15 +15,13 @@ def box16():
 
 @pytest.fixture(scope="session")
 def scene16(box16):
-    rho = metric.signed_distance(box16, metric.PlaneSigma(0.5))
-    geom = metric.collar_geometry(box16, rho, 0.125)
+    geom = metric.collar_geometry(box16, metric.PlaneSigma(0.5), 0.125)
     return box16, geom
 
 
 @pytest.fixture(scope="session")
 def scene8(box8):
-    rho = metric.signed_distance(box8, metric.PlaneSigma(0.5))
-    geom = metric.collar_geometry(box8, rho, 0.125)
+    geom = metric.collar_geometry(box8, metric.PlaneSigma(0.5), 0.125)
     return box8, geom
 
 
@@ -31,9 +29,9 @@ def scene8(box8):
 def dumbbell16(scene16):
     """Solved dumbbell at epsilon 1e-3 on the n=16 box: the workhorse scene."""
     m, geom = scene16
-    fld = metric.build_conformal_field(geom, 1e-3, 3)
+    fld = metric.build_conformal_field(geom, 1e-3)
     pair = assembly.assemble(m, fld)
-    bound = eigen.test_function_bound(geom, fld, pair, 3)
+    bound = eigen.test_function_bound(geom, fld, pair)
     result = eigen.solve_smallest(pair, 3, tol=1e-9, shift_estimate=bound)
     result = eigen.normalize_and_sign(result, pair, geom)
     consts = harmonic.compute_plateaus(

@@ -7,7 +7,7 @@ from scipy import sparse
 from dumbbell import eigen, experiments, harmonic, mesh, metric
 from dumbbell.assembly import assemble, subdomain_neumann
 from dumbbell.mesh import build_box_grid, simplex_gradient_data
-from dumbbell.metric import PlaneSigma, build_conformal_field, collar_geometry, signed_distance
+from dumbbell.metric import PlaneSigma, build_conformal_field, collar_geometry
 
 
 def _reference_pair(mesh, field=None, cell_mask=None):
@@ -36,7 +36,7 @@ def _reference_pair(mesh, field=None, cell_mask=None):
 
 def _scene(d, n, warp=None):
     m = build_box_grid(d, n, warp=warp)
-    geom = collar_geometry(m, signed_distance(m, PlaneSigma(0.5)), 0.25)
+    geom = collar_geometry(m, PlaneSigma(0.5), 0.25)
     return m, geom
 
 
@@ -48,7 +48,7 @@ def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
     # multiplied before the power would leak the unselected cells into K
     m, geom = _scene(d, n, warp)
     fld = None if profile == "none" else build_conformal_field(
-        geom, 1e-3, d, profile=profile, mollify_n=None if profile == "step" else n // 2)
+        geom, 1e-3, profile=profile, mollify_n=None if profile == "step" else n // 2)
     mask = {"whole": None, "collar": geom.region == metric.REGION_COLLAR,
             "plus": geom.region == metric.REGION_PLUS}[region]
     K, M, dof_map = _reference_pair(m, fld, mask)
@@ -61,7 +61,7 @@ def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
 
 def test_assembled_pairs_do_not_share_the_cached_pattern(scene8):
     m, geom = scene8
-    fld = build_conformal_field(geom, 1e-1, 3)
+    fld = build_conformal_field(geom, 1e-1)
     first = assemble(m, fld)
     K, M = first.K.copy(), first.M.copy()
     first.K.indices[:] = 0
@@ -98,7 +98,7 @@ def test_constants_in_null_space(box8):
 
 def test_symmetry_probes(scene16):
     m, geom = scene16
-    fld = build_conformal_field(geom, 1e-3, 3)
+    fld = build_conformal_field(geom, 1e-3)
     pair = assemble(m, fld)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -111,7 +111,7 @@ def test_symmetry_probes(scene16):
 
 def test_total_mass_is_conformal_volume(scene16):
     m, geom = scene16
-    fld = build_conformal_field(geom, 0.01, 3)
+    fld = build_conformal_field(geom, 0.01)
     pair = assemble(m, fld)
     expected = float(np.add.reduce(fld.f**1.5 * geom.cell_volumes))
     assert pair.M.sum() == pytest.approx(expected, rel=1e-12)
@@ -119,7 +119,7 @@ def test_total_mass_is_conformal_volume(scene16):
 
 def test_mass_row_sums_positive(scene16):
     m, geom = scene16
-    pair = assemble(m, build_conformal_field(geom, 1e-3, 3))
+    pair = assemble(m, build_conformal_field(geom, 1e-3))
     assert np.asarray(pair.M.sum(axis=1)).min() > 0
 
 
@@ -131,7 +131,7 @@ def test_flat_box_first_eigenvalue(box16):
 
 def test_ramp_energy_only_from_collar(dumbbell16):
     m, geom, fld = dumbbell16["mesh"], dumbbell16["geom"], dumbbell16["field"]
-    u, _ = eigen.collar_ramp_vector(geom, fld, 3)
+    u, _ = eigen.collar_ramp_vector(geom, fld)
     # assemble over the two plateau regions only: the ramp is constant there
     outside = geom.region != metric.REGION_COLLAR
     pair_out = assemble(m, fld, cell_mask=outside)
@@ -143,7 +143,7 @@ def test_ramp_energy_only_from_collar(dumbbell16):
 
 def test_scaling_covariance(scene8):
     m, geom = scene8
-    fld = build_conformal_field(geom, 0.1, 3)
+    fld = build_conformal_field(geom, 0.1)
     pair = assemble(m, fld)
     pair4 = assemble(m, fld.scaled(4.0))
     rng = np.random.default_rng(0)
@@ -155,7 +155,7 @@ def test_scaling_covariance(scene8):
 
 def test_minmax_lower_bound_random_probes(scene8):
     m, geom = scene8
-    fld = build_conformal_field(geom, 0.1, 3)
+    fld = build_conformal_field(geom, 0.1)
     pair = assemble(m, fld)
     res = eigen.solve_smallest(pair, 2, tol=1e-10, shift_estimate=3.0)
     lam1 = res.values[1]
@@ -192,8 +192,7 @@ def test_dirichlet_warped_matches_1d_oracle():
     errs = []
     for n in (10, 20):
         m = build_box_grid(3, n, warp=warp, sigma_offset=0.5)
-        rho = signed_distance(m, PlaneSigma(0.5))
-        geom = collar_geometry(m, rho, eta)
+        geom = collar_geometry(m, PlaneSigma(0.5), eta)
         consts = harmonic.compute_plateaus(
             geom.vol_plus, geom.vol_minus,
             metric.kappa_zero(geom.vol_collar, geom.vol_complement, 3), 3)

@@ -89,25 +89,25 @@ def test_rayleigh_quotient_constant_and_errors(dumbbell16):
 def test_bound_dominates_lambda1_everywhere(scene16):
     m, geom = scene16
     for eps in (1.0, 0.1, 1e-2, 1e-3):
-        fld = build_conformal_field(geom, eps, 3)
+        fld = build_conformal_field(geom, eps)
         pair = assembly.assemble(m, fld)
-        bound = ramp_bound(geom, fld, pair, 3)
+        bound = ramp_bound(geom, fld, pair)
         res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
         assert res.values[1] <= bound
 
 
 def test_bound_finite_at_eps_one(scene16):
     m, geom = scene16
-    fld = build_conformal_field(geom, 1.0, 3)
+    fld = build_conformal_field(geom, 1.0)
     pair = assembly.assemble(m, fld)
-    bound = ramp_bound(geom, fld, pair, 3)
+    bound = ramp_bound(geom, fld, pair)
     assert np.isfinite(bound)
     assert bound >= np.pi**2 * 0.9  # any mean-zero field bounds lambda1 from above
 
 
 def test_ramp_mean_vanishes(dumbbell16):
     geom, fld, pair = dumbbell16["geom"], dumbbell16["field"], dumbbell16["pair"]
-    u, _ = eigen.collar_ramp_vector(geom, fld, 3)
+    u, _ = eigen.collar_ramp_vector(geom, fld)
     ones = np.ones(pair.n_dof)
     assert abs(u @ (pair.M @ ones)) <= 1e-10
 
@@ -117,25 +117,25 @@ def test_bound_scaling_band(scene16):
     m, geom = scene16
     ratios = []
     for eps in (1e-2, 1e-3):
-        fld = build_conformal_field(geom, eps, 3)
+        fld = build_conformal_field(geom, eps)
         pair = assembly.assemble(m, fld)
-        ratios.append(ramp_bound(geom, fld, pair, 3) / np.sqrt(eps))
+        ratios.append(ramp_bound(geom, fld, pair) / np.sqrt(eps))
     assert max(ratios) / min(ratios) < 4.0
 
 
 def test_bound_refuses_unaligned_eta(box16):
-    rho = metric.signed_distance(box16, metric.PlaneSigma(0.5))
-    geom = collar_geometry(box16, rho, 0.1, snap=False)  # 0.1 not on the 1/16 grid
+    # eta snaps to 2/16, but a plane at 0.47 puts the collar planes at 0.345 and 0.595, off the 1/16 grid
+    geom = collar_geometry(box16, metric.PlaneSigma(0.47), 0.1)
     assert not geom.grid_aligned
-    fld = build_conformal_field(geom, 0.1, 3)
+    fld = build_conformal_field(geom, 0.1)
     pair = assembly.assemble(box16, fld)
     with pytest.raises(ValueError, match="grid aligned"):
-        ramp_bound(geom, fld, pair, 3)
+        ramp_bound(geom, fld, pair)
 
 
 def test_conformal_scaling_invariance(scene8):
     m, geom = scene8
-    fld = build_conformal_field(geom, 0.1, 3)
+    fld = build_conformal_field(geom, 0.1)
     pair = assembly.assemble(m, fld)
     pair4 = assembly.assemble(m, fld.scaled(4.0))
     res = solve_smallest(pair, 2, tol=1e-10, shift_estimate=3.0)
@@ -164,9 +164,9 @@ def test_severe_mass_ill_conditioning(scene16):
     # at eps = 1e-4 the mass weights span six orders of magnitude; the
     # solver must still deliver clean small eigenvalues
     m, geom = scene16
-    fld = build_conformal_field(geom, 1e-4, 3)
+    fld = build_conformal_field(geom, 1e-4)
     pair = assembly.assemble(m, fld)
-    bound = ramp_bound(geom, fld, pair, 3)
+    bound = ramp_bound(geom, fld, pair)
     res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
     assert 0 < res.values[1] <= bound
     assert np.all(res.residuals <= 1e-9)
@@ -201,22 +201,21 @@ def test_galerkin_coarse_operators_are_the_coarse_grid_operators(d, n):
 
 def _plane_pair(d, n, eps):
     m = build_box_grid(d, n)
-    geom = collar_geometry(m, metric.signed_distance(m, metric.PlaneSigma(0.5)), 0.125)
-    fld = build_conformal_field(geom, eps, d)
+    geom = collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
+    fld = build_conformal_field(geom, eps)
     pair = assembly.assemble(m, fld)
-    return pair, ramp_bound(geom, fld, pair, d)
+    return pair, ramp_bound(geom, fld, pair)
 
 
 def _sphere_pair():
     m = build_box_grid(3, 16)
-    rho = metric.signed_distance(m, metric.sphere_level((0.5, 0.5, 0.5), 0.3))
-    geom = collar_geometry(m, rho, 0.125, snap=False)
-    return assembly.assemble(m, build_conformal_field(geom, 1e-3, 3)), None
+    geom = collar_geometry(m, metric.sphere_level((0.5, 0.5, 0.5), 0.3), 0.125)
+    return assembly.assemble(m, build_conformal_field(geom, 1e-3)), None
 
 
 def _gap_subdomain_pair():
     m = build_box_grid(3, 16)
-    geom = collar_geometry(m, metric.signed_distance(m, metric.PlaneSigma(0.5)), 0.125)
+    geom = collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
     return assembly.subdomain_neumann(m, geom, "plus"), 1.0
 
 

@@ -185,6 +185,18 @@ def test_gap_scenario_from_file_mesh(tmp_path):
     assert report.all_passed()
 
 
+def test_file_mesh_dimension_must_match_d(tmp_path):
+    from dumbbell.mesh import build_box_grid, save_mesh
+
+    path = tmp_path / "square.mesh"
+    save_mesh(build_box_grid(2, 8), path)
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "gap", "mesh_path": str(path)}))
+    assert report.failures == [{"stage": "gap", "error": f"ValueError: mesh file '{path}' is 2d, "
+                                "but the config sets d = 3"}]
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "gap", "mesh_path": str(path), "d": 2}))
+    assert not report.failures
+
+
 def test_cli_run_and_emit(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -241,12 +253,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     "epsilon = nan",
     "sigma_offset = nan",
     "epsilons = 1e-1, nan, 1e-3",
+    "epsilons = ",                        # an empty sweep
+    "workers = 0",
+    "workers = -1",
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"scenario = gap\nn = 8\n{line}\n")
     assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_worker_override_is_checked_like_the_config(tmp_path, capsys, workers):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("scenario = gap\nn = 8\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out"), "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"config error: workers must be at least 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mapping", [

@@ -12,14 +12,13 @@ from dumbbell.harmonic import (
     warped_harmonic_1d,
 )
 from dumbbell.mesh import build_box_grid
-from dumbbell.metric import PlaneSigma, collar_geometry, kappa_zero, signed_distance, sphere_level
+from dumbbell.metric import PlaneSigma, collar_geometry, kappa_zero, sphere_level
 
 
 def warped_scene(n=20, eta=0.2, slope=1.0):
     warp = lambda r: 1.0 + slope * r
     m = build_box_grid(3, n, warp=warp, sigma_offset=0.5)
-    rho = signed_distance(m, PlaneSigma(0.5))
-    geom = collar_geometry(m, rho, eta)
+    geom = collar_geometry(m, PlaneSigma(0.5), eta)
     consts = compute_plateaus(
         geom.vol_plus, geom.vol_minus,
         kappa_zero(geom.vol_collar, geom.vol_complement, 3), 3)
@@ -103,7 +102,7 @@ def test_collar_thinner_than_a_cell_is_rejected():
     # at n = 6 two vertices of the sphere's collar touch both bulk regions,
     # so they would be held at c+ and at c- at once
     m = build_box_grid(3, 6)
-    geom = collar_geometry(m, signed_distance(m, sphere_level((0.5,) * 3, 0.3)), 0.125, snap=False)
+    geom = collar_geometry(m, sphere_level((0.5,) * 3, 0.3), 0.125)
     with pytest.raises(ValueError, match="borders both bulk regions"):
         solve_harmonic(m, geom, PlateauConstants(1.0, -1.0, 1.0))
 
@@ -128,10 +127,9 @@ def test_warped_collar_matches_1d_reduction():
 
 def test_deviation_shrinks_with_eta():
     m, _, _, warp = warped_scene()
-    rho = signed_distance(m, PlaneSigma(0.5))
     devs = []
     for eta in (0.2, 0.1, 0.05):
-        geom = collar_geometry(m, rho, eta)
+        geom = collar_geometry(m, PlaneSigma(0.5), eta)
         consts = compute_plateaus(
             geom.vol_plus, geom.vol_minus,
             kappa_zero(geom.vol_collar, geom.vol_complement, 3), 3)

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from dumbbell import metric
+from dumbbell import assembly, eigen, harmonic, metric, nodal
+from dumbbell.mesh import load_mesh, save_mesh
 from dumbbell.metric import (
     PlaneSigma,
     SeparationError,
@@ -68,16 +71,36 @@ def test_collar_volumes_partition(scene16):
 
 def test_labels_idempotent(scene16):
     m, geom = scene16
-    again = collar_geometry(m, geom.rho, geom.eta)
+    again = collar_geometry(m, PlaneSigma(0.5), geom.eta)
     assert np.array_equal(again.region, geom.region)
     assert again.eta == geom.eta
 
 
-def test_eta_snapping(box16):
-    rho = signed_distance(box16, PlaneSigma(0.5))
-    geom = collar_geometry(box16, rho, 0.11)  # snaps to 2/16
+def test_eta_snapping(box8, box16, tmp_path):
+    geom = collar_geometry(box16, PlaneSigma(0.5), 0.11)  # snaps to 2/16
     assert geom.eta == pytest.approx(0.125)
     assert geom.grid_aligned
+    # only a plane on a grid snaps: a sphere on the grid and a plane on a file mesh keep eta
+    save_mesh(box8, tmp_path / "box.mesh")
+    for m, sigma in ((box16, sphere_level((0.5,) * 3, 0.3)), (load_mesh(tmp_path / "box.mesh"), PlaneSigma(0.5))):
+        geom = collar_geometry(m, sigma, 0.11)
+        assert geom.eta == 0.11
+        assert not geom.grid_aligned
+
+
+def test_geometry_fixes_the_dimension_and_the_snap():
+    # a function handed the collar geometry or a conformal field reads d from it
+    takes_d = []
+    for module in (metric, eigen, harmonic, assembly, nodal):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            annotations = " ".join(str(p.annotation) for p in params.values())
+            if ("CollarGeometry" in annotations or "ConformalField" in annotations) and "d" in params:
+                takes_d.append(f"{module.__name__}.{name}")
+    assert takes_d == []
+    assert "snap" not in inspect.signature(collar_geometry).parameters
 
 
 def test_kappa_closed_form():
@@ -117,7 +140,7 @@ def test_kappa_rejects_non_finite_volumes(bad):
 
 def test_step_field_two_values(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, 3)
+    fld = build_conformal_field(geom, 0.1)
     values = np.unique(fld.f)
     assert values.size == 2
     assert values[0] == pytest.approx(0.1)
@@ -129,7 +152,7 @@ def test_step_field_two_values(scene16):
 
 def test_mollified_bounds_and_interior(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, 3, profile="mollified", mollify_n=16)
+    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=16)
     assert fld.f.min() >= 0.1 - 1e-15
     assert fld.f.max() <= fld.kappa + 1e-15
     deep = np.abs(geom.cell_rho) <= geom.eta - 1.0 / 16.0
@@ -142,12 +165,12 @@ def test_mollified_converges_to_step(scene16):
     import warnings
 
     _, geom = scene16
-    step = build_conformal_field(geom, 0.1, 3)
+    step = build_conformal_field(geom, 0.1)
     errs = []
     for n in (16, 64, 256):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # sub-spacing widths on purpose
-            moll = build_conformal_field(geom, 0.1, 3, profile="mollified", mollify_n=n)
+            moll = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=n)
         keep = np.abs(np.abs(geom.cell_rho) - geom.eta) > 1.0 / n
         errs.append(np.abs(moll.f - step.f)[keep].max() if keep.any() else 0.0)
     assert errs[-1] == 0.0  # band narrower than one layer: no barycenter inside
@@ -155,7 +178,7 @@ def test_mollified_converges_to_step(scene16):
 
 def test_mollified_monotone_in_distance(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, 3, profile="mollified", mollify_n=8)
+    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=8)
     order = np.argsort(np.abs(geom.cell_rho))
     f_sorted = fld.f[order]
     assert np.all(np.diff(f_sorted) >= -1e-12)  # nondecreasing in |rho|
@@ -164,29 +187,29 @@ def test_mollified_monotone_in_distance(scene16):
 def test_mollified_width_warning(scene16):
     _, geom = scene16
     with pytest.warns(UserWarning, match="below the mesh spacing"):
-        build_conformal_field(geom, 0.1, 3, profile="mollified", mollify_n=64)
+        build_conformal_field(geom, 0.1, profile="mollified", mollify_n=64)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.3, 0.01, 1e-3])
 def test_step_volume_preserved(scene16, eps):
     _, geom = scene16
-    fld = build_conformal_field(geom, eps, 3)
-    assert verify_volume_preservation(fld, geom, 3) <= 1e-12
+    fld = build_conformal_field(geom, eps)
+    assert verify_volume_preservation(fld, geom) <= 1e-12
 
 
 def test_mollified_volume_defect_positive(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, 3, profile="mollified", mollify_n=8)
-    defect = verify_volume_preservation(fld, geom, 3)
+    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=8)
+    defect = verify_volume_preservation(fld, geom)
     assert defect > 1e-6
-    gamma = volume_rescale_factor(fld, geom, 3)
+    gamma = volume_rescale_factor(fld, geom)
     rescaled = fld.scaled(gamma)
-    assert verify_volume_preservation(rescaled, geom, 3) <= 1e-12
+    assert verify_volume_preservation(rescaled, geom) <= 1e-12
 
 
 def test_conformal_field_validation(scene16):
     _, geom = scene16
     with pytest.raises(ValueError):
-        build_conformal_field(geom, -0.5, 3)
+        build_conformal_field(geom, -0.5)
     with pytest.raises(ValueError):
-        build_conformal_field(geom, 0.5, 3, profile="mollified", mollify_n=0)
+        build_conformal_field(geom, 0.5, profile="mollified", mollify_n=0)

@@ -104,22 +104,22 @@ def test_domain_count_scale_invariant(box8):
 
 
 def test_single_crossing_plane_and_bubble(scene16):
-    m, geom = scene16
+    m, _ = scene16
     u = m.vertices[:, 0] - 0.5
-    assert single_crossing_check(m, u, geom)
+    assert single_crossing_check(m, u)
     bubble = u.copy()
     blob = np.linalg.norm(m.vertices - [0.85, 0.5, 0.5], axis=1) < 0.09
     bubble[blob] = -0.05
-    assert not single_crossing_check(m, bubble, geom)
+    assert not single_crossing_check(m, bubble)
 
 
 def test_single_crossing_needs_grid(scene16):
     from dumbbell.mesh import Mesh
 
-    m, geom = scene16
+    m, _ = scene16
     generic = Mesh(3, m.vertices, m.cells)
     with pytest.raises(NonBoxSceneError):
-        single_crossing_check(generic, m.vertices[:, 0] - 0.5, geom)
+        single_crossing_check(generic, m.vertices[:, 0] - 0.5)
 
 
 def test_sign_symmetry_random_fields(box8):
@@ -192,7 +192,7 @@ def test_eigenfunction_nodal_set(dumbbell16):
     consts = dumbbell16["consts"]
     root = harmonic.hbar_root(geom.eta, consts)
     assert rep.max_abs_rho <= abs(root) + 1.0 / m.grid_resolution[0]
-    assert single_crossing_check(m, u1, geom)
+    assert single_crossing_check(m, u1)
 
 
 def test_polygons_ignore_solver_roundoff(dumbbell16):

@@ -16,17 +16,18 @@ from dumbbell.mesh import build_box_grid
 @pytest.fixture(scope="module")
 def plane_scene():
     m = build_box_grid(2, 12)
-    rho = metric.signed_distance(m, metric.PlaneSigma(0.5))
-    geom = metric.collar_geometry(m, rho, 1.0 / 6.0)
+    geom = metric.collar_geometry(m, metric.PlaneSigma(0.5), 1.0 / 6.0)
     return m, geom
 
 
 def test_2d_dumbbell_pipeline(plane_scene):
     m, geom = plane_scene
-    fld = metric.build_conformal_field(geom, 0.05, 2)
-    assert metric.verify_volume_preservation(fld, geom, 2) <= 1e-12
+    fld = metric.build_conformal_field(geom, 0.05)
+    assert metric.verify_volume_preservation(fld, geom) <= 1e-12
+    # the field reads d = 2 from the mesh: the volume weight f^(d/2) is f itself
+    assert fld.epsilon * geom.vol_collar + fld.kappa * geom.vol_complement == pytest.approx(1.0, abs=1e-12)
     pair = assembly.assemble(m, fld)
-    bound = eigen.test_function_bound(geom, fld, pair, 2)
+    bound = eigen.test_function_bound(geom, fld, pair)
     res = eigen.solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
     res = eigen.normalize_and_sign(res, pair, geom)
     assert 0 < res.values[1] <= bound
@@ -42,7 +43,7 @@ def test_2d_nodal_segments(plane_scene):
     assert ns.total_area == pytest.approx(1.0, abs=1e-12)  # total length here
     assert all(frag.points.shape == (2, 2) for frag in ns.fragments)
     assert nodal.nodal_domain_count(m, u) == 2
-    assert nodal.single_crossing_check(m, u, geom)
+    assert nodal.single_crossing_check(m, u)
 
 
 def test_2d_circle_level_set():
