@@ -16,7 +16,7 @@ of the whole matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -95,7 +95,8 @@ def _v_cycle(A, grid):
     damped Jacobi (omega 0.6, two sweeps down, three up), Galerkin coarse
     operators P'AP, and on the first grid that does not halve a
     symmetric-mode SuperLU (minimum degree on A'+A, diagonal pivots).
-    Returns (apply, number of coarsenings)."""
+    Returns (apply, number of coarsenings).  ``apply`` holds the levels
+    without referring to itself, so they are freed with it."""
     hierarchy = []
     while _halves(grid):
         P = _prolongation(grid)
@@ -104,19 +105,19 @@ def _v_cycle(A, grid):
         grid = tuple(k // 2 for k in grid)
     coarsest = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                     options={"SymmetricMode": True})
+    return partial(_cycle, hierarchy, coarsest), len(hierarchy)
 
-    def apply(r, depth=0):
-        if depth == len(hierarchy):
-            return coarsest.solve(r)
-        A, dinv, P = hierarchy[depth]
-        x = dinv * r
+
+def _cycle(hierarchy, coarsest, r, depth=0):
+    if depth == len(hierarchy):
+        return coarsest.solve(r)
+    A, dinv, P = hierarchy[depth]
+    x = dinv * r
+    x += dinv * (r - A @ x)
+    x += P @ _cycle(hierarchy, coarsest, P.T @ (r - A @ x), depth + 1)
+    for _ in range(3):
         x += dinv * (r - A @ x)
-        x += P @ apply(P.T @ (r - A @ x), depth + 1)
-        for _ in range(3):
-            x += dinv * (r - A @ x)
-        return x
-
-    return apply, len(hierarchy)
+    return x
 
 
 def solve_smallest(

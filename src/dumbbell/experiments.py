@@ -68,6 +68,10 @@ class ScenarioConfig:
             raise ValueError("epsilons must list at least one value")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.oracle_resolution < 64:
+            raise ValueError(f"oracle_resolution must be at least 64, got {self.oracle_resolution}")
         if self.resolution < 3:
             raise ValueError(f"resolution must be at least 3 (a torus grid), got {self.resolution}")
         _parse_sigma(self)  # scene descriptors fail here, as config errors

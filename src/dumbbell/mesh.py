@@ -113,12 +113,6 @@ class Mesh:
         """Euclidean signed volumes; positive for correctly oriented cells."""
         return np.linalg.det(self.edge_matrices()) / factorial(self.dim)
 
-    def total_volume(self) -> float:
-        return float(np.add.reduce(self.cell_operators().volumes))
-
-    def barycenters(self) -> np.ndarray:
-        return self.vertices[self.cells].mean(axis=1)
-
     def facet_table(self) -> FacetTable:
         if self._facets is None:
             self._facets = _build_facet_table(self.cells, self.dim)

@@ -154,8 +154,9 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
     for label in (REGION_PLUS, REGION_MINUS):
         if not np.any(region == label):
             raise SeparationError(f"{_REGION_NAMES[label]} region is empty; sigma does not separate")
-    _check_region_connected(mesh, region, REGION_PLUS)
-    _check_region_connected(mesh, region, REGION_MINUS)
+    _, pairs = mesh.interior_facet_pairs()
+    _check_region_connected(region, pairs, REGION_PLUS)
+    _check_region_connected(region, pairs, REGION_MINUS)
 
     # operational grid alignment: vertices exist exactly on both collar planes
     aligned = bool(
@@ -178,14 +179,14 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
     )
 
 
-def _check_region_connected(mesh: Mesh, region: np.ndarray, label: int) -> None:
+def _check_region_connected(region: np.ndarray, pairs: np.ndarray, label: int) -> None:
+    """Raise unless the ``label`` cells are connected through the interior facet ``pairs``."""
     ids = np.flatnonzero(region == label)
     if ids.size <= 1:
         return
-    _, pairs = mesh.interior_facet_pairs()
     both = (region[pairs[:, 0]] == label) & (region[pairs[:, 1]] == label)
     pairs = pairs[both]
-    local = np.full(mesh.num_cells, -1, dtype=np.int64)
+    local = np.full(region.size, -1, dtype=np.int64)
     local[ids] = np.arange(ids.size)
     n_comp, _ = components(ids.size, local[pairs[:, 0]], local[pairs[:, 1]])
     if n_comp != 1:
@@ -229,9 +230,6 @@ class ConformalField:
     profile: str                     # "step" | "mollified"
     transition: Optional[float]      # width 1/n of the mollified ramp
     f: np.ndarray                    # (C,) positive factors
-
-    def scaled(self, c: float) -> "ConformalField":
-        return ConformalField(self.epsilon, self.kappa, self.profile, self.transition, self.f * c)
 
     def to_dict(self) -> dict:
         """JSON-ready form without the (bulky) per-cell factors."""

@@ -52,10 +52,6 @@ class CriticalReport:
     counted: np.ndarray
     dim: int
 
-    @property
-    def n_critical(self) -> int:
-        return int(np.sum(self.counted & (self.labels != LABEL_REGULAR)))
-
     def euler_sum(self) -> int:
         """Alternating index sum, equals the Euler characteristic on closed inputs."""
         return int(sum((-1) ** i * c for i, c in self.counts.items()))

@@ -1,3 +1,6 @@
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from dumbbell import assembly, eigen, harmonic, mesh, metric
@@ -47,6 +50,25 @@ def dumbbell16(scene16):
         "result": result,
         "consts": consts,
     }
+
+
+@contextmanager
+def _no_cyclic_garbage():
+    """Fail unless the body leaves no reference cycle behind: with the cyclic
+    collector off, everything the body drops must be freed by refcounting."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0, "the body left cyclic garbage"
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def no_cyclic_garbage():
+    """The `_no_cyclic_garbage` context manager, for `with no_cyclic_garbage():`."""
+    return _no_cyclic_garbage
 
 
 def pytest_terminal_summary(terminalreporter):

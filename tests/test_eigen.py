@@ -137,7 +137,7 @@ def test_conformal_scaling_invariance(scene8):
     m, geom = scene8
     fld = build_conformal_field(geom, 0.1)
     pair = assembly.assemble(m, fld)
-    pair4 = assembly.assemble(m, fld.scaled(4.0))
+    pair4 = assembly.assemble(m, replace(fld, f=fld.f * 4.0))
     res = solve_smallest(pair, 2, tol=1e-10, shift_estimate=3.0)
     res4 = solve_smallest(pair4, 2, tol=1e-10, shift_estimate=1.0)
     assert res4.values[1] == pytest.approx(res.values[1] / 4.0, rel=1e-8)
@@ -344,3 +344,28 @@ def test_multilevel_solve_raises_no_warning(dumbbell16):
         with pytest.raises(eigen.EigenConvergenceError):
             solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
     assert res.levels == 1
+
+
+def test_halving_solve_frees_its_v_cycle(dumbbell16, no_cyclic_garbage):
+    # the hierarchy (fine and Galerkin operators, Jacobi weights) and the
+    # coarsest LU go by refcount when the solve returns, with no gc pass
+    with no_cyclic_garbage():
+        res = solve_smallest(dumbbell16["pair"], 3, shift_estimate=dumbbell16["bound"])
+    assert res.levels == 1
+
+
+def test_restricted_solve_frees_its_lu(scene8, no_cyclic_garbage):
+    m, geom = scene8
+    sub = assembly.subdomain_neumann(m, geom, "plus")
+    with no_cyclic_garbage():
+        res = solve_smallest(sub, 2, shift_estimate=1.0)
+    assert res.levels == 0
+
+
+def test_failed_solve_frees_its_v_cycle(dumbbell16, no_cyclic_garbage):
+    with no_cyclic_garbage():
+        try:
+            solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
+        except eigen.EigenConvergenceError as err:
+            best = err.best_residual
+    assert 1e-16 < best < np.inf

@@ -273,6 +273,18 @@ def test_cli_worker_override_is_checked_like_the_config(tmp_path, capsys, worker
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, floor", [
+    ("n", 1, 2), ("n", 0, 2), ("oracle_resolution", 63, 64), ("oracle_resolution", 0, 64),
+])
+def test_cli_names_the_key_of_a_size_below_its_floor(tmp_path, capsys, key, value, floor):
+    # named at parse time, not mid-run by the mesh or the oracle
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scenario = scaling\n{key} = {value}\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be at least {floor}, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mapping", [
     {"sigma": "sphere:0.5,0.5,0.5,0.3"},
     {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
@@ -426,3 +438,23 @@ def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scene):
     report = run_scenario(ScenarioConfig.from_mapping({"scenario": "harmonic-approx", "eta": 0.1, scene: value}))
     assert report.failures == [{"stage": "harmonic-approx", "error": "ValueError: harmonic-approx needs "
                                 "the plane scene on a box grid (sigma=plane, no mesh_path)"}]
+
+
+@pytest.mark.parametrize("mapping", [
+    SMALL_SCALING,
+    {"scenario": "gap", "n": 8},
+    {"scenario": "plateau", "n": 8},
+    {"scenario": "collar", "n": 8},
+    {"scenario": "harmonic-approx", "n": 8},  # no eigen solve: holds at any V-cycle
+    {"scenario": "nodal", "n": 8},
+    {"scenario": "mollify", "n": 8},
+    {"scenario": "morse", "n": 8, "resolution": 16},
+    {"scenario": "oracle-compare", "n": 8, "oracle_resolution": 64},
+    {**SMALL_SCALING, "workers": 2},
+], ids=lambda mapping: f"{mapping['scenario']}-w{mapping.get('workers', 1)}")
+def test_scenarios_leave_no_cyclic_garbage(mapping, no_cyclic_garbage):
+    # every solve's preconditioner, and the mesh it ran on, go by refcount
+    cfg = ScenarioConfig.from_mapping(mapping)
+    with no_cyclic_garbage():
+        report = run_scenario(cfg)
+    assert not report.failures

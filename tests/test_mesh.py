@@ -38,7 +38,7 @@ def test_box_grid_per_axis_resolutions():
     m = build_box_grid(3, (4, 3, 2))
     assert m.num_vertices == 5 * 4 * 3
     assert m.num_cells == 6 * 4 * 3 * 2
-    assert m.total_volume() == pytest.approx(1.0, abs=1e-12)
+    assert m.cell_operators().volumes.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.grid_resolution == (4, 3, 2)
     assert m.spacing() == pytest.approx(0.25)
     with pytest.raises(ValueError, match="per-axis"):
@@ -47,23 +47,23 @@ def test_box_grid_per_axis_resolutions():
 
 def test_box_grid_flat_volume_exact():
     m = build_box_grid(3, 4)
-    assert m.total_volume() == pytest.approx(1.0, abs=1e-12)
+    assert m.cell_operators().volumes.sum() == pytest.approx(1.0, abs=1e-12)
     m2 = build_box_grid(2, 7)
-    assert m2.total_volume() == pytest.approx(1.0, abs=1e-12)
+    assert m2.cell_operators().volumes.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_warped_volume_matches_1d_integral():
     # exact: int_0^1 (1 + (x - 1/2))^2 dx = 1 + 1/12
     m = build_box_grid(3, 8, warp=lambda r: 1.0 + r, sigma_offset=0.5)
     exact = 1.0 + 1.0 / 12.0
-    assert abs(m.total_volume() - exact) / exact < 0.01
+    assert abs(m.cell_operators().volumes.sum() - exact) / exact < 0.01
 
 
 def test_volume_additivity_under_refinement():
     errs = []
     for n in (8, 16):
         m = build_box_grid(3, n, warp=lambda r: 1.0 + r, sigma_offset=0.5)
-        errs.append(abs(m.total_volume() - (1.0 + 1.0 / 12.0)))
+        errs.append(abs(m.cell_operators().volumes.sum() - (1.0 + 1.0 / 12.0)))
     assert errs[1] < errs[0] / 3.0  # O(n^-2)
 
 
@@ -236,7 +236,7 @@ def test_torus_geometry_is_the_box_geometry():
     # same cell order, so the true torus edges are the box edges, seam cells included
     torus, box = build_box_grid(3, (4, 3, 5), periodic=True), build_box_grid(3, (4, 3, 5))
     assert np.abs(torus.edge_matrices() - box.edge_matrices()).max() <= 1e-15
-    assert torus.total_volume() == pytest.approx(1.0, rel=1e-14)
+    assert torus.cell_operators().volumes.sum() == pytest.approx(1.0, rel=1e-14)
     (tg, _, tv), (bg, _, bv) = simplex_gradient_data(torus), simplex_gradient_data(box)
     assert np.abs(tg - bg).max() <= 1e-12
     assert np.abs(tv - bv).max() <= 1e-15

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_level_set_must_separate(box8):
 
 def test_collar_volumes_partition(scene16):
     m, geom = scene16
-    total = m.total_volume()
+    total = m.cell_operators().volumes.sum()
     assert geom.vol_collar + geom.vol_plus + geom.vol_minus == pytest.approx(total, abs=1e-13)
     assert geom.vol_collar == pytest.approx(0.25, abs=1e-12)  # eta = 2/16 on both sides
 
@@ -203,7 +204,7 @@ def test_mollified_volume_defect_positive(scene16):
     defect = verify_volume_preservation(fld, geom)
     assert defect > 1e-6
     gamma = volume_rescale_factor(fld, geom)
-    rescaled = fld.scaled(gamma)
+    rescaled = replace(fld, f=fld.f * gamma)
     assert verify_volume_preservation(rescaled, geom) <= 1e-12
 
 
