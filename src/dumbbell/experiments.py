@@ -74,6 +74,8 @@ class ScenarioConfig:
             raise ValueError(f"oracle_resolution must be at least 64, got {self.oracle_resolution}")
         if self.resolution < 3:
             raise ValueError(f"resolution must be at least 3 (a torus grid), got {self.resolution}")
+        if self.scenario == "scaling" and len(set(self.epsilons)) < 3:  # a slope needs three points
+            raise ValueError(f"epsilons must hold at least 3 distinct values for scaling, got {self.epsilons}")
         _parse_sigma(self)  # scene descriptors fail here, as config errors
         _parse_warp(self.warp)
 
@@ -364,13 +366,14 @@ def _run_scaling(cfg: ScenarioConfig):
         return (eps, result.values[1], result.values[0], bound, fld.kappa, vol_err,
                 float(result.residuals[1:].max()))
 
-    rows = _map_sweep(cfg, point, cfg.epsilons)
-
     def oracle_point(eps):
         ev = oracle.sturm_liouville_neumann(_oracle_profile(cfg, geom, eps), 2, refine=False)
         return float(ev.values[1])
 
-    oracle_lams = _map_sweep(cfg, oracle_point, cfg.epsilons)
+    # one pool for both paths, the longer oracle solves submitted first
+    tasks = [(oracle_point, eps) for eps in cfg.epsilons] + [(point, eps) for eps in cfg.epsilons]
+    done = _map_sweep(cfg, lambda task: task[0](task[1]), tasks)
+    oracle_lams, rows = done[:len(cfg.epsilons)], done[len(cfg.epsilons):]
 
     lam1 = [r[1] for r in rows]
     bounds = [r[3] for r in rows]

@@ -11,11 +11,12 @@ genuinely independent check of the mesh pipeline.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import cython_lapack, lapack
 
 from .metric import kappa as conformal_kappa
 
@@ -109,10 +110,39 @@ def _dense_pencil(profile: Profile1D, n: int):
     return K, M
 
 
+def _capsule_pointer(capsule) -> int:
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get(capsule, name(capsule))
+
+
+# scipy's own dsygvx, the routine eigh runs for a subset of a definite pencil;
+# a ctypes foreign call releases the GIL, so concurrent oracle solves overlap
+_DSYGVX = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 23)(
+    _capsule_pointer(cython_lapack.__pyx_capi__["dsygvx"]))
+
+
 def _lowest_modes(profile: Profile1D, n: int, m: int) -> np.ndarray:
-    # the pencil is Fortran-ordered, so xSYGVX overwrites it in place; it is freed on return
-    return scipy.linalg.eigh(*_dense_pencil(profile, n), subset_by_index=(0, m - 1),
-                             eigvals_only=True, overwrite_a=True, overwrite_b=True)
+    """The m smallest eigenvalues of the pencil: eigh's dsygvx call, argument for argument.
+
+    The pencil is Fortran-ordered, so dsygvx overwrites it in place; it is
+    freed on return.
+    """
+    K, M = _dense_pencil(profile, n)
+    c_int, ref = ctypes.c_int, ctypes.byref
+    order, one, upper, found, info = c_int(n + 1), c_int(1), c_int(m), c_int(0), c_int(0)
+    lwork = c_int(int(lapack.dsygvx_lwork(n + 1, uplo="L")[0]))
+    zero = ctypes.c_double(0.0)  # vl and vu, unread for an index range, and abstol
+    w, z, work = np.empty(n + 1), np.empty(1), np.empty(lwork.value)  # z is unread without vectors
+    iwork, ifail = np.empty(5 * (n + 1), dtype=np.intc), np.empty(n + 1, dtype=np.intc)
+    _DSYGVX(ref(one), b"N", b"I", b"L", ref(order), K.ctypes.data, ref(order), M.ctypes.data,
+            ref(order), ref(zero), ref(zero), ref(one), ref(upper), ref(zero), ref(found),
+            w.ctypes.data, z.ctypes.data, ref(one), work.ctypes.data, ref(lwork),
+            iwork.ctypes.data, ifail.ctypes.data, ref(info))
+    if info.value:  # above the order: M's leading minor of order info - order is not positive definite
+        raise np.linalg.LinAlgError(f"dsygvx returned info = {info.value} on a pencil of order {n + 1}")
+    return w[:found.value]
 
 
 @dataclass
@@ -152,8 +182,8 @@ def scaling_fit(epsilons: Sequence[float], lambdas: Sequence[float]) -> PowerFit
     """Least-squares slope of log(lambda) against log(epsilon)."""
     eps = np.asarray(epsilons, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
-    if eps.size < 3:
-        raise ValueError("need at least 3 sweep points")
+    if np.unique(eps).size < 3:
+        raise ValueError("need at least 3 distinct sweep points")
     if not np.all(np.isfinite(eps) & (eps > 0) & np.isfinite(lam) & (lam > 0)):
         raise ValueError("scaling fit needs positive finite data")
     x = np.log(eps)

@@ -1,11 +1,12 @@
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dumbbell import experiments
+from dumbbell import experiments, oracle
 from dumbbell.experiments import (
     ScenarioConfig,
     _build_scene,
@@ -285,6 +286,22 @@ def test_cli_names_the_key_of_a_size_below_its_floor(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epsilons, parsed", [("0.1, 0.01", (0.1, 0.01)), ("0.1, 0.1, 0.1", (0.1, 0.1, 0.1))])
+def test_cli_scaling_needs_three_distinct_epsilons(tmp_path, capsys, epsilons, parsed):
+    # named at parse time, before any solve; a repeat would make the slope fit singular
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scenario = scaling\nn = 8\nepsilons = {epsilons}\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: epsilons must hold at least 3 distinct values for scaling, got {parsed}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", [s for s in experiments.SCENARIO_NAMES if s != "scaling"])
+def test_other_scenarios_take_a_single_epsilon(scenario):
+    assert ScenarioConfig.from_mapping({"scenario": scenario, "epsilons": "0.1"}).epsilons == (0.1,)
+
+
 @pytest.mark.parametrize("mapping", [
     {"sigma": "sphere:0.5,0.5,0.5,0.3"},
     {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
@@ -353,6 +370,38 @@ def test_worker_count_does_not_change_the_multilevel_report():
     # n = 12 halves once, so every sweep point runs the multilevel solver
     reports = _reports_by_worker_count({**SMALL_SCALING, "n": 12})
     assert reports[0] == reports[1]
+
+
+def test_worker_count_does_not_change_the_oracle_compare_report():
+    # each point's N and 2N dense solves run in the pool, two at a time
+    reports = _reports_by_worker_count({"scenario": "oracle-compare", "n": 8, "oracle_resolution": 64})
+    assert reports[0] == reports[1]
+
+
+def test_scaling_sweep_runs_in_one_pool_oracle_points_first(monkeypatch):
+    pools, calls = [], []
+
+    class InOrderPool(ThreadPoolExecutor):
+        """Counts the pools a run makes; its one thread runs tasks in submission order."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=1)
+
+    def logged(fn, label):
+        def run(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InOrderPool)
+    monkeypatch.setattr(oracle, "sturm_liouville_neumann", logged(oracle.sturm_liouville_neumann, "oracle"))
+    monkeypatch.setattr(experiments, "_solve_point", logged(experiments._solve_point, "fem"))
+    report = run_scenario(ScenarioConfig.from_mapping({**SMALL_SCALING, "workers": 2}))
+    assert not report.failures
+    assert pools == [2]
+    assert calls == ["oracle"] * 3 + ["fem"] * 3
+    assert [row[0] for row in report.tables["sweep"]["rows"]] == list(SMALL_SCALING["epsilons"])
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])

@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,12 @@ import scipy.integrate
 import scipy.linalg
 
 import dumbbell
+from dumbbell import oracle
+from dumbbell.experiments import ScenarioConfig, run_scenario
 from dumbbell.oracle import (
     Profile1D,
     _dense_pencil,
+    _lowest_modes,
     _simpson,
     scaling_fit,
     step_profile,
@@ -109,6 +114,18 @@ def test_scaling_fit_validation():
         scaling_fit([1e-1, 1e-2, -1e-3], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("eps", [(1e-1, 1e-1, 1e-1), (1e-1, 1e-2, 1e-1, 1e-2), (1e-1, 1e-2)])
+def test_scaling_fit_needs_three_distinct_epsilons(eps):
+    # a repeated point adds no abscissa: polyfit would warn and fit a meaningless slope
+    with pytest.raises(ValueError, match="need at least 3 distinct sweep points"):
+        scaling_fit(eps, np.ones(len(eps)))
+
+
+def test_scaling_fit_takes_repeats_among_three_distinct_epsilons():
+    eps = np.array([1e-1, 1e-1, 1e-2, 1e-3])
+    assert scaling_fit(eps, eps).slope == pytest.approx(1.0, abs=1e-12)
+
+
 def test_oracle_sweep_slope_near_half():
     eps_list = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     lams = []
@@ -179,21 +196,84 @@ def test_simpson_is_scipy_simpson_on_irregular_samples(seed):
     assert _simpson(y, x) == float(scipy.integrate.simpson(y, x=x))
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-3])
-def test_in_place_solve_matches_eigh_on_copies(eps):
-    # the oracle hands LAPACK its Fortran-ordered pencil to overwrite; the
-    # reference is eigh on C-ordered copies, which it copies once more itself
-    prof = step_profile(eps, 0.125, 3, resolution=1024)
-    res = sturm_liouville_neumann(prof, 3, refine=True)
-    ref = []
-    for n in (1024, 2048):
-        K, M = _dense_pencil(prof, n)
-        assert K.flags.f_contiguous and M.flags.f_contiguous
-        ref.append(scipy.linalg.eigh(np.ascontiguousarray(K), np.ascontiguousarray(M),
-                                     subset_by_index=(0, 2), eigvals_only=True))
-        del K, M
+WARPS = {"none": None, "linear:1.0": lambda r: 1.0 + r}
+
+
+def _eigh_on_copies(prof, n, m):
+    # the reference is eigh on C-ordered copies, which it copies once more itself
+    K, M = _dense_pencil(prof, n)
+    assert K.flags.f_contiguous and M.flags.f_contiguous
+    return scipy.linalg.eigh(np.ascontiguousarray(K), np.ascontiguousarray(M),
+                             subset_by_index=(0, m - 1), eigvals_only=True)
+
+
+EPSILONS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
+# N = 64 (with 128) runs the whole grid; N = 1024 (with 2048) costs seconds a
+# case, so it runs three cases at m = 3 and two at the far end of the range
+@pytest.mark.parametrize("n, eps, m, warp", [
+    *[(64, eps, m, warp) for eps in EPSILONS for m in (2, 3) for warp in WARPS],
+    pytest.param(1024, 1.0, 3, "none", id="1.0"),
+    pytest.param(1024, 0.1, 3, "none", id="0.1"),
+    pytest.param(1024, 1e-3, 3, "none", id="0.001"),
+    (1024, 1e-7, 2, "none"), (1024, 1e-7, 3, "linear:1.0"),
+])
+def test_in_place_solve_matches_eigh_on_copies(n, eps, m, warp):
+    # the oracle hands LAPACK its Fortran-ordered pencil to overwrite
+    prof = step_profile(eps, 0.125, 3, warp=WARPS[warp], resolution=n)
+    res = sturm_liouville_neumann(prof, m, refine=True)
+    ref = [_eigh_on_copies(prof, n, m), _eigh_on_copies(prof, 2 * n, m)]
     assert np.array_equal(res.values, ref[0])
     assert np.array_equal(res.refined, (4.0 * ref[1] - ref[0]) / 3.0)
+
+
+def test_concurrent_solves_match_the_serial_ones():
+    # two threads in dsygvx at once, each on its own profile and pencil
+    n = 1024
+    profiles = [step_profile(1e-3, 0.125, 3, resolution=n),
+                step_profile(1e-6, 0.125, 3, warp=WARPS["linear:1.0"], resolution=n)]
+    serial = [_lowest_modes(prof, n, 3) for prof in profiles]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(lambda prof: _lowest_modes(prof, n, 3), profiles))
+    for got, want in zip(concurrent, serial):
+        assert np.array_equal(got, want)
+
+
+def test_dense_solve_binding_releases_the_gil():
+    # a CFUNCTYPE foreign call drops the GIL for its run; a PYFUNCTYPE one,
+    # like an f2py wrapper, holds it
+    assert isinstance(oracle._DSYGVX, ctypes._CFuncPtr)
+    assert not oracle._DSYGVX._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert oracle._DSYGVX._restype_ is None and len(oracle._DSYGVX._argtypes_) == 23
+
+
+INDEFINITE_ERROR = "dsygvx returned info = 71 on a pencil of order 65"
+
+
+@pytest.fixture
+def indefinite_mass(monkeypatch):
+    """Every pencil's M gets a negative pivot at row 6, so dsygvx stops in its
+    Cholesky factor of M with info = order + 6; at N = 64 that is 71."""
+    real_pencil = oracle._dense_pencil
+
+    def indefinite(profile, n):
+        K, M = real_pencil(profile, n)
+        M[5, 5] = -1.0
+        return K, M
+
+    monkeypatch.setattr(oracle, "_dense_pencil", indefinite)
+
+
+def test_indefinite_mass_raises_linalg_error_with_info(indefinite_mass):
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{INDEFINITE_ERROR}$"):
+        sturm_liouville_neumann(flat_profile(64), 2)
+
+
+def test_indefinite_mass_is_a_scenario_failure(indefinite_mass):
+    cfg = ScenarioConfig.from_mapping({"scenario": "oracle-compare", "n": 8, "oracle_resolution": 64})
+    report = run_scenario(cfg)
+    assert report.failures == [{"stage": "oracle-compare", "error": f"LinAlgError: {INDEFINITE_ERROR}"}]
 
 
 # labbench/probe.py's set-up scene: mesh, metric, assembly, eigen and oracle
