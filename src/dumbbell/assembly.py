@@ -66,10 +66,11 @@ def assemble(
     mass_ref = np.repeat([2.0, 1.0], [d + 1, cell_edges.shape[1]]) / ((d + 1) * (d + 2))
 
     def reweighted(local, weights):  # the mask after the power: f^0 = 1 at d = 2
-        entries = local * (keep * weights)[:, None]
-        diag = np.bincount(mesh.cells.reshape(-1), weights=entries[:, : d + 1].reshape(-1),
+        rows = local.reshape(-1, 1, local.shape[-1])  # one row for all cells, one per shape, or one per cell
+        w = (keep * weights).reshape(rows.shape[0], -1, 1)
+        diag = np.bincount(mesh.cells.reshape(-1), weights=(rows[..., : d + 1] * w).reshape(-1),
                            minlength=mesh.num_vertices)
-        off = np.bincount(cell_edges.reshape(-1), weights=entries[:, d + 1 :].reshape(-1),
+        off = np.bincount(cell_edges.reshape(-1), weights=(rows[..., d + 1 :] * w).reshape(-1),
                           minlength=edges.shape[0])
         out = ops.pattern.copy()
         out.data = np.concatenate([diag, off])[ops.gather]

@@ -8,13 +8,15 @@ tensor per cell, which is enough to realize warped products
 diag(1, w(rho)^2, ...) without curved elements.  Every cell of a structured
 grid translates one of d! Kuhn shapes, so its cell operators come from the
 gradients of d! representative cells; they are also the mesh's one source of
-cell volumes, which the collar partition reads.  Generic simplicial meshes
-enter through a small ASCII format (see `load_mesh`) and get their operators
-cell by cell.
+cell volumes, which the collar partition reads.  The same translation gives a
+grid its adjacency (edges, facet neighbours, boundary, K/M sparsity) by index
+arithmetic.  Generic simplicial meshes enter through a small ASCII format (see
+`load_mesh`), get their operators cell by cell and their adjacency by sorting.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 Warp = Callable[[np.ndarray], np.ndarray]
-_OPERATORS_LOCK = threading.Lock()  # one `CellOperators` build per mesh when sweep threads assemble at once
+_TABLES_LOCK = threading.RLock()  # one build of each cached table when sweep threads assemble at once
 
 
 class MeshFormatError(ValueError):
@@ -61,12 +63,18 @@ class CellOperators:
     """The part of P1 assembly that no conformal factor changes, built once per
     mesh by `Mesh.cell_operators`.  A symmetric matrix is held by its upper entries:
     one per vertex (the diagonal), then one per edge of `Mesh.edge_table`; a cell's
-    ``local`` row is its diagonal, then its edges in ``cell_edges`` order."""
+    ``local`` row is its diagonal, then its edges in ``cell_edges`` order.  A grid
+    without a metric holds one row per Kuhn shape (its cells come in d! blocks of
+    one shape each), any other mesh one row per cell; `rows` reads either."""
 
-    local: np.ndarray               # (C, d+1 + d(d+1)/2) local stiffness, reference metric
+    local: np.ndarray               # (d! or C, d+1 + d(d+1)/2) local stiffness, reference metric
     volumes: np.ndarray             # (C,) metric volumes
     pattern: sparse.csr_matrix      # sparsity of K and M over all vertices
-    gather: np.ndarray              # (nnz,) upper entry of each stored entry
+    gather: np.ndarray              # (nnz,) int32 upper entry of each stored entry
+
+    def rows(self, cells: np.ndarray) -> np.ndarray:
+        """The ``local`` rows of the given cell ids."""
+        return self.local[cells // (self.volumes.size // self.local.shape[0])]
 
 
 @dataclass
@@ -81,10 +89,11 @@ class Mesh:
     vertices: np.ndarray                         # (V, d)
     cells: np.ndarray                            # (C, d+1), positively oriented
     cell_metric: Optional[np.ndarray] = None     # (C, d, d) SPD, None = identity
-    grid_resolution: Optional[tuple] = None      # per-axis cell counts (box scenes: d! blocks of one Kuhn shape)
+    grid_resolution: Optional[tuple] = None      # per-axis cell counts (the `build_box_grid` layout)
     periodic: bool = False                       # flat torus: ids wrap per axis, edges mod 1
     _facets: Optional[FacetTable] = field(default=None, init=False, repr=False, compare=False)
     _edges: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _pairs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _operators: Optional[CellOperators] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,6 +123,8 @@ class Mesh:
         return np.linalg.det(self.edge_matrices()) / factorial(self.dim)
 
     def facet_table(self) -> FacetTable:
+        """All facets by sorting, for any mesh: the boundary and validation of a file
+        mesh read it; a grid's scene path never builds it."""
         if self._facets is None:
             self._facets = _build_facet_table(self.cells, self.dim)
         return self._facets
@@ -126,28 +137,51 @@ class Mesh:
 
     def edge_table(self) -> tuple:
         """(edges, cell_edges): unique (low, high) edges (E, 2) in lexicographic order
-        and each cell's edge ids (C, d(d+1)/2), local pairs in `itertools.combinations` order."""
-        if self._edges is None:
-            self._edges = _build_edge_table(self.cells, self.dim, self.num_vertices)
-        return self._edges
+        and each cell's edge ids (C, d(d+1)/2), local pairs in `itertools.combinations` order.
+        A grid reads both off its Kuhn shapes; any other mesh sorts its cells' edges."""
+        with _TABLES_LOCK:
+            if self._edges is None:
+                if self.grid_resolution is None:
+                    self._edges = _build_edge_table(self.cells, self.dim, self.num_vertices)
+                else:
+                    self._edges = _grid_edge_table(self)
+            return self._edges
 
     def cell_operators(self) -> CellOperators:
         """The mesh's `CellOperators`, built on first use."""
-        with _OPERATORS_LOCK:
+        with _TABLES_LOCK:
             if self._operators is None:
                 self._operators = _build_operators(self)
             return self._operators
 
-    def interior_facet_pairs(self):
-        """(facets, cell_pairs) for facets shared by exactly two cells."""
-        table = self.facet_table()
-        shared = table.counts == 2
-        return table.facets[shared], table.cells_of[shared]
+    def interior_cell_pairs(self) -> np.ndarray:
+        """(P, 2) int32: the two cells of each facet shared by two cells.  A grid
+        reads them off the Kuhn neighbour table; any other mesh off its facet table."""
+        with _TABLES_LOCK:
+            if self._pairs is None:
+                if self.grid_resolution is None:
+                    table = self.facet_table()
+                    self._pairs = table.cells_of[table.counts == 2].astype(np.int32)
+                else:
+                    self._pairs = _grid_cell_pairs(self.dim, self.grid_resolution, self.periodic)
+            return self._pairs
+
+    def shared_facets(self, pairs: np.ndarray) -> np.ndarray:
+        """(P, d): the vertices each of the given pairs of cells shares, found on each call."""
+        first, second = self.cells[pairs[:, 0]], self.cells[pairs[:, 1]]
+        shared = (first[:, :, None] == second[:, None, :]).any(axis=2)
+        return first[shared].reshape(-1, self.dim)
 
     def boundary_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[self.boundary_facets.reshape(-1)] = True
-        return mask
+        """Vertices on a boundary facet: a box grid's outer index layer, no torus vertex."""
+        if self.grid_resolution is None:
+            mask = np.zeros(self.num_vertices, dtype=bool)
+            mask[self.boundary_facets.reshape(-1)] = True
+            return mask
+        shape = _vertex_shape(self.grid_resolution, self.periodic)
+        mask = np.full(shape, not self.periodic)
+        mask[tuple(slice(1, -1) for _ in shape)] = False
+        return mask.reshape(-1)
 
     def spacing(self) -> Optional[float]:
         """Grid spacing along the first axis for box scenes, else None."""
@@ -190,15 +224,20 @@ def _build_edge_table(cells: np.ndarray, dim: int, num_vertices: int):
 
 def _build_operators(mesh: Mesh) -> CellOperators:
     d, n = mesh.dim, mesh.num_vertices
-    edges, _ = mesh.edge_table()
-    diag, ids = np.arange(n), np.arange(n, n + edges.shape[0])
-    rows = np.concatenate([diag, edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([diag, edges[:, 1], edges[:, 0]])
-    order = np.lexsort((cols, rows))  # row-major, the order CSR stores them in
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    pattern = sparse.csr_matrix((np.zeros(order.size), cols[order], indptr), shape=(n, n))
-    gather = np.concatenate([diag, ids, ids])[order]
-    del rows, cols, order
+    if mesh.grid_resolution is None or mesh.periodic:
+        edges, _ = mesh.edge_table()
+        diag, ids = np.arange(n), np.arange(n, n + edges.shape[0])
+        rows = np.concatenate([diag, edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([diag, edges[:, 1], edges[:, 0]])
+        order = np.lexsort((cols, rows))  # row-major, the order CSR stores them in
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        cols, gather = cols[order], np.concatenate([diag, ids, ids])[order]
+        del rows, order
+    else:
+        indptr, cols, gather = _box_pattern(mesh)
+    pattern = sparse.csr_matrix((np.zeros(cols.size, dtype=np.int8), cols, indptr), shape=(n, n))
+    gather = gather.astype(np.int32)
+    del cols
 
     i, j = np.triu_indices(d + 1, 1)  # the `itertools.combinations` order of `cell_edges`
     a, b = np.concatenate([np.arange(d + 1), i]), np.concatenate([np.arange(d + 1), j])
@@ -210,16 +249,135 @@ def _build_operators(mesh: Mesh) -> CellOperators:
         local = 0.5 * (stiff[:, a, b] + stiff[:, b, a])  # exact symmetry
         return CellOperators(local=local, volumes=vol, pattern=pattern, gather=gather)
     # a box grid is d! blocks of one Kuhn shape each: with shape k's terms T_ki = vol_k g_ki' g_ki
-    # (g_ki row i of its gradient), a cell of metric diag(m) has stiffness sum_i sqrt(det m) / m_i T_ki
+    # (g_ki row i of its gradient), a cell of metric diag(m) has stiffness sum_i sqrt(det m) / m_i T_ki,
+    # which without a metric is one row per shape
     shapes = factorial(d)
     block = C // shapes
     G, _, vol = simplex_gradient_data(Mesh(d, mesh.vertices, mesh.cells[::block], periodic=mesh.periodic))
     T = vol[:, None, None] * G[:, :, a] * G[:, :, b]  # (d!, d, local entries)
     m = np.ones((shapes, 1, d)) if cm is None else np.diagonal(cm, axis1=1, axis2=2).reshape(shapes, block, d)
     root = np.sqrt(np.prod(m, axis=2, keepdims=True))
-    local = np.broadcast_to(root / m @ T, (shapes, block, a.size)).reshape(C, -1)
+    local = (root / m @ T).reshape(-1, a.size)
     volumes = np.broadcast_to(vol[:, None] * root[..., 0], (shapes, block)).reshape(C)
     return CellOperators(local=local, volumes=volumes, pattern=pattern, gather=gather)
+
+
+def _vertex_shape(res: tuple, periodic: bool) -> tuple:
+    """Vertex counts per axis of a grid with ``res`` cells per axis: a torus wraps the last layer."""
+    return tuple(res) if periodic else tuple(k + 1 for k in res)
+
+
+def _grid_offsets(shape: tuple, periodic: bool) -> tuple:
+    """(offsets, up, down): the nonzero 0/1 offsets o (O, d) in increasing row-major stride
+    (axis 0 is the high bit), and per vertex (V, O) whether v + o and v - o are vertices of
+    the grid (on a torus always: ids wrap)."""
+    d = len(shape)
+    offsets = np.array(list(itertools.product((0, 1), repeat=d)))[1:]
+    up, down = (np.ones(shape + (len(offsets),), dtype=bool) for _ in range(2))
+    if not periodic:
+        for axis in range(d):
+            layer = (slice(None),) * axis
+            up[layer + (-1,)][..., offsets[:, axis] == 1] = False
+            down[layer + (0,)][..., offsets[:, axis] == 1] = False
+    return offsets, up.reshape(-1, len(offsets)), down.reshape(-1, len(offsets))
+
+
+def _row_major_strides(shape) -> np.ndarray:
+    return np.cumprod((tuple(shape[1:]) + (1,))[::-1])[::-1]
+
+
+def _box_pattern(mesh: Mesh) -> tuple:
+    """(indptr, indices, gather) of a box grid's K/M pattern with no sort: row v holds v - o
+    for each offset o in decreasing stride, then v, then v + o in increasing stride, each
+    where that vertex exists; v +- o is edge v +- o, numbered as `_grid_edge_table` does."""
+    n, shape = mesh.num_vertices, _vertex_shape(mesh.grid_resolution, False)
+    offsets, up, down = _grid_offsets(shape, False)
+    stride = (offsets @ _row_major_strides(shape)).astype(np.int32)
+    ids = n + np.cumsum(up.reshape(-1), dtype=np.int32).reshape(up.shape) - 1  # garbage where no edge
+    ids_down = np.empty_like(ids)
+    for o, s in enumerate(stride):
+        ids_down[s:, o] = ids[: n - s, o]  # edge v - o starts at v - o
+    v = np.arange(n, dtype=np.int32)[:, None]
+    keep = np.hstack([down[:, ::-1], np.ones((n, 1), dtype=bool), up])
+    indices = np.hstack([v - stride[::-1], v, v + stride])[keep]
+    gather = np.hstack([ids_down[:, ::-1], v, ids])[keep]
+    return np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), indices, gather
+
+
+def _grid_edge_table(mesh: Mesh) -> tuple:
+    """`Mesh.edge_table` of a grid with no sort.  Every edge joins a vertex v to v + o for a
+    nonzero 0/1 offset o, numbered by v, then by o in increasing row-major stride, which on a
+    box is the lexicographic order; a torus wraps ids, so it orders each edge (low, high) and
+    sorts the keys once.  Local pair (a, b) of shape k is the edge from its lower walk vertex
+    by the offset |w_a - w_b| (a walk is a chain, so one of the two lies below the other)."""
+    d, shape = mesh.dim, _vertex_shape(mesh.grid_resolution, mesh.periodic)
+    offsets, up, _ = _grid_offsets(shape, mesh.periodic)
+    low, step = np.nonzero(up)
+    if mesh.periodic:
+        high = np.ravel_multi_index(tuple(np.unravel_index(low, shape) + offsets[step].T), shape, mode="wrap")
+        low, high = np.minimum(low, high), np.maximum(low, high)
+        order = np.argsort(low * mesh.num_vertices + high)
+        low, high = low[order], high[order]
+        ids = np.empty(order.size, dtype=np.int32)
+        ids[order] = np.arange(order.size, dtype=np.int32)
+        del order
+    else:
+        high = low + (offsets @ _row_major_strides(shape))[step]
+        ids = np.cumsum(up.reshape(-1), dtype=np.int32) - 1  # garbage where no edge: never read
+    del step
+    ids = ids.reshape(up.shape)
+    edges = np.stack([low, high], axis=1).astype(np.int32)
+    del low, high
+
+    pairs = list(itertools.combinations(range(d + 1), 2))
+    cells = mesh.cells.reshape(factorial(d), -1, d + 1)
+    cell_edges = np.empty(cells.shape[:2] + (len(pairs),), dtype=np.int32)
+    for k, walk in enumerate(_kuhn_shapes(d)):
+        for p, (a, b) in enumerate(pairs):
+            lo, hi = (a, b) if walk[a].sum() < walk[b].sum() else (b, a)
+            offset = int((walk[hi] - walk[lo]) @ (1 << np.arange(d)[::-1]))  # its row in `_grid_offsets`, plus 1
+            cell_edges[k, :, p] = ids[cells[k, :, lo], offset - 1]
+    return edges, cell_edges.reshape(-1, len(pairs))
+
+
+@functools.lru_cache(maxsize=None)
+def _kuhn_neighbours(d: int) -> tuple:
+    """For each Kuhn shape k (in `_kuhn_shapes` order) and each facet w, the one opposite walk
+    vertex w: (k', axis, step), the shape across it in the cube ``step`` (0, +1 or -1) cells
+    along ``axis``.  The Kuhn rule on the walk pi of shape k: for 0 < w < d the same cube, pi
+    with steps w and w+1 swapped; for w = 0 the cube at +e_pi1, walk (pi2 ... pid, pi1); for
+    w = d the cube at -e_pid, walk (pid, pi1 ... pid-1)."""
+    perms = list(itertools.permutations(range(d)))
+    table = []
+    for perm in perms:
+        row = [(perms.index(perm[1:] + perm[:1]), perm[0], 1)]
+        for w in range(1, d):
+            swapped = list(perm)
+            swapped[w - 1], swapped[w] = swapped[w], swapped[w - 1]
+            row.append((perms.index(tuple(swapped)), 0, 0))
+        row.append((perms.index(perm[-1:] + perm[:-1]), perm[-1], -1))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _grid_cell_pairs(d: int, res: tuple, periodic: bool) -> np.ndarray:
+    """`Mesh.interior_cell_pairs` of a grid from `_kuhn_neighbours`, with no search: each
+    facet inside a cube once, from its lower shape, and each facet between cubes once, from
+    the shape whose cube lies below along the axis (a box has none past its last layer)."""
+    block = int(np.prod(res))
+    cube = np.arange(block, dtype=np.int32)
+    strides = _row_major_strides(res)  # of the cube ids
+    pairs = []
+    for k, row in enumerate(_kuhn_neighbours(d)):
+        for other, axis, step in row:
+            if step == 0 and k < other:
+                pairs.append(np.stack([k * block + cube, other * block + cube], axis=1))
+            elif step == 1:
+                last = cube // strides[axis] % res[axis] == res[axis] - 1
+                there = cube + np.int32(strides[axis]) - last * np.int32(res[axis] * strides[axis])  # wraps
+                pair = np.stack([k * block + cube, other * block + there], axis=1)
+                pairs.append(pair if periodic else pair[~last])
+    return np.concatenate(pairs)
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -302,7 +460,8 @@ def build_box_grid(
     edge is glued to itself) and `Mesh.edge_matrices` takes edge vectors mod 1.
     Valid by construction (its simplices translate d! positively oriented shapes), so
     not run through `validate_mesh`; a warp sample that is not positive and finite,
-    squared too, is a ValueError.  The facet and edge tables are built on first use.
+    squared too, is a ValueError.  Its adjacency tables are built on first use, from
+    ``grid_resolution`` and the Kuhn shapes, so its cells must keep this layout.
     """
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d}")
@@ -315,7 +474,7 @@ def build_box_grid(
     if periodic and warp is not None:
         raise ValueError("a warp is not periodic")
 
-    shape = res if periodic else tuple(k + 1 for k in res)
+    shape = _vertex_shape(res, periodic)
     grids = np.meshgrid(*[np.linspace(0.0, 1.0, k + 1)[:s] for k, s in zip(res, shape)], indexing="ij")
     vertices = np.stack(grids, axis=-1).reshape(-1, d)
 

@@ -154,7 +154,7 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
     for label in (REGION_PLUS, REGION_MINUS):
         if not np.any(region == label):
             raise SeparationError(f"{_REGION_NAMES[label]} region is empty; sigma does not separate")
-    _, pairs = mesh.interior_facet_pairs()
+    pairs = mesh.interior_cell_pairs()
     _check_region_connected(region, pairs, REGION_PLUS)
     _check_region_connected(region, pairs, REGION_MINUS)
 

@@ -126,16 +126,17 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     # adjacency through facets whose own vertex signs are mixed
     frag_of_cell = np.full(mesh.num_cells, -1, dtype=np.int64)
     frag_of_cell[crossing] = np.arange(crossing.size)
-    facets, pairs = mesh.interior_facet_pairs()
-    fs = signs[facets]
-    linked = frag_of_cell[pairs[fs.min(axis=1) < fs.max(axis=1)]]  # both cells of it cross
+    pairs = mesh.interior_cell_pairs()
+    pairs = pairs[(frag_of_cell[pairs] >= 0).all(axis=1)]  # a mixed facet's two cells both cross
+    fs = signs[mesh.shared_facets(pairs)]
+    linked = frag_of_cell[pairs[fs.min(axis=1) < fs.max(axis=1)]]
     n_components, labels = components(crossing.size, linked[:, 0], linked[:, 1])
 
     if crossing.size:  # |du|_g^2 vol = u_c' S_c u_c = -sum_{a<b} S_ab (u_a - u_b)^2, S_c kills constants
         ops = mesh.cell_operators()
         uc = u[mesh.cells[crossing]]
         i, j = np.triu_indices(d + 1, 1)  # the order of the edge entries of `CellOperators.local`
-        energy = -(ops.local[crossing, d + 1 :] * (uc[:, i] - uc[:, j]) ** 2).sum(axis=1)
+        energy = -(ops.rows(crossing)[:, d + 1 :] * (uc[:, i] - uc[:, j]) ** 2).sum(axis=1)
         min_grad = float(np.sqrt((energy / ops.volumes[crossing]).min()))
     else:
         min_grad = float("inf")

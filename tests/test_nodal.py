@@ -263,7 +263,8 @@ def test_batched_fragments_match_per_cell_reference(dim, n):
                 k = parent[k]
             return k
 
-        facets, pairs = mesh.interior_facet_pairs()
+        pairs = mesh.interior_cell_pairs()
+        facets = mesh.shared_facets(pairs)
         s = nodal.tie_signs(u)[facets]
         for c0, c1 in pairs[s.min(axis=1) < s.max(axis=1)].tolist():
             r0, r1 = sorted((find(index[c0]), find(index[c1])))
