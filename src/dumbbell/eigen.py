@@ -52,21 +52,29 @@ def _relative_residuals(KX, MX, values, floor):
     return num / np.maximum(den, 1e-300)
 
 
-def _rayleigh_ritz(K, M, Y):
-    """M-orthonormal Ritz vectors of span(Y) and their Ritz values, ascending.
+def _rayleigh_ritz(K, M, Y, active):
+    """M-orthonormal Ritz vectors of span(Y), their Ritz values, ascending, and
+    the images K Z and M Z of the ``active`` leading Ritz vectors Z.
 
     Y is orthonormalized twice through its column-scaled Gram matrix,
-    dropping directions in which its columns are numerically dependent.
+    dropping directions in which its columns are numerically dependent; M Y
+    is applied once and carried through both changes of basis.
     """
+    MY = M @ Y
     for _ in range(2):
-        G = Y.T @ (M @ Y)
+        G = Y.T @ MY
         s = 1.0 / np.sqrt(np.maximum(np.diag(G), 1e-300))
         w, V = np.linalg.eigh(0.5 * (G + G.T) * np.outer(s, s))
         keep = w > w.max() * 1e-13
-        Y = Y @ (s[:, None] * V[:, keep] / np.sqrt(w[keep]))
-    A = Y.T @ (K @ Y)
+        T = s[:, None] * V[:, keep] / np.sqrt(w[keep])
+        Y = Y @ T  # one at a time, so each old basis is freed before the next image is made
+        MY = MY @ T
+    KY = K @ Y
+    A = Y.T @ KY
     theta, C = np.linalg.eigh(0.5 * (A + A.T))
-    return Y @ C, theta
+    KA, MA = KY @ C[:, :active], MY @ C[:, :active]
+    del KY, MY
+    return Y @ C, theta, KA, MA
 
 
 def _halves(grid) -> bool:
@@ -156,17 +164,15 @@ def solve_smallest(
     block, active = m + 2, m - 1
     precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
     rng = np.random.default_rng(seed)
-    X, theta = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))))
-    KA, MA = K @ X[:, :active], M @ X[:, :active]
+    X, theta, KA, MA = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))), active)
     last_move = []  # the previous step's update of the active columns
     best = float("inf")
     for iterations in range(1, max_iterations + 1):
         W = precondition(KA - MA * theta[:active])
-        Z, theta = _rayleigh_ritz(K, M, deflate(np.hstack([X, W, *last_move])))
+        Z, theta, KA, MA = _rayleigh_ritz(K, M, deflate(np.hstack([X, W, *last_move])), active)
         if Z.shape[1] < active:
             raise EigenConvergenceError("iteration subspace collapsed", best)
         Z, theta, A = Z[:, :block], theta[:block], Z[:, :active]
-        KA, MA = K @ A, M @ A
         X, last_move = Z, [A - X @ (X.T @ MA)]
         res = _relative_residuals(KA, MA, theta[:active], floor)
         best = min(best, float(res.max()))

@@ -101,6 +101,8 @@ class Mesh:
         self.cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
         if self.cell_metric is not None:
             self.cell_metric = np.ascontiguousarray(np.asarray(self.cell_metric, dtype=float))
+        if self.grid_resolution is not None:
+            _check_grid_layout(self)
 
     @property
     def num_vertices(self) -> int:
@@ -443,6 +445,25 @@ def _kuhn_shapes(d: int) -> list:
     return shapes
 
 
+def _check_grid_layout(mesh: Mesh) -> None:
+    """The `build_box_grid` layout that a ``grid_resolution`` promises and every closed-form
+    table reads: d! blocks of prod(res) cells, one vertex per grid point, and each block's
+    first cell its Kuhn shape at cube 0.  O(d!): the cells past each block's first are
+    trusted."""
+    d, res = mesh.dim, tuple(mesh.grid_resolution)
+    if len(res) != d:
+        raise MeshValidationError(f"grid_resolution {res} does not give {d} axes")
+    shape = _vertex_shape(res, mesh.periodic)
+    block, points = int(np.prod(res)), int(np.prod(shape))
+    if mesh.num_cells != factorial(d) * block or mesh.num_vertices != points:
+        raise MeshValidationError(
+            f"grid_resolution {res}: expected {factorial(d) * block} cells and {points} vertices, "
+            f"got {mesh.num_cells} and {mesh.num_vertices}")
+    first = np.array([np.ravel_multi_index(tuple(walk.T), shape, mode="wrap") for walk in _kuhn_shapes(d)])
+    if not np.array_equal(mesh.cells[::block], first):
+        raise MeshValidationError(f"grid_resolution {res}: a shape block does not start with its Kuhn shape")
+
+
 def build_box_grid(
     d: int,
     n,
@@ -478,14 +499,15 @@ def build_box_grid(
     grids = np.meshgrid(*[np.linspace(0.0, 1.0, k + 1)[:s] for k, s in zip(res, shape)], indexing="ij")
     vertices = np.stack(grids, axis=-1).reshape(-1, d)
 
-    base = np.stack(
-        np.meshgrid(*[np.arange(k) for k in res], indexing="ij"), axis=-1
-    ).reshape(-1, d)
-
-    def corner(offset):
-        return np.ravel_multi_index(tuple((base + offset).T), shape, mode="wrap")
-
-    cells = np.concatenate([np.stack([corner(o) for o in shape], axis=1) for shape in _kuhn_shapes(d)])
+    # corner j of shape k in cube c is c + walk_kj, for all (k, c, j) at once: each axis's
+    # coordinate broadcasts over the other axes, so only the cells are ever full size
+    walks = np.array(_kuhn_shapes(d))  # (d!, d+1, d)
+    corners = tuple(
+        np.arange(k).reshape([1] + [k if b == a else 1 for b in range(d)] + [1])
+        + walks[:, :, a].reshape([-1] + [1] * d + [d + 1])
+        for a, k in enumerate(res)
+    )
+    cells = np.ravel_multi_index(corners, shape, mode="wrap").reshape(-1, d + 1)
 
     cell_metric = None
     if warp is not None:

@@ -7,11 +7,15 @@ multiplicity components - 1.  Exact ties are broken lexicographically by
 vertex id, the deterministic stand-in for a generic perturbation, so
 plateaus cannot occur.
 
-All links are counted at once in one sparse graph.  Its nodes are the
-directed mesh edges v -> a, numbered 2e + (v > a) from the mesh's edge
-table; a link edge (a, b) of v joins v -> a and v -> b when a and b lie on
-the same side of v.  Every component of that graph whose owner v is counted
-is then one component of one lower or upper link.
+On a box grid or torus (a mesh with a ``grid_resolution``) every vertex has
+the same star (Freudenthal 1942): 2(2^d - 1) neighbours at fixed offsets,
+joined by 6 link edges in 2d and 36 in 3d.  A counted vertex's lower link is
+then a bit mask over that star, and components are counted once per distinct
+mask.  Any other mesh counts all links at once in one sparse graph.  Its
+nodes are the directed mesh edges v -> a, numbered 2e + (v > a) from the
+mesh's edge table; a link edge (a, b) of v joins v -> a and v -> b when a
+and b lie on the same side of v.  Every component of that graph whose owner
+v is counted is then one component of one lower or upper link.
 
 Only vertex value ORDER matters; coordinates are never read.  A torus grid
 has no boundary, so every vertex of it is counted.
@@ -19,13 +23,14 @@ has no boundary, so every vertex of it is counted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, components
+from .mesh import Mesh, _kuhn_shapes, _vertex_shape, components
 
 LABEL_EXCLUDED = -1
 LABEL_REGULAR = 0
@@ -66,12 +71,22 @@ def classify_critical_points(
 
     Counts cover vertices whose star is contained in the region; on meshes
     with boundary, vertices on it are excluded as well (their links are
-    half-open, so extrema there are artifacts of truncation).  Link-graph nodes are the
-    directed edges of `Mesh.edge_table`; uncounted vertices keep 0 lower and upper components.
+    half-open, so extrema there are artifacts of truncation).  Uncounted
+    vertices keep 0 lower and upper components.  A non-finite ``u``, or a
+    ``u`` or ``region`` whose length does not match the mesh, is a ValueError.
     """
-    u = np.asarray(u, dtype=float)
     n = mesh.num_vertices
-    in_region = np.full(mesh.num_cells, True) if region is None else np.asarray(region, dtype=bool)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"field has shape {u.shape}, expected ({n},): one value per vertex")
+    if not np.isfinite(u).all():
+        raise ValueError(f"field is not finite at vertex {int(np.argmin(np.isfinite(u)))}")
+    if region is None:
+        in_region = np.full(mesh.num_cells, True)
+    else:
+        in_region = np.asarray(region, dtype=bool)
+        if in_region.shape != (mesh.num_cells,):
+            raise ValueError(f"region has shape {in_region.shape}, expected ({mesh.num_cells},): one flag per cell")
 
     # vertices touched by cells outside the region have truncated stars
     counted = np.zeros(n, dtype=bool)
@@ -80,35 +95,12 @@ def classify_critical_points(
     if not mesh.periodic:
         counted &= ~mesh.boundary_vertex_mask()
 
-    # lexicographic tie rule: equal values ordered by vertex id
+    # lexicographic tie rule: equal values ordered by vertex id, as a stable sort orders them
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((np.arange(n), u))] = np.arange(n)
+    rank[np.argsort(u, kind="stable")] = np.arange(n)
 
-    # every link edge (a, b) of every counted cell vertex v, as nodes v -> a, v -> b
-    edges, cell_edges = mesh.edge_table()
-    per = mesh.dim + 1
-    slot = {ij: k for k, ij in enumerate(itertools.combinations(range(per), 2))}
-
-    def node(i, j):  # directed edge from local vertex i to local vertex j of every cell
-        return 2 * cell_edges[:, slot[min(i, j), max(i, j)]] + (mesh.cells[:, i] > mesh.cells[:, j])
-
-    owner = edges.reshape(-1)
-    lower = (rank[edges[:, ::-1]] < rank[edges]).reshape(-1)  # the other end ranks below the owner
-    ia, ib = [], []
-    for i in range(per):
-        keep = counted[mesh.cells[:, i]]
-        out = {j: node(i, j)[keep] for j in range(per) if j != i}
-        for a, b in itertools.combinations(out.values(), 2):
-            same = lower[a] == lower[b]
-            ia.append(a[same])
-            ib.append(b[same])
-    ia, ib = np.concatenate(ia), np.concatenate(ib)
-    n_comp, comp = components(owner.size, ia, ib)
-    rep = np.empty(n_comp, dtype=np.int64)
-    rep[comp] = np.arange(owner.size)  # any node of a component: it lies in one link half
-    rep = rep[counted[owner[rep]]]
-    halves = np.bincount(2 * owner[rep] + lower[rep], minlength=2 * n)
-    upper_comp, lower_comp = halves.reshape(n, 2).T
+    links = _grid_links if mesh.grid_resolution is not None else _graph_links
+    lower_comp, upper_comp = links(mesh, rank, counted)
 
     labels = np.full(n, LABEL_EXCLUDED, dtype=np.int8)
     labels[counted] = np.select(
@@ -132,6 +124,97 @@ def classify_critical_points(
         counted=counted,
         dim=mesh.dim,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _kuhn_star(d: int) -> tuple:
+    """(offsets, neighbours) of the one star every Kuhn-grid vertex has.  ``offsets`` (N, d)
+    are the 2(2^d - 1) vertices of the star, +-o for each nonzero 0/1 vector o; a cell of
+    it is a Kuhn shape translated to put one of its walk vertices at the centre, and every
+    two other vertices of that cell span a link edge (6 in 2d, 36 in 3d).  ``neighbours``
+    (N, degree) lists each star vertex, then its link neighbours, padded with the vertex."""
+    link = set()
+    for walk in _kuhn_shapes(d):
+        for centre in walk:
+            others = sorted(tuple(int(x) for x in w - centre) for w in walk if (w != centre).any())
+            link.update(itertools.combinations(others, 2))
+    offsets = sorted({o for edge in link for o in edge})
+    adjacent = {o: [o] for o in offsets}
+    for a, b in sorted(link):
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    degree = max(len(a) for a in adjacent.values())
+    index = {o: k for k, o in enumerate(offsets)}
+    neighbours = [[index[w] for w in adjacent[o]] + [index[o]] * (degree - len(adjacent[o])) for o in offsets]
+    return np.array(offsets), np.array(neighbours, dtype=np.intp)
+
+
+def _grid_links(mesh: Mesh, rank: np.ndarray, counted: np.ndarray) -> tuple:
+    """(lower, upper) link components per vertex on a box grid or torus: a counted vertex's
+    lower set is a bit mask over the fixed `_kuhn_star`, and components are counted once per
+    distinct mask, so no link edge of any vertex is built."""
+    offsets, neighbours = _kuhn_star(mesh.dim)
+    size = offsets.shape[0]
+    shape = _vertex_shape(mesh.grid_resolution, mesh.periodic)
+    v = np.flatnonzero(counted)
+    at = np.unravel_index(v, shape)
+    star = np.ravel_multi_index(
+        tuple(c[:, None] + offsets[:, a] for a, c in enumerate(at)), shape, mode="wrap")  # a torus wraps
+    below = rank[star] < rank[v][:, None]
+    masks = (below.astype(np.uint16) << np.arange(size, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+    distinct, inverse = np.unique(masks, return_inverse=True)
+    lower = (distinct[:, None] >> np.arange(size, dtype=np.uint16) & 1).astype(bool)
+    comp = _set_components(np.vstack([lower, ~lower]), neighbours)
+    lower_comp, upper_comp = np.zeros(mesh.num_vertices, np.int64), np.zeros(mesh.num_vertices, np.int64)
+    lower_comp[v] = comp[: distinct.size][inverse]
+    upper_comp[v] = comp[distinct.size:][inverse]
+    return lower_comp, upper_comp
+
+
+def _set_components(sets: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Per row of ``sets`` (U, N) bool, the components of the graph ``neighbours`` (N, degree)
+    induced on the row's set: each member takes the least label among itself and its member
+    neighbours until none changes, and a component keeps its least member's own label."""
+    size = sets.shape[1]
+    own = np.arange(size, dtype=np.int8)
+    label = np.where(sets, own, np.int8(size))
+    while True:
+        lowest = np.where(sets, label[:, neighbours].min(axis=2), np.int8(size))
+        if np.array_equal(lowest, label):
+            return np.count_nonzero(label == own, axis=1)
+        label = lowest
+
+
+def _graph_links(mesh: Mesh, rank: np.ndarray, counted: np.ndarray) -> tuple:
+    """(lower, upper) link components per vertex on any mesh, from one sparse link graph whose
+    nodes are the directed edges of `Mesh.edge_table`."""
+    n = mesh.num_vertices
+    edges, cell_edges = mesh.edge_table()
+    per = mesh.dim + 1
+    slot = {ij: k for k, ij in enumerate(itertools.combinations(range(per), 2))}
+
+    def node(i, j):  # directed edge from local vertex i to local vertex j of every cell
+        return 2 * cell_edges[:, slot[min(i, j), max(i, j)]] + (mesh.cells[:, i] > mesh.cells[:, j])
+
+    # every link edge (a, b) of every counted cell vertex v, as nodes v -> a, v -> b
+    owner = edges.reshape(-1)
+    lower = (rank[edges[:, ::-1]] < rank[edges]).reshape(-1)  # the other end ranks below the owner
+    ia, ib = [], []
+    for i in range(per):
+        keep = counted[mesh.cells[:, i]]
+        out = {j: node(i, j)[keep] for j in range(per) if j != i}
+        for a, b in itertools.combinations(out.values(), 2):
+            same = lower[a] == lower[b]
+            ia.append(a[same])
+            ib.append(b[same])
+    ia, ib = np.concatenate(ia), np.concatenate(ib)
+    n_comp, comp = components(owner.size, ia, ib)
+    rep = np.empty(n_comp, dtype=np.int64)
+    rep[comp] = np.arange(owner.size)  # any node of a component: it lies in one link half
+    rep = rep[counted[owner[rep]]]
+    halves = np.bincount(2 * owner[rep] + lower[rep], minlength=2 * n)
+    upper_comp, lower_comp = halves.reshape(n, 2).T
+    return lower_comp, upper_comp
 
 
 def cosine_product_field(vertices: np.ndarray, periods: Sequence[int] = (2, 1)) -> np.ndarray:

@@ -290,9 +290,9 @@ def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
             return apply(r)
         return counted, levels
 
-    def counting_rayleigh_ritz(K, M, Y):
+    def counting_rayleigh_ritz(K, M, Y, active):
         bases.append(Y.shape[1])
-        return rayleigh_ritz(K, M, Y)
+        return rayleigh_ritz(K, M, Y, active)
 
     monkeypatch.setattr(eigen, "_v_cycle", counting_v_cycle)
     monkeypatch.setattr(eigen, "_rayleigh_ritz", counting_rayleigh_ritz)
@@ -300,6 +300,25 @@ def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
     assert res.levels >= 1 and res.residuals.max() <= 1e-9
     assert columns == [m - 1] * res.iterations
     assert len(bases) == res.iterations + 1 and max(bases) <= 3 * m
+
+
+@pytest.mark.parametrize("n, m", [(16, 2), (16, 3), (24, 2)])
+def test_rayleigh_ritz_carries_exact_images(monkeypatch, n, m):
+    # M Y carried through both orthonormalizations, and the active Ritz vectors' images
+    # K Y C and M Y C, against K and M applied to those vectors afresh, at every step
+    pair, bound = _plane_pair(3, n, 1e-3)
+    rayleigh_ritz, errors = eigen._rayleigh_ritz, []
+
+    def checked(K, M, Y, active):
+        Z, theta, KA, MA = rayleigh_ritz(K, M, Y, active)
+        for image, explicit in ((KA, K @ Z[:, :active]), (MA, M @ Z[:, :active])):
+            errors.append(np.linalg.norm(image - explicit, axis=0) / np.linalg.norm(explicit, axis=0))
+        return Z, theta, KA, MA
+
+    monkeypatch.setattr(eigen, "_rayleigh_ritz", checked)
+    res = solve_smallest(pair, m, tol=1e-9, shift_estimate=bound)
+    assert len(errors) == 2 * (res.iterations + 1)
+    assert np.max(errors) <= 1e-12
 
 
 @pytest.mark.parametrize("d, n, m", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 4, 6)])

@@ -1,8 +1,9 @@
 """A Kuhn grid's adjacency by index arithmetic against the sort-based builders.
 
-Box grids and tori read their edge table, interior facet pairs, boundary and
-K/M pattern off the d! Kuhn shapes; file meshes sort.  Both must give the same
-tables, and K and M bit for bit.
+Box grids and tori read their edge table, interior facet pairs, boundary,
+K/M pattern and Morse links off the d! Kuhn shapes; file meshes sort, and
+classify critical points on a link graph.  Both must give the same tables and
+Morse reports, and K and M bit for bit.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from dumbbell.assembly import assemble  # noqa: E402
 from dumbbell.experiments import ScenarioConfig, _parse_warp, run_scenario  # noqa: E402
 from dumbbell.mesh import Mesh, build_box_grid, load_mesh, save_mesh  # noqa: E402
 from dumbbell.metric import ConformalField  # noqa: E402
+from dumbbell.morse import classify_critical_points  # noqa: E402
 
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +83,42 @@ def test_closed_form_tables_match_the_sort_builders(grid):
     assert np.array_equal(m.boundary_vertex_mask(), boundary)
     assert np.array_equal(twin.boundary_vertex_mask(), boundary)
     assert m._facets is None  # none of it built the facet table
+
+
+@st.composite
+def _grid_scenes(draw):
+    """(grid, field, region): a box or torus in d = 2 or 3 with per-axis resolutions, a
+    random, tied or constant field and no, a random or an empty region."""
+    d = draw(st.sampled_from([2, 3]))
+    periodic = draw(st.booleans())
+    res = tuple(draw(st.integers(3 if periodic else 2, 8 if d == 2 else 5)) for _ in range(d))
+    m = build_box_grid(d, res, periodic=periodic)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = {
+        "random": lambda: rng.standard_normal(m.num_vertices),
+        "tied": lambda: rng.integers(0, draw(st.integers(2, 4)), m.num_vertices).astype(float),
+        "constant": lambda: np.full(m.num_vertices, draw(st.floats(-1e3, 1e3))),
+    }[draw(st.sampled_from(["random", "tied", "constant"]))]()
+    region = {
+        "none": lambda: None,
+        "random": lambda: rng.random(m.num_cells) < draw(st.floats(0.3, 1.0)),
+        "empty": lambda: np.zeros(m.num_cells, dtype=bool),
+    }[draw(st.sampled_from(["none", "random", "random", "empty"]))]()
+    return m, u, region
+
+
+@BOUNDED
+@given(_grid_scenes())
+def test_grid_morse_star_matches_the_link_graph(scene):
+    # the grid's fixed Kuhn star against the link graph of the same cells, read as a file mesh
+    m, u, region = scene
+    grid = classify_critical_points(m, u, region=region)
+    graph = classify_critical_points(_sorted_twin(m), u, region=region)
+    assert np.array_equal(grid.labels, graph.labels)
+    assert np.array_equal(grid.lower_components, graph.lower_components)
+    assert np.array_equal(grid.upper_components, graph.upper_components)
+    assert np.array_equal(grid.counted, graph.counted)
+    assert grid.counts == graph.counts
 
 
 def _with_tables_of(m: Mesh, grid_resolution) -> Mesh:

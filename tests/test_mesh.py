@@ -245,9 +245,30 @@ def test_torus_geometry_is_the_box_geometry():
 def test_replace_rebuilds_the_facet_table():
     full = build_box_grid(2, 4)
     assert full.boundary_facets.shape[0] == 16
-    cut = dataclasses.replace(full, cells=full.cells[:8])  # 8 triangles sharing no edge
+    cut = dataclasses.replace(full, cells=full.cells[:8], grid_resolution=None)  # 8 triangles sharing no edge
     assert cut.facet_table().facets.shape[0] == 24
     assert cut.boundary_facets.shape[0] == 24
+
+
+_LAYOUT_BREAKS = {  # each on build_box_grid(2, 4): 2 blocks of 16 cells, 25 vertices
+    "first 8 cells": lambda m: {"cells": m.cells[:8]},
+    "shape blocks swapped": lambda m: {"cells": np.roll(m.cells, 16, axis=0)},
+    "first shape at cube 1": lambda m: {"cells": np.roll(m.cells, -1, axis=0)},
+    "one vertex fewer": lambda m: {"vertices": m.vertices[:-1]},
+    "three axes": lambda m: {"grid_resolution": (4, 4, 4)},
+    "other resolution": lambda m: {"grid_resolution": (2, 8)},
+    "periodic": lambda m: {"periodic": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_BREAKS))
+def test_grid_resolution_must_describe_the_cells(name):
+    # the closed-form tables read the layout off grid_resolution: trusted, the first 8 cells
+    # gave 56 edges and 40 cell pairs for 8 triangles that share no edge
+    full = build_box_grid(2, 4)
+    with pytest.raises(MeshValidationError, match="grid_resolution"):
+        dataclasses.replace(full, **_LAYOUT_BREAKS[name](full))
+    assert dataclasses.replace(full).num_cells == 32  # the layout itself passes
 
 
 def _unique_facet_table(cells, dim):

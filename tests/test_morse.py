@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dumbbell import metric
-from dumbbell.mesh import build_box_grid
+from dumbbell import metric, morse
+from dumbbell.experiments import ScenarioConfig, run_scenario
+from dumbbell.mesh import Mesh, build_box_grid
 from dumbbell.morse import (
     LABEL_MAX,
     LABEL_MIN,
@@ -168,11 +169,18 @@ def _reference_classify(mesh, u, region=None):
     return labels, lower_comp, upper_comp, counted, counts
 
 
-_MESHES = {
+def _file_twin(m: Mesh) -> Mesh:
+    """The same cells with no `grid_resolution`: Morse links from the link graph."""
+    return Mesh(m.dim, m.vertices, m.cells, m.cell_metric, periodic=m.periodic)
+
+
+_GRIDS = {
     "torus": lambda: build_box_grid(2, (12, 9), periodic=True),
+    "torus3": lambda: build_box_grid(3, (4, 5, 3), periodic=True),
     "box2": lambda: build_box_grid(2, 10),
     "box3": lambda: build_box_grid(3, 6),
 }
+_MESHES = {**_GRIDS, **{f"{name}-file": lambda make=make: _file_twin(make()) for name, make in _GRIDS.items()}}
 
 
 @pytest.mark.parametrize("name", sorted(_MESHES))
@@ -199,3 +207,62 @@ def test_link_graph_matches_reference_loop(name, field, where):
     assert np.array_equal(rep.upper_components, upper)
     assert np.array_equal(rep.counted, counted)
     assert rep.counts == counts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kuhn_star_is_the_grid_star(d):
+    # 2(2^d - 1) neighbours and 6 or 36 link edges, as the sorted edge table of an interior vertex says
+    offsets, neighbours = morse._kuhn_star(d)
+    assert offsets.shape == (2 * (2**d - 1), d)
+    degrees = (neighbours != np.arange(len(offsets))[:, None]).sum(axis=1)
+    assert degrees.sum() // 2 == {2: 6, 3: 36}[d]
+    m = build_box_grid(d, 4)
+    centre = int(np.ravel_multi_index((2,) * d, (5,) * d))
+    edges, _ = _file_twin(m).edge_table()
+    star = edges[(edges == centre).any(axis=1)].sum(axis=1) - centre
+    want = {tuple(x) for x in np.array(np.unravel_index(star, (5,) * d)).T - 2}
+    assert {tuple(o) for o in offsets.tolist()} == want
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short", "long", "matrix"])
+def test_bad_fields_are_named_errors(box8, bad):
+    n = box8.num_vertices
+    u = {
+        "nan": np.where(np.arange(n) == 7, np.nan, 0.0),
+        "inf": np.where(np.arange(n) == 7, -np.inf, 0.0),
+        "short": np.zeros(n - 1),
+        "long": np.zeros(n + 1),
+        "matrix": np.zeros((n, 1)),
+    }[bad]
+    with pytest.raises(ValueError, match="vertex 7" if bad in ("nan", "inf") else "one value per vertex"):
+        classify_critical_points(box8, u)
+
+
+@pytest.mark.parametrize("size", [-1, 1])
+def test_region_of_the_wrong_length_is_a_named_error(box8, size):
+    region = np.ones(box8.num_cells + size, dtype=bool)
+    with pytest.raises(ValueError, match="one flag per cell"):
+        classify_critical_points(box8, np.zeros(box8.num_vertices), region=region)
+
+
+def test_grid_morse_builds_no_link_graph(monkeypatch):
+    # the scene may build its edge table for assembly; no Morse classification reads it
+    classify, grids = morse.classify_critical_points, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid Morse classification built a link graph")
+
+    def guarded(mesh, *args, **kwargs):
+        grids.append(mesh.grid_resolution)
+        with monkeypatch.context() as inside:
+            inside.setattr(Mesh, "edge_table", refuse)
+            inside.setattr(morse, "components", refuse)
+            return classify(mesh, *args, **kwargs)
+
+    cfg = ScenarioConfig.from_mapping({"scenario": "morse", "n": 8, "resolution": 16, "workers": 1})
+    free = run_scenario(cfg).to_dict()
+    monkeypatch.setattr(morse, "classify_critical_points", guarded)
+    report = run_scenario(cfg).to_dict()
+    assert not report["failures"], report["failures"]
+    assert grids == [(16, 16), (8, 8, 8), (8, 8, 8)]
+    assert (report["tables"], report["verdicts"]) == (free["tables"], free["verdicts"])
