@@ -42,10 +42,10 @@ from .assembly import OperatorPair, assemble, subdomain_neumann
 from .eigen import (
     EigenConvergenceError,
     EigenResult,
+    minmax_bound,
     normalize_and_sign,
     rayleigh_quotient,
     solve_smallest,
-    test_function_bound,
 )
 from .harmonic import (
     CollarIterationError,

@@ -24,7 +24,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import OperatorPair
-from .metric import REGION_COLLAR, CollarGeometry, ConformalField
+from .mesh import Mesh
+from .metric import REGION_MINUS, REGION_PLUS, CollarGeometry
 
 
 class EigenConvergenceError(RuntimeError):
@@ -221,48 +222,13 @@ def normalize_and_sign(result: EigenResult, pair: OperatorPair, geom: CollarGeom
     return replace(result, vectors=vectors)
 
 
-def collar_ramp_vector(geom: CollarGeometry, field: ConformalField):
-    """Lipschitz comparison field: 1 on the minus side, affine ramp across
-    the collar, constant 1 - 2 a eta on the plus side.
-
-    The ramp slope ``a`` makes the conformal mean vanish by construction,
-    using the same discrete volumes the operators were assembled from.
-    Returns (vector over all vertices, a).
-    """
-    eps_w = field.epsilon ** (geom.dim / 2.0)
-    kap_w = field.kappa ** (geom.dim / 2.0)
-    collar = geom.region == REGION_COLLAR
-    moment = float(
-        np.add.reduce(geom.cell_volumes[collar] * (geom.eta + geom.cell_rho[collar]))
-    )
-    a = (kap_w * geom.vol_complement + eps_w * geom.vol_collar) / (
-        2.0 * geom.eta * kap_w * geom.vol_plus + eps_w * moment
-    )
-    rho = geom.rho
-    u = np.where(
-        rho <= -geom.eta,
-        1.0,
-        np.where(rho >= geom.eta, 1.0 - 2.0 * a * geom.eta, 1.0 - a * (geom.eta + rho)),
-    )
-    return u, float(a)
-
-
-def test_function_bound(geom: CollarGeometry, field: ConformalField, pair: OperatorPair) -> float:
-    """Energy quotient of the explicit collar ramp; an upper bound for the
-    first nontrivial eigenvalue of the same pair by min-max.
-
-    Requires the collar boundary to sit on mesh planes so the ramp is exactly
-    representable in the P1 space; otherwise the bound is not valid and the
-    call is refused.
-    """
-    if not geom.grid_aligned:
-        raise ValueError("collar half-width is not grid aligned; ramp is not representable")
-    if field.profile != "step":
-        raise ValueError("the ramp bound is defined for the step profile")
-    u, _ = collar_ramp_vector(geom, field)
-    u = u[pair.dof_map]
-    ones = np.ones(pair.n_dof)
+def minmax_bound(mesh: Mesh, geom: CollarGeometry, pair: OperatorPair) -> float:
+    """Rayleigh quotient of clip(rho, -eta, eta), set to +-eta on every vertex of a
+    bulk cell and made M-orthogonal to the constants: by min-max an upper bound
+    on the pair's first nontrivial eigenvalue, on any scene."""
+    u = np.clip(geom.rho, -geom.eta, geom.eta)
+    u[mesh.cells[geom.region == REGION_PLUS]] = geom.eta
+    u[mesh.cells[geom.region == REGION_MINUS]] = -geom.eta
+    u, ones = u[pair.dof_map], np.ones(pair.n_dof)
     Mones = pair.M @ ones
-    mean = float(u @ Mones) / float(ones @ Mones)
-    u = u - mean  # re-project the roundoff mean; analytic a already kills it
-    return rayleigh_quotient(pair, u)
+    return rayleigh_quotient(pair, u - float(u @ Mones) / float(ones @ Mones))

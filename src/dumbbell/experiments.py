@@ -319,15 +319,15 @@ def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float
 
 
 def _solve_point(mesh, geom, cfg, eps, m=2):
-    """Assemble and solve one sweep point; the ramp bound seeds the shift.
+    """Assemble and solve one sweep point, with its min-max bound on lambda1.
 
-    Non-grid-aligned collars (file meshes, curved interfaces) have no exact
-    ramp, so the bound comes back None and the solver starts unseeded.
+    Alignment decides only the seed: the bound seeds the shift where the
+    collar sits on grid planes, and elsewhere the solver starts unseeded.
     """
     fld = metric.build_conformal_field(geom, eps)
     pair = assembly.assemble(mesh, fld)
-    bound = eigen.test_function_bound(geom, fld, pair) if geom.grid_aligned else None
-    result = eigen.solve_smallest(pair, m, shift_estimate=bound, seed=cfg.seed)
+    bound = eigen.minmax_bound(mesh, geom, pair)
+    result = eigen.solve_smallest(pair, m, shift_estimate=bound if geom.grid_aligned else None, seed=cfg.seed)
     result = eigen.normalize_and_sign(result, pair, geom)
     return fld, pair, bound, result
 
@@ -355,10 +355,14 @@ def _monotone_verdict(name: str, values) -> Verdict:
 # scenarios
 
 
+def _require_plane_box(cfg: ScenarioConfig):
+    if cfg.sigma != "plane" or cfg.mesh_path:
+        raise ValueError(f"{cfg.scenario} needs the plane scene on a box grid (sigma=plane, no mesh_path)")
+
+
 def _run_scaling(cfg: ScenarioConfig):
+    _require_plane_box(cfg)  # the 1d oracle is a plane reduction
     mesh, geom = _build_scene(cfg)
-    if not geom.grid_aligned:
-        raise ValueError("scaling needs a grid-aligned collar for the ramp bound")
 
     def point(eps):
         fld, pair, bound, result = _solve_point(mesh, geom, cfg, eps)
@@ -478,6 +482,8 @@ def _center_fiber(mesh: Mesh):
 
 
 def _run_collar(cfg: ScenarioConfig):
+    if cfg.mesh_path:
+        raise ValueError("collar's center-fiber profile needs a box grid (no mesh_path)")
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
     hsol = harmonic.solve_harmonic(mesh, geom, consts)
@@ -532,8 +538,7 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     warp_fn, slope = _parse_warp(cfg.warp)
     if warp_fn is None:
         raise ValueError("harmonic-approx needs a warped scene (warp=linear:<slope>)")
-    if cfg.sigma != "plane" or cfg.mesh_path:
-        raise ValueError("harmonic-approx needs the plane scene on a box grid (sigma=plane, no mesh_path)")
+    _require_plane_box(cfg)
 
     # flat benchmark: the affine model is discrete-harmonic, so h matches it
     flat_cfg = dataclasses.replace(cfg, warp="none")

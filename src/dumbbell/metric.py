@@ -158,7 +158,8 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
     _check_region_connected(region, pairs, REGION_PLUS)
     _check_region_connected(region, pairs, REGION_MINUS)
 
-    # operational grid alignment: vertices exist exactly on both collar planes
+    # vertices lie exactly on both collar planes; this decides only whether
+    # the min-max bound seeds the solver's shift
     aligned = bool(
         snap
         and np.any(np.abs(rho - eta) < 1e-12)

@@ -34,7 +34,7 @@ def dumbbell16(scene16):
     m, geom = scene16
     fld = metric.build_conformal_field(geom, 1e-3)
     pair = assembly.assemble(m, fld)
-    bound = eigen.test_function_bound(geom, fld, pair)
+    bound = eigen.minmax_bound(m, geom, pair)
     result = eigen.solve_smallest(pair, 3, tol=1e-9, shift_estimate=bound)
     result = eigen.normalize_and_sign(result, pair, geom)
     consts = harmonic.compute_plateaus(

@@ -130,16 +130,23 @@ def test_flat_box_first_eigenvalue(box16):
     assert abs(res.values[1] - np.pi**2) / np.pi**2 < 0.02
 
 
-def test_ramp_energy_only_from_collar(dumbbell16):
-    m, geom, fld = dumbbell16["mesh"], dumbbell16["geom"], dumbbell16["field"]
-    u, _ = eigen.collar_ramp_vector(geom, fld)
-    # assemble over the two plateau regions only: the ramp is constant there
-    outside = geom.region != metric.REGION_COLLAR
-    pair_out = assemble(m, fld, cell_mask=outside)
+@pytest.mark.parametrize("sigma", [PlaneSigma(0.5), metric.sphere_level((0.5, 0.5, 0.5), 0.3)],
+                         ids=["plane", "sphere"])
+def test_minmax_vector_energy_only_from_collar(box16, sigma):
+    # the min-max test vector: clip(rho, -eta, eta), and +-eta on every vertex of a bulk cell
+    geom = collar_geometry(box16, sigma, 0.125)
+    fld = build_conformal_field(geom, 1e-3)
+    u = np.clip(geom.rho, -geom.eta, geom.eta)
+    u[box16.cells[geom.region == metric.REGION_PLUS]] = geom.eta
+    u[box16.cells[geom.region == metric.REGION_MINUS]] = -geom.eta
+    full = assemble(box16, fld)
+    Mones = full.M @ np.ones(full.n_dof)
+    centered = u - (u @ Mones) / Mones.sum()
+    assert eigen.minmax_bound(box16, geom, full) == pytest.approx(eigen.rayleigh_quotient(full, centered), rel=1e-12)
+    # assemble over the two plateau regions only: the vector is constant on each of their cells
+    pair_out = assemble(box16, fld, cell_mask=geom.region != metric.REGION_COLLAR)
     u_out = u[pair_out.dof_map]
-    full = assemble(m, fld)
-    total_energy = u[full.dof_map] @ (full.K @ u[full.dof_map])
-    assert abs(u_out @ (pair_out.K @ u_out)) < 1e-10 * total_energy
+    assert abs(u_out @ (pair_out.K @ u_out)) < 1e-10 * (u @ (full.K @ u))
 
 
 def test_scaling_covariance(scene8):

@@ -8,8 +8,7 @@ from scipy.sparse.linalg import eigsh
 
 from dumbbell import assembly, eigen, metric, oracle
 from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
-from dumbbell.eigen import normalize_and_sign, rayleigh_quotient, solve_smallest
-from dumbbell.eigen import test_function_bound as ramp_bound
+from dumbbell.eigen import minmax_bound, normalize_and_sign, rayleigh_quotient, solve_smallest
 from dumbbell.metric import build_conformal_field, collar_geometry
 
 
@@ -91,7 +90,7 @@ def test_bound_dominates_lambda1_everywhere(scene16):
     for eps in (1.0, 0.1, 1e-2, 1e-3):
         fld = build_conformal_field(geom, eps)
         pair = assembly.assemble(m, fld)
-        bound = ramp_bound(geom, fld, pair)
+        bound = minmax_bound(m, geom, pair)
         res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
         assert res.values[1] <= bound
 
@@ -100,16 +99,9 @@ def test_bound_finite_at_eps_one(scene16):
     m, geom = scene16
     fld = build_conformal_field(geom, 1.0)
     pair = assembly.assemble(m, fld)
-    bound = ramp_bound(geom, fld, pair)
+    bound = minmax_bound(m, geom, pair)
     assert np.isfinite(bound)
     assert bound >= np.pi**2 * 0.9  # any mean-zero field bounds lambda1 from above
-
-
-def test_ramp_mean_vanishes(dumbbell16):
-    geom, fld, pair = dumbbell16["geom"], dumbbell16["field"], dumbbell16["pair"]
-    u, _ = eigen.collar_ramp_vector(geom, fld)
-    ones = np.ones(pair.n_dof)
-    assert abs(u @ (pair.M @ ones)) <= 1e-10
 
 
 def test_bound_scaling_band(scene16):
@@ -119,18 +111,49 @@ def test_bound_scaling_band(scene16):
     for eps in (1e-2, 1e-3):
         fld = build_conformal_field(geom, eps)
         pair = assembly.assemble(m, fld)
-        ratios.append(ramp_bound(geom, fld, pair) / np.sqrt(eps))
+        ratios.append(minmax_bound(m, geom, pair) / np.sqrt(eps))
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_bound_refuses_unaligned_eta(box16):
-    # eta snaps to 2/16, but a plane at 0.47 puts the collar planes at 0.345 and 0.595, off the 1/16 grid
-    geom = collar_geometry(box16, metric.PlaneSigma(0.47), 0.1)
+def _bound_scene(name, tmp_path):
+    """An n = 16 box (an n = 12 one read from a file) and its collar; only the
+    "plane" collar sits on grid planes."""
+    if name == "file-mesh":  # no snap: eta = 0.125 is 1.5 spacings of the n = 12 grid
+        save_mesh(build_box_grid(3, 12), tmp_path / "box.mesh")
+        m = load_mesh(tmp_path / "box.mesh")
+        return m, collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
+    m = build_box_grid(3, 16)
+    sigma, eta = {
+        "plane": (metric.PlaneSigma(0.5), 0.125),
+        # eta snaps to 2/16, but the collar planes sit at 0.345 and 0.595, off the 1/16 grid
+        "offgrid-plane": (metric.PlaneSigma(0.47), 0.1),
+        "sphere": (metric.sphere_level((0.5, 0.5, 0.5), 0.3), 0.125),
+        "torus": (metric.torus_level((0.5, 0.5, 0.5), 0.25, 0.14), 1.0 / 16),
+    }[name]
+    return m, collar_geometry(m, sigma, eta)
+
+
+@pytest.mark.parametrize("scene", ["offgrid-plane", "sphere", "torus", "file-mesh"])
+def test_minmax_bound_dominates_lambda1_off_the_grid(scene, tmp_path):
+    # any P1 vector M-orthogonal to the constants bounds lambda1 by min-max,
+    # whether or not the collar sits on grid planes
+    m, geom = _bound_scene(scene, tmp_path)
     assert not geom.grid_aligned
-    fld = build_conformal_field(geom, 0.1)
-    pair = assembly.assemble(box16, fld)
-    with pytest.raises(ValueError, match="grid aligned"):
-        ramp_bound(geom, fld, pair)
+    for eps in (1e-3, 1e-5, 1e-7):
+        pair = assembly.assemble(m, build_conformal_field(geom, eps))
+        bound = minmax_bound(m, geom, pair)
+        res = solve_smallest(pair, 2, tol=1e-9)
+        assert np.isfinite(bound)
+        assert 0 < res.values[1] <= bound
+
+
+@pytest.mark.parametrize("scene, sharpness", [("plane", 1e-3), ("sphere", 0.5)])
+def test_minmax_bound_is_sharp(scene, sharpness, tmp_path):
+    # bound / lambda1 - 1 at epsilon = 1e-7: 2.9e-4 on the snapped plane, 0.24 on the sphere
+    m, geom = _bound_scene(scene, tmp_path)
+    pair = assembly.assemble(m, build_conformal_field(geom, 1e-7))
+    lam1 = solve_smallest(pair, 2, tol=1e-9).values[1]
+    assert 0 <= minmax_bound(m, geom, pair) / lam1 - 1 < sharpness
 
 
 def test_conformal_scaling_invariance(scene8):
@@ -166,7 +189,7 @@ def test_severe_mass_ill_conditioning(scene16):
     m, geom = scene16
     fld = build_conformal_field(geom, 1e-4)
     pair = assembly.assemble(m, fld)
-    bound = ramp_bound(geom, fld, pair)
+    bound = minmax_bound(m, geom, pair)
     res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
     assert 0 < res.values[1] <= bound
     assert np.all(res.residuals <= 1e-9)
@@ -204,7 +227,7 @@ def _plane_pair(d, n, eps):
     geom = collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
     fld = build_conformal_field(geom, eps)
     pair = assembly.assemble(m, fld)
-    return pair, ramp_bound(geom, fld, pair)
+    return pair, minmax_bound(m, geom, pair)
 
 
 def _sphere_pair():

@@ -478,15 +478,65 @@ def test_warped_oracle_compare_reads_the_scene_warp():
     assert report.all_passed(), report.to_dict()["verdicts"]
 
 
-@pytest.mark.parametrize("scene", ["sigma", "mesh_path"])
-def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scene):
+@pytest.mark.parametrize("scenario, scene", [
+    pytest.param(scenario, scene, id=scene if scenario == "harmonic-approx" else f"{scenario}-{scene}")
+    for scenario in ("harmonic-approx", "scaling") for scene in ("sigma", "mesh_path")
+])
+def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scenario, scene):
+    # both compare against a plane reduction: the 1d oracle and the 1d closed form
     from dumbbell.mesh import build_box_grid, save_mesh
 
     save_mesh(build_box_grid(3, 4), tmp_path / "box.mesh")
     value = {"sigma": "sphere:0.5,0.5,0.5,0.35", "mesh_path": str(tmp_path / "box.mesh")}[scene]
-    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "harmonic-approx", "eta": 0.1, scene: value}))
-    assert report.failures == [{"stage": "harmonic-approx", "error": "ValueError: harmonic-approx needs "
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": scenario, "eta": 0.1, scene: value}))
+    assert report.failures == [{"stage": scenario, "error": f"ValueError: {scenario} needs "
                                 "the plane scene on a box grid (sigma=plane, no mesh_path)"}]
+
+
+def test_scaling_runs_on_an_off_grid_plane():
+    # the collar planes sit at 0.345 and 0.595, off the 1/16 grid: the bound no longer needs them on it
+    report = run_scenario(ScenarioConfig.from_mapping(
+        {"scenario": "scaling", "n": 16, "sigma_offset": 0.47, "eta": 0.1}))
+    assert not report.failures
+    assert report.all_passed(), report.to_dict()["verdicts"]
+    assert [v.name for v in report.verdicts] == [
+        "eigenvalue-scaling-slope", "oracle-scaling-slope", "minmax-sandwich", "volume-preservation"]
+
+
+def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch):
+    from dumbbell.mesh import build_box_grid, save_mesh
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("collar solved before refusing the file mesh")
+
+    monkeypatch.setattr(experiments.eigen, "solve_smallest", no_solve)
+    save_mesh(build_box_grid(3, 8), tmp_path / "box.mesh")
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "collar", "mesh_path": str(tmp_path / "box.mesh")}))
+    assert report.failures == [{"stage": "collar", "error": "ValueError: collar's center-fiber profile "
+                                "needs a box grid (no mesh_path)"}]
+
+
+@pytest.mark.parametrize("scene", ["plane", "sphere", "file-3d", "file-2d"])
+def test_every_scenario_fails_only_by_a_named_value_error(tmp_path, scene):
+    # each scenario either runs clean on the scene or names why it refuses it;
+    # configs the scene rules reject at parse time are not run
+    import dumbbell
+    from dumbbell.mesh import build_box_grid, save_mesh
+
+    value_errors = {name for name, obj in vars(dumbbell).items()
+                    if isinstance(obj, type) and issubclass(obj, ValueError)} | {"ValueError"}
+    scenes = {"plane": {}, "sphere": {"sigma": "sphere:0.5,0.5,0.5,0.3"}}
+    for d in (3, 2):
+        save_mesh(build_box_grid(d, 8), tmp_path / f"box{d}.mesh")
+        scenes[f"file-{d}d"] = {"mesh_path": str(tmp_path / f"box{d}.mesh"), "d": d}
+    for scenario in experiments.SCENARIO_NAMES:
+        mapping = {"scenario": scenario, "n": 8, "resolution": 16, "oracle_resolution": 64, **scenes[scene]}
+        try:
+            cfg = ScenarioConfig.from_mapping(mapping)
+        except ValueError:
+            continue
+        for failure in run_scenario(cfg).failures:
+            assert failure["error"].split(":", 1)[0] in value_errors, failure
 
 
 @pytest.mark.parametrize("mapping", [

@@ -27,7 +27,7 @@ def test_2d_dumbbell_pipeline(plane_scene):
     # the field reads d = 2 from the mesh: the volume weight f^(d/2) is f itself
     assert fld.epsilon * geom.vol_collar + fld.kappa * geom.vol_complement == pytest.approx(1.0, abs=1e-12)
     pair = assembly.assemble(m, fld)
-    bound = eigen.test_function_bound(geom, fld, pair)
+    bound = eigen.minmax_bound(m, geom, pair)
     res = eigen.solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
     res = eigen.normalize_and_sign(res, pair, geom)
     assert 0 < res.values[1] <= bound
