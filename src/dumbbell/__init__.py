@@ -42,8 +42,8 @@ from .assembly import OperatorPair, assemble, subdomain_neumann
 from .eigen import (
     EigenConvergenceError,
     EigenResult,
+    apply_sign_rule,
     minmax_bound,
-    normalize_and_sign,
     rayleigh_quotient,
     solve_smallest,
 )

@@ -7,7 +7,7 @@ get search directions W and P (Duersch et al. 2018); the three guards share
 each Rayleigh-Ritz of the 3m columns [X, W, P], deflated as one basis.
 M is only applied, never inverted, which matters when the mass weights span
 many orders of magnitude at small epsilon.  The preconditioner is a V-cycle
-for K + c M on the nested Freudenthal/Kuhn grids (Bey 2000), coarsened while
+for K + M/10 on the nested Freudenthal/Kuhn grids (Bey 2000), coarsened while
 every axis of ``OperatorPair.grid`` is even and above 8; its coarsest level
 is a sparse LU, so a pair that does not halve is preconditioned by that LU
 of the whole matrix.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -133,18 +132,16 @@ def solve_smallest(
     pair: OperatorPair,
     m: int,
     tol: float = 1e-9,
-    shift_estimate: Optional[float] = None,
     seed: int = 0,
     max_iterations: int = 500,
 ) -> EigenResult:
     """The m smallest eigenpairs, constant mode included.
 
-    The preconditioner approximates the inverse of K + c M, exactly when the
-    grid does not halve, with c a tenth of ``shift_estimate`` (an a priori
-    guess for the smallest nonzero eigenvalue), or a tenth of 1 with no
-    estimate.  A tenth of the estimate, at least 1e-8, also floors the
-    eigenvalue that scales the relative residuals.  The guards keep a cluster
-    at the edge of the wanted modes from stalling the steps.
+    Every pair is solved alike: no eigenvalue estimate seeds the solve.  The
+    preconditioner approximates the inverse of K + M/10, exactly when the grid
+    does not halve, and 1e-8 floors the eigenvalue that scales the relative
+    residuals.  The guards keep a cluster at the edge of the wanted modes from
+    stalling the steps.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -161,9 +158,8 @@ def solve_smallest(
         X -= np.outer(ones, (Mones @ X) / mass)
         return X
 
-    floor = max(1e-8, 0.1 * (shift_estimate or 0.0))
     block, active = m + 2, m - 1
-    precondition, levels = _v_cycle((K + 0.1 * (shift_estimate or 1.0) * M).tocsr(), pair.grid)
+    precondition, levels = _v_cycle((K + 0.1 * M).tocsr(), pair.grid)
     rng = np.random.default_rng(seed)
     X, theta, KA, MA = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))), active)
     last_move = []  # the previous step's update of the active columns
@@ -175,7 +171,7 @@ def solve_smallest(
             raise EigenConvergenceError("iteration subspace collapsed", best)
         Z, theta, A = Z[:, :block], theta[:block], Z[:, :active]
         X, last_move = Z, [A - X @ (X.T @ MA)]
-        res = _relative_residuals(KA, MA, theta[:active], floor)
+        res = _relative_residuals(KA, MA, theta[:active], 1e-8)
         best = min(best, float(res.max()))
         if np.all(res <= tol):
             break
@@ -199,8 +195,8 @@ def rayleigh_quotient(pair: OperatorPair, v: np.ndarray) -> float:
     return float(v @ (pair.K @ v)) / mvv
 
 
-def normalize_and_sign(result: EigenResult, pair: OperatorPair, geom: CollarGeometry) -> EigenResult:
-    """Unit mass norm for every mode; positive plateau on the plus side.
+def apply_sign_rule(result: EigenResult, pair: OperatorPair, geom: CollarGeometry) -> EigenResult:
+    """Positive plateau on the plus side; the modes are already M-orthonormal.
 
     The first nontrivial eigenvector is flipped when its mass-weighted mean
     over the plus region is negative (lumped row-sum weights over vertices
@@ -208,17 +204,9 @@ def normalize_and_sign(result: EigenResult, pair: OperatorPair, geom: CollarGeom
     """
     vectors = result.vectors.copy()
     lumped = np.asarray(pair.M.sum(axis=1)).reshape(-1)
-    for j in range(vectors.shape[1]):
-        nrm = float(vectors[:, j] @ (pair.M @ vectors[:, j]))
-        if nrm <= 0:
-            raise ValueError(f"mode {j} is a zero vector")
-        vectors[:, j] /= np.sqrt(nrm)
-    if vectors.shape[1] > 1:
-        rho = geom.rho[pair.dof_map]
-        plus = rho >= geom.eta - 1e-12
-        mean_plus = float(np.add.reduce(lumped[plus] * vectors[plus, 1]))
-        if mean_plus < 0:
-            vectors[:, 1] = -vectors[:, 1]
+    plus = geom.rho[pair.dof_map] >= geom.eta - 1e-12
+    if float(np.add.reduce(lumped[plus] * vectors[plus, 1])) < 0:
+        vectors[:, 1] = -vectors[:, 1]
     return replace(result, vectors=vectors)
 
 

@@ -319,17 +319,11 @@ def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float
 
 
 def _solve_point(mesh, geom, cfg, eps, m=2):
-    """Assemble and solve one sweep point, with its min-max bound on lambda1.
-
-    Alignment decides only the seed: the bound seeds the shift where the
-    collar sits on grid planes, and elsewhere the solver starts unseeded.
-    """
+    """Assemble and solve one sweep point, its first mode signed by the plus plateau."""
     fld = metric.build_conformal_field(geom, eps)
     pair = assembly.assemble(mesh, fld)
-    bound = eigen.minmax_bound(mesh, geom, pair)
-    result = eigen.solve_smallest(pair, m, shift_estimate=bound if geom.grid_aligned else None, seed=cfg.seed)
-    result = eigen.normalize_and_sign(result, pair, geom)
-    return fld, pair, bound, result
+    result = eigen.solve_smallest(pair, m, seed=cfg.seed)
+    return fld, pair, eigen.apply_sign_rule(result, pair, geom)
 
 
 def _map_sweep(cfg: ScenarioConfig, fn: Callable, items):
@@ -365,7 +359,8 @@ def _run_scaling(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
 
     def point(eps):
-        fld, pair, bound, result = _solve_point(mesh, geom, cfg, eps)
+        fld, pair, result = _solve_point(mesh, geom, cfg, eps)
+        bound = eigen.minmax_bound(mesh, geom, pair)
         vol_err = metric.verify_volume_preservation(fld, geom)
         return (eps, result.values[1], result.values[0], bound, fld.kappa, vol_err,
                 float(result.residuals[1:].max()))
@@ -408,13 +403,13 @@ def _run_scaling(cfg: ScenarioConfig):
 
 def _run_gap(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
-    fld, pair, bound, result = _solve_point(mesh, geom, cfg, cfg.epsilon, m=3)
+    fld, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon, m=3)
     lam1, lam2 = result.values[1], result.values[2]
 
     mus = {}
     for side in ("plus", "minus"):
         sub = assembly.subdomain_neumann(mesh, geom, side)
-        sub_res = eigen.solve_smallest(sub, 2, shift_estimate=1.0, seed=cfg.seed)
+        sub_res = eigen.solve_smallest(sub, 2, seed=cfg.seed)
         mus[side] = float(sub_res.values[1])
     mu_min = min(mus.values())
     # bulk regions carry metric kappa*g0, so their Neumann values rescale by 1/kappa
@@ -435,22 +430,21 @@ def _run_gap(cfg: ScenarioConfig):
     return tables, verdicts, {}
 
 
-def _plateau_sups(geom, consts, u1):
-    far_plus = (geom.rho >= 2 * geom.eta - 1e-12)
-    far_minus = (geom.rho <= -2 * geom.eta + 1e-12)
-    sup_plus = float(np.abs(u1[far_plus] - consts.c_plus).max())
-    sup_minus = float(np.abs(u1[far_minus] - consts.c_minus).max())
-    return sup_plus, sup_minus
-
-
 def _run_plateau(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
+    far = {"plus": geom.rho >= 2 * geom.eta - 1e-12, "minus": geom.rho <= -2 * geom.eta + 1e-12}
+    for side, mask in far.items():
+        if not mask.any():
+            raise ValueError(f"plateau needs a far bulk: no vertex on the {side} side lies "
+                             f"2 eta = {2 * geom.eta:g} or more from sigma")
     sweep = tuple(sorted(cfg.epsilons, reverse=True))  # monotone gate reads large -> small
 
     def point(eps):
-        _, _, _, result = _solve_point(mesh, geom, cfg, eps)
-        sp, sm = _plateau_sups(geom, consts, result.vectors[:, 1])
+        _, _, result = _solve_point(mesh, geom, cfg, eps)
+        u1 = result.vectors[:, 1]
+        sp = float(np.abs(u1[far["plus"]] - consts.c_plus).max())
+        sm = float(np.abs(u1[far["minus"]] - consts.c_minus).max())
         return eps, result.values[1], sp, sm, max(sp, sm) / consts.gap
 
     rows = _map_sweep(cfg, point, sweep)
@@ -493,7 +487,7 @@ def _run_collar(cfg: ScenarioConfig):
     sweep = tuple(sorted(cfg.epsilons, reverse=True))
 
     def point(eps):
-        _, _, _, result = _solve_point(mesh, geom, cfg, eps)
+        _, _, result = _solve_point(mesh, geom, cfg, eps)
         u1 = result.vectors[:, 1]
         sup = float(np.abs(u1[on_collar] - h_full[on_collar]).max()) / consts.gap
         return eps, result.values[1], sup, u1
@@ -603,7 +597,7 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 def _run_nodal(cfg: ScenarioConfig):
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
-    fld, pair, bound, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
+    fld, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
     u1 = result.vectors[:, 1]
 
     ns = nodal.extract_nodal_set(mesh, u1)
@@ -642,7 +636,7 @@ def _run_mollify(cfg: ScenarioConfig):
         raise ValueError("mollify widths of 4, 2 and 1 spacings need n divisible by 4")
     mesh, geom = _build_scene(cfg)
     eps = 0.95  # see README: small eps cannot meet the 1% gate at desk scale
-    fld, pair, bound, ref = _solve_point(mesh, geom, cfg, eps)
+    _, _, ref = _solve_point(mesh, geom, cfg, eps)
     lam_ref = float(ref.values[1])
     u_ref = ref.vectors[:, 1]
     consts = _plateaus(geom)
@@ -655,8 +649,7 @@ def _run_mollify(cfg: ScenarioConfig):
         fm = metric.build_conformal_field(geom, eps, profile="mollified", mollify_n=n_moll)
         gamma = metric.volume_rescale_factor(fm, geom)
         pm = assembly.assemble(mesh, fm)
-        rm = eigen.solve_smallest(pm, 2, shift_estimate=lam_ref, seed=cfg.seed)
-        rm = eigen.normalize_and_sign(rm, pm, geom)
+        rm = eigen.apply_sign_rule(eigen.solve_smallest(pm, 2, seed=cfg.seed), pm, geom)
         lam = float(rm.values[1]) / gamma
         diff = abs(lam - lam_ref) / lam_ref
         diffs.append(diff)
@@ -692,7 +685,7 @@ def _run_morse(cfg: ScenarioConfig):
 
     # eigenfunction census, report-only
     mesh, geom = _build_scene(cfg)
-    _, _, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
+    _, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
     eig_rep = morse.classify_critical_points(mesh, result.vectors[:, 1])
 
     # genus-1 level set: critical counts inside the solid torus bound the
@@ -725,10 +718,11 @@ def _run_morse(cfg: ScenarioConfig):
 
 
 def _run_oracle_compare(cfg: ScenarioConfig):
+    _require_plane_box(cfg)  # the 1d oracle is a plane reduction
     mesh, geom = _build_scene(cfg)
 
     def point(eps):
-        _, _, bound, result = _solve_point(mesh, geom, cfg, eps)
+        _, _, result = _solve_point(mesh, geom, cfg, eps)
         ev = oracle.sturm_liouville_neumann(_oracle_profile(cfg, geom, eps), 2)
         lam3, lam1 = float(result.values[1]), float(ev.values[1])
         return [eps, lam3, lam1, float(ev.refined[1]), abs(lam3 - lam1) / lam1]

@@ -111,7 +111,6 @@ class CollarGeometry:
     vol_collar: float
     vol_plus: float
     vol_minus: float
-    grid_aligned: bool
     spacing: Optional[float]
 
     @property
@@ -137,8 +136,7 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
         raise ValueError(f"collar half-width must be positive, got {eta}")
     rho = signed_distance(mesh, sigma)
     spacing = mesh.spacing()
-    snap = isinstance(sigma, PlaneSigma) and spacing is not None
-    if snap:
+    if isinstance(sigma, PlaneSigma) and spacing is not None:
         eta = max(1.0, round(eta / spacing)) * spacing
 
     cell_rho = rho[mesh.cells].mean(axis=1)
@@ -158,13 +156,6 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
     _check_region_connected(region, pairs, REGION_PLUS)
     _check_region_connected(region, pairs, REGION_MINUS)
 
-    # vertices lie exactly on both collar planes; this decides only whether
-    # the min-max bound seeds the solver's shift
-    aligned = bool(
-        snap
-        and np.any(np.abs(rho - eta) < 1e-12)
-        and np.any(np.abs(rho + eta) < 1e-12)
-    )
     return CollarGeometry(
         dim=mesh.dim,
         rho=rho,
@@ -175,7 +166,6 @@ def collar_geometry(mesh: Mesh, sigma: SigmaDescriptor, eta: float) -> CollarGeo
         vol_collar=vols[REGION_COLLAR],
         vol_plus=vols[REGION_PLUS],
         vol_minus=vols[REGION_MINUS],
-        grid_aligned=aligned,
         spacing=spacing,
     )
 

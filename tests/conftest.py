@@ -34,9 +34,7 @@ def dumbbell16(scene16):
     m, geom = scene16
     fld = metric.build_conformal_field(geom, 1e-3)
     pair = assembly.assemble(m, fld)
-    bound = eigen.minmax_bound(m, geom, pair)
-    result = eigen.solve_smallest(pair, 3, tol=1e-9, shift_estimate=bound)
-    result = eigen.normalize_and_sign(result, pair, geom)
+    result = eigen.apply_sign_rule(eigen.solve_smallest(pair, 3, tol=1e-9), pair, geom)
     consts = harmonic.compute_plateaus(
         geom.vol_plus, geom.vol_minus,
         metric.kappa_zero(geom.vol_collar, geom.vol_complement, 3), 3,
@@ -46,7 +44,6 @@ def dumbbell16(scene16):
         "geom": geom,
         "field": fld,
         "pair": pair,
-        "bound": bound,
         "result": result,
         "consts": consts,
     }

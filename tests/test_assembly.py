@@ -126,7 +126,7 @@ def test_mass_row_sums_positive(scene16):
 
 def test_flat_box_first_eigenvalue(box16):
     pair = assemble(box16)
-    res = eigen.solve_smallest(pair, 2, tol=1e-9, shift_estimate=10.0)
+    res = eigen.solve_smallest(pair, 2, tol=1e-9)
     assert abs(res.values[1] - np.pi**2) / np.pi**2 < 0.02
 
 
@@ -165,7 +165,7 @@ def test_minmax_lower_bound_random_probes(scene8):
     m, geom = scene8
     fld = build_conformal_field(geom, 0.1)
     pair = assemble(m, fld)
-    res = eigen.solve_smallest(pair, 2, tol=1e-10, shift_estimate=3.0)
+    res = eigen.solve_smallest(pair, 2, tol=1e-10)
     lam1 = res.values[1]
     ones = np.ones(pair.n_dof)
     Mones = pair.M @ ones
@@ -216,7 +216,7 @@ def test_subdomain_neumann_slab_spectrum(scene16):
     # cross-section cosine, min(pi^2 / 0.375^2, pi^2) = pi^2
     m, geom = scene16
     pair = subdomain_neumann(m, geom, "plus")
-    res = eigen.solve_smallest(pair, 2, tol=1e-9, shift_estimate=5.0)
+    res = eigen.solve_smallest(pair, 2, tol=1e-9)
     assert res.values[0] == pytest.approx(0.0, abs=1e-8)
     assert abs(res.values[1] - np.pi**2) / np.pi**2 < 0.02
 
@@ -226,7 +226,7 @@ def test_subdomain_mirror_symmetry(scene16):
     mus = []
     for side in ("plus", "minus"):
         pair = subdomain_neumann(m, geom, side)
-        res = eigen.solve_smallest(pair, 2, tol=1e-10, shift_estimate=5.0)
+        res = eigen.solve_smallest(pair, 2, tol=1e-10)
         mus.append(res.values[1])
     assert mus[0] == pytest.approx(mus[1], rel=1e-8)
 

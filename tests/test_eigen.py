@@ -8,13 +8,13 @@ from scipy.sparse.linalg import eigsh
 
 from dumbbell import assembly, eigen, metric, oracle
 from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
-from dumbbell.eigen import minmax_bound, normalize_and_sign, rayleigh_quotient, solve_smallest
+from dumbbell.eigen import apply_sign_rule, minmax_bound, rayleigh_quotient, solve_smallest
 from dumbbell.metric import build_conformal_field, collar_geometry
 
 
 def test_flat_box_triple_multiplicity(box16):
     pair = assembly.assemble(box16)
-    res = solve_smallest(pair, 4, tol=1e-9, shift_estimate=10.0)
+    res = solve_smallest(pair, 4, tol=1e-9)
     assert res.values[0] == pytest.approx(0.0, abs=1e-9)
     for lam in res.values[1:4]:
         assert abs(lam - np.pi**2) / np.pi**2 < 0.02
@@ -31,6 +31,7 @@ def test_constant_mode_and_residuals(dumbbell16):
 
 
 def test_m_orthonormality(dumbbell16):
+    # the solver's own output: the sign rule only flips, nothing renormalizes
     res, pair = dumbbell16["result"], dumbbell16["pair"]
     gram = res.vectors.T @ (pair.M @ res.vectors)
     assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-8
@@ -56,12 +57,12 @@ def test_solver_needs_two_modes(dumbbell16):
         solve_smallest(dumbbell16["pair"], 1)
 
 
-def test_normalize_idempotent_and_sign(dumbbell16):
+def test_sign_rule_idempotent_and_sign(dumbbell16):
     res, pair, geom = dumbbell16["result"], dumbbell16["pair"], dumbbell16["geom"]
-    again = normalize_and_sign(res, pair, geom)
-    assert np.allclose(again.vectors, res.vectors)
+    again = apply_sign_rule(res, pair, geom)
+    assert np.array_equal(again.vectors, res.vectors)
     flipped = replace(res, vectors=-res.vectors)
-    fixed = normalize_and_sign(flipped, pair, geom)
+    fixed = apply_sign_rule(flipped, pair, geom)
     assert np.allclose(fixed.vectors[:, 1], res.vectors[:, 1])
 
 
@@ -91,7 +92,7 @@ def test_bound_dominates_lambda1_everywhere(scene16):
         fld = build_conformal_field(geom, eps)
         pair = assembly.assemble(m, fld)
         bound = minmax_bound(m, geom, pair)
-        res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
+        res = solve_smallest(pair, 2, tol=1e-9)
         assert res.values[1] <= bound
 
 
@@ -138,7 +139,6 @@ def test_minmax_bound_dominates_lambda1_off_the_grid(scene, tmp_path):
     # any P1 vector M-orthogonal to the constants bounds lambda1 by min-max,
     # whether or not the collar sits on grid planes
     m, geom = _bound_scene(scene, tmp_path)
-    assert not geom.grid_aligned
     for eps in (1e-3, 1e-5, 1e-7):
         pair = assembly.assemble(m, build_conformal_field(geom, eps))
         bound = minmax_bound(m, geom, pair)
@@ -161,8 +161,8 @@ def test_conformal_scaling_invariance(scene8):
     fld = build_conformal_field(geom, 0.1)
     pair = assembly.assemble(m, fld)
     pair4 = assembly.assemble(m, replace(fld, f=fld.f * 4.0))
-    res = solve_smallest(pair, 2, tol=1e-10, shift_estimate=3.0)
-    res4 = solve_smallest(pair4, 2, tol=1e-10, shift_estimate=1.0)
+    res = solve_smallest(pair, 2, tol=1e-10)
+    res4 = solve_smallest(pair4, 2, tol=1e-10)
     assert res4.values[1] == pytest.approx(res.values[1] / 4.0, rel=1e-8)
     u, u4 = res.vectors[:, 1], res4.vectors[:, 1]
     cos = abs(u @ u4) / (np.linalg.norm(u) * np.linalg.norm(u4))
@@ -190,7 +190,7 @@ def test_severe_mass_ill_conditioning(scene16):
     fld = build_conformal_field(geom, 1e-4)
     pair = assembly.assemble(m, fld)
     bound = minmax_bound(m, geom, pair)
-    res = solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
+    res = solve_smallest(pair, 2, tol=1e-9)
     assert 0 < res.values[1] <= bound
     assert np.all(res.residuals <= 1e-9)
     prof = oracle.step_profile(1e-4, geom.eta, 3, resolution=1024)
@@ -226,36 +226,35 @@ def _plane_pair(d, n, eps):
     m = build_box_grid(d, n)
     geom = collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
     fld = build_conformal_field(geom, eps)
-    pair = assembly.assemble(m, fld)
-    return pair, minmax_bound(m, geom, pair)
+    return assembly.assemble(m, fld)
 
 
 def _sphere_pair():
     m = build_box_grid(3, 16)
     geom = collar_geometry(m, metric.sphere_level((0.5, 0.5, 0.5), 0.3), 0.125)
-    return assembly.assemble(m, build_conformal_field(geom, 1e-3)), None
+    return assembly.assemble(m, build_conformal_field(geom, 1e-3))
 
 
 def _gap_subdomain_pair():
     m = build_box_grid(3, 16)
     geom = collar_geometry(m, metric.PlaneSigma(0.5), 0.125)
-    return assembly.subdomain_neumann(m, geom, "plus"), 1.0
+    return assembly.subdomain_neumann(m, geom, "plus")
 
 
 BACKEND_CASES = {
     **{f"plane-eps{eps:g}": (lambda eps=eps: _plane_pair(3, 16, eps), 2)
        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
     "plane-m3-eps0.95": (lambda: _plane_pair(3, 16, 0.95), 3),
-    "flat-box-m4": (lambda: (assembly.assemble(build_box_grid(3, 16)), 10.0), 4),
+    "flat-box-m4": (lambda: assembly.assemble(build_box_grid(3, 16)), 4),
     "sphere-unseeded": (_sphere_pair, 2),
     "warped-harmonic-approx": (
-        lambda: (assembly.assemble(build_box_grid(3, 20, warp=lambda r: 1.0 + r)), None), 3),
+        lambda: assembly.assemble(build_box_grid(3, 20, warp=lambda r: 1.0 + r)), 3),
     "plane-2d-n32": (lambda: _plane_pair(2, 32, 1e-3), 2),
     "gap-subdomain": (_gap_subdomain_pair, 2),
-    "odd-grid-n15": (lambda: (assembly.assemble(build_box_grid(3, 15)), 10.0), 3),
+    "odd-grid-n15": (lambda: assembly.assemble(build_box_grid(3, 15)), 3),
     # a cluster at the edge of the wanted modes, which the guard columns are for:
     # the cube's triple lambda1, and gap's lambda2/lambda3 (8.24727, 8.24729)
-    "flat-box-m2": (lambda: (assembly.assemble(build_box_grid(3, 16)), 10.0), 2),
+    "flat-box-m2": (lambda: assembly.assemble(build_box_grid(3, 16)), 2),
     "plane-m3-eps1e-3": (lambda: _plane_pair(3, 16, 1e-3), 3),
 }
 
@@ -263,9 +262,8 @@ BACKEND_CASES = {
 def _backend_solves(case):
     """A BACKEND_CASES pair and its solves, with its grid and without (grid None)."""
     build, m = BACKEND_CASES[case]
-    pair, shift = build()
-    return pair, m, {grid: solve_smallest(replace(pair, grid=grid), m, tol=1e-9,
-                                          shift_estimate=shift)
+    pair = build()
+    return pair, m, {grid: solve_smallest(replace(pair, grid=grid), m, tol=1e-9)
                      for grid in dict.fromkeys((pair.grid, None))}
 
 
@@ -301,7 +299,7 @@ def test_returned_modes_are_free_of_the_constant(case):
 def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
     # the m - 1 wanted columns get a search direction; the three guard
     # columns only take part in the Rayleigh-Ritz of X, W and P (3m columns)
-    pair, bound = _plane_pair(2, 32, 1e-3)
+    pair = _plane_pair(2, 32, 1e-3)
     columns, bases = [], []
     v_cycle, rayleigh_ritz = eigen._v_cycle, eigen._rayleigh_ritz
 
@@ -319,7 +317,7 @@ def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
 
     monkeypatch.setattr(eigen, "_v_cycle", counting_v_cycle)
     monkeypatch.setattr(eigen, "_rayleigh_ritz", counting_rayleigh_ritz)
-    res = solve_smallest(pair, m, tol=1e-9, shift_estimate=bound)
+    res = solve_smallest(pair, m, tol=1e-9)
     assert res.levels >= 1 and res.residuals.max() <= 1e-9
     assert columns == [m - 1] * res.iterations
     assert len(bases) == res.iterations + 1 and max(bases) <= 3 * m
@@ -329,7 +327,7 @@ def test_each_step_preconditions_only_the_wanted_modes(monkeypatch, m):
 def test_rayleigh_ritz_carries_exact_images(monkeypatch, n, m):
     # M Y carried through both orthonormalizations, and the active Ritz vectors' images
     # K Y C and M Y C, against K and M applied to those vectors afresh, at every step
-    pair, bound = _plane_pair(3, n, 1e-3)
+    pair = _plane_pair(3, n, 1e-3)
     rayleigh_ritz, errors = eigen._rayleigh_ritz, []
 
     def checked(K, M, Y, active):
@@ -339,7 +337,7 @@ def test_rayleigh_ritz_carries_exact_images(monkeypatch, n, m):
         return Z, theta, KA, MA
 
     monkeypatch.setattr(eigen, "_rayleigh_ritz", checked)
-    res = solve_smallest(pair, m, tol=1e-9, shift_estimate=bound)
+    res = solve_smallest(pair, m, tol=1e-9)
     assert len(errors) == 2 * (res.iterations + 1)
     assert np.max(errors) <= 1e-12
 
@@ -358,8 +356,8 @@ def test_tiny_pairs_match_dense_eigh(d, n, m):
 
 def test_iterations_and_levels_are_deterministic(dumbbell16):
     pair = dumbbell16["pair"]
-    a = solve_smallest(pair, 2, shift_estimate=dumbbell16["bound"])
-    b = solve_smallest(pair, 2, shift_estimate=dumbbell16["bound"])
+    a = solve_smallest(pair, 2)
+    b = solve_smallest(pair, 2)
     assert (a.iterations, a.levels) == (b.iterations, b.levels)
     assert a.levels == 1 and a.iterations >= 1
     assert np.array_equal(a.values, b.values)
@@ -370,7 +368,7 @@ def test_restricted_and_file_pairs_do_not_coarsen(scene16, tmp_path):
     assert assembly.assemble(m).grid == (16, 16, 16)
     sub = assembly.subdomain_neumann(m, geom, "plus")
     assert sub.grid is None
-    assert solve_smallest(sub, 2, shift_estimate=1.0).levels == 0
+    assert solve_smallest(sub, 2).levels == 0
     plane = build_box_grid(2, 16)
     save_mesh(plane, tmp_path / "plane.mesh")
     loaded = assembly.assemble(load_mesh(tmp_path / "plane.mesh"))
@@ -382,7 +380,7 @@ def test_restricted_and_file_pairs_do_not_coarsen(scene16, tmp_path):
 def test_multilevel_solve_raises_no_warning(dumbbell16):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_smallest(dumbbell16["pair"], 3, shift_estimate=dumbbell16["bound"])
+        res = solve_smallest(dumbbell16["pair"], 3)
         with pytest.raises(eigen.EigenConvergenceError):
             solve_smallest(dumbbell16["pair"], 3, tol=1e-16, max_iterations=2)
     assert res.levels == 1
@@ -392,7 +390,7 @@ def test_halving_solve_frees_its_v_cycle(dumbbell16, no_cyclic_garbage):
     # the hierarchy (fine and Galerkin operators, Jacobi weights) and the
     # coarsest LU go by refcount when the solve returns, with no gc pass
     with no_cyclic_garbage():
-        res = solve_smallest(dumbbell16["pair"], 3, shift_estimate=dumbbell16["bound"])
+        res = solve_smallest(dumbbell16["pair"], 3)
     assert res.levels == 1
 
 
@@ -400,7 +398,7 @@ def test_restricted_solve_frees_its_lu(scene8, no_cyclic_garbage):
     m, geom = scene8
     sub = assembly.subdomain_neumann(m, geom, "plus")
     with no_cyclic_garbage():
-        res = solve_smallest(sub, 2, shift_estimate=1.0)
+        res = solve_smallest(sub, 2)
     assert res.levels == 0
 
 

@@ -10,6 +10,7 @@ from dumbbell import experiments, oracle
 from dumbbell.experiments import (
     ScenarioConfig,
     _build_scene,
+    _solve_point,
     emit_plot_data,
     main,
     run_scenario,
@@ -480,10 +481,10 @@ def test_warped_oracle_compare_reads_the_scene_warp():
 
 @pytest.mark.parametrize("scenario, scene", [
     pytest.param(scenario, scene, id=scene if scenario == "harmonic-approx" else f"{scenario}-{scene}")
-    for scenario in ("harmonic-approx", "scaling") for scene in ("sigma", "mesh_path")
+    for scenario in ("harmonic-approx", "scaling", "oracle-compare") for scene in ("sigma", "mesh_path")
 ])
 def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scenario, scene):
-    # both compare against a plane reduction: the 1d oracle and the 1d closed form
+    # each compares against a plane reduction: the 1d oracle or the 1d closed form
     from dumbbell.mesh import build_box_grid, save_mesh
 
     save_mesh(build_box_grid(3, 4), tmp_path / "box.mesh")
@@ -501,6 +502,34 @@ def test_scaling_runs_on_an_off_grid_plane():
     assert report.all_passed(), report.to_dict()["verdicts"]
     assert [v.name for v in report.verdicts] == [
         "eigenvalue-scaling-slope", "oracle-scaling-slope", "minmax-sandwich", "volume-preservation"]
+
+
+@pytest.mark.parametrize("scene, side, two_eta", [
+    ({"sigma": "sphere:0.5,0.5,0.5,0.2"}, "minus", "0.25"),  # the ball reaches 0.2 in from sigma
+    ({"eta": 0.3}, "plus", "0.625"),  # eta snaps to 5/16; the box reaches 0.5 from the plane
+], ids=["sphere-r0.2", "plane-eta0.3"])
+def test_plateau_refuses_a_scene_with_no_far_bulk_before_any_solve(monkeypatch, scene, side, two_eta):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("plateau solved before refusing the scene")
+
+    monkeypatch.setattr(experiments.eigen, "solve_smallest", no_solve)
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "plateau", "n": 16, **scene}))
+    assert report.failures == [{"stage": "plateau", "error": "ValueError: plateau needs a far bulk: no vertex "
+                                f"on the {side} side lies 2 eta = {two_eta} or more from sigma"}]
+
+
+@pytest.mark.parametrize("scene", [
+    {"sigma_offset": 0.47, "eta": 0.1}, {"sigma_offset": 0.44, "eta": 0.1}, {"sigma_offset": 0.53, "eta": 0.1},
+    {}, {"sigma": "sphere:0.5,0.5,0.5,0.3"},
+], ids=["offgrid-0.47", "offgrid-0.44", "offgrid-0.53", "plane", "sphere"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_point_step_budget(scene, seed):
+    # 13-26 steps at seeds 0-5 on these scenes; a V-cycle shift seeded from the min-max
+    # bound took 36-304 off the grid, which this budget catches
+    cfg = ScenarioConfig.from_mapping({"scenario": "scaling", "n": 16, "seed": seed, **scene})
+    mesh, geom = _build_scene(cfg)
+    _, _, result = _solve_point(mesh, geom, cfg, 1e-7)
+    assert result.iterations <= 30
 
 
 def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch):

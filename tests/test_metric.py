@@ -80,13 +80,11 @@ def test_labels_idempotent(scene16):
 def test_eta_snapping(box8, box16, tmp_path):
     geom = collar_geometry(box16, PlaneSigma(0.5), 0.11)  # snaps to 2/16
     assert geom.eta == pytest.approx(0.125)
-    assert geom.grid_aligned
     # only a plane on a grid snaps: a sphere on the grid and a plane on a file mesh keep eta
     save_mesh(box8, tmp_path / "box.mesh")
     for m, sigma in ((box16, sphere_level((0.5,) * 3, 0.3)), (load_mesh(tmp_path / "box.mesh"), PlaneSigma(0.5))):
         geom = collar_geometry(m, sigma, 0.11)
         assert geom.eta == 0.11
-        assert not geom.grid_aligned
 
 
 def test_geometry_fixes_the_dimension_and_the_snap():

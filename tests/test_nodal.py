@@ -91,7 +91,7 @@ def test_nodal_domains_plane_and_modes(box16, dumbbell16):
     from dumbbell import assembly, eigen
 
     pair = assembly.assemble(box16)
-    res = eigen.solve_smallest(pair, 3, tol=1e-9, shift_estimate=10.0)
+    res = eigen.solve_smallest(pair, 3, tol=1e-9)
     assert nodal_domain_count(box16, res.vectors[:, 2]) == 2
     # first eigenfunction of the dumbbell: Courant bound attained
     assert nodal_domain_count(dumbbell16["mesh"], dumbbell16["result"].vectors[:, 1]) == 2

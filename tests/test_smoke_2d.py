@@ -28,8 +28,7 @@ def test_2d_dumbbell_pipeline(plane_scene):
     assert fld.epsilon * geom.vol_collar + fld.kappa * geom.vol_complement == pytest.approx(1.0, abs=1e-12)
     pair = assembly.assemble(m, fld)
     bound = eigen.minmax_bound(m, geom, pair)
-    res = eigen.solve_smallest(pair, 2, tol=1e-9, shift_estimate=bound)
-    res = eigen.normalize_and_sign(res, pair, geom)
+    res = eigen.apply_sign_rule(eigen.solve_smallest(pair, 2, tol=1e-9), pair, geom)
     assert 0 < res.values[1] <= bound
     u1 = res.vectors[:, 1]
     assert u1[geom.rho >= 2 * geom.eta].mean() > 0
