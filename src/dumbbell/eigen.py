@@ -2,9 +2,9 @@
 
 A block of m + 2 vectors, M-orthogonal to the constant mode (reported apart
 as mode zero), is improved by LOBPCG steps (Knyazev 2001) until the m - 1
-leading relative residuals are at most ``tol``.  Only those active columns
-get search directions W and P (Duersch et al. 2018); the three guards share
-each Rayleigh-Ritz of the 3m columns [X, W, P], deflated as one basis.
+leading relative residuals, confirmed on fresh images, are at most ``tol``.
+Only those active columns get search directions W and P (Duersch et al.
+2018), and only [W, P] meets K and M in a step: the block carries its images.
 M is only applied, never inverted, which matters when the mass weights span
 many orders of magnitude at small epsilon.  The preconditioner is a V-cycle
 for K + M/10 on the nested Freudenthal/Kuhn grids (Bey 2000), coarsened while
@@ -52,29 +52,39 @@ def _relative_residuals(KX, MX, values, floor):
     return num / np.maximum(den, 1e-300)
 
 
-def _rayleigh_ritz(K, M, Y, active):
-    """M-orthonormal Ritz vectors of span(Y), their Ritz values, ascending, and
-    the images K Z and M Z of the ``active`` leading Ritz vectors Z.
+def _ritz_update(K, M, X, KX, MX, S, block, active, best):
+    """Rayleigh-Ritz on [X, S], applying K and M to the new directions S only.
 
-    Y is orthonormalized twice through its column-scaled Gram matrix,
-    dropping directions in which its columns are numerically dependent; M Y
-    is applied once and carried through both changes of basis.
+    X is M-orthonormal and carries its images KX and MX.  The deflated S is
+    M-orthogonalized against X twice through the carried MX (Hetmaniuk and
+    Lehoucq 2006), then orthonormalized twice through its column-scaled Gram
+    matrix, dropping directions in which its columns are numerically
+    dependent; M S is applied once and carried through both changes of basis.
+    Returns the ``block`` leading Ritz vectors, their images and values, and
+    P, the part of the ``active`` leading ones that is M-orthogonal to X.  If
+    every new direction is dropped, the error carries ``best``, the best
+    residual so far.
     """
-    MY = M @ Y
     for _ in range(2):
-        G = Y.T @ MY
+        S -= X @ (MX.T @ S)
+    MS = M @ S
+    for _ in range(2):
+        G = S.T @ MS
         s = 1.0 / np.sqrt(np.maximum(np.diag(G), 1e-300))
         w, V = np.linalg.eigh(0.5 * (G + G.T) * np.outer(s, s))
-        keep = w > w.max() * 1e-13
-        T = s[:, None] * V[:, keep] / np.sqrt(w[keep])
-        Y = Y @ T  # one at a time, so each old basis is freed before the next image is made
-        MY = MY @ T
-    KY = K @ Y
-    A = Y.T @ KY
+        keep = w > w.max(initial=0.0) * 1e-13  # initial: S may already be empty
+        T = np.ascontiguousarray(s[:, None] * V[:, keep] / np.sqrt(w[keep]))  # F order makes S @ T ~4x slower
+        S = S @ T  # one at a time, so each old basis is freed before the next image is made
+        MS = MS @ T
+    if not S.shape[1]:
+        raise EigenConvergenceError("iteration subspace collapsed", best)
+    KS = K @ S
+    A = np.block([[X.T @ KX, X.T @ KS], [S.T @ KX, S.T @ KS]])  # no hstack: strided copies are slow
     theta, C = np.linalg.eigh(0.5 * (A + A.T))
-    KA, MA = KY @ C[:, :active], MY @ C[:, :active]
-    del KY, MY
-    return Y @ C, theta, KA, MA
+    k = X.shape[1]
+    CX, CS = C[:k, :block], C[k:, :block]
+    P = S @ CS[:, :active] if k else S[:, :0]  # the start block has no previous step
+    return X @ CX + S @ CS, KX @ CX + KS @ CS, MX @ CX + MS @ CS, theta[:block], P
 
 
 def _halves(grid) -> bool:
@@ -134,6 +144,7 @@ def solve_smallest(
     tol: float = 1e-9,
     seed: int = 0,
     max_iterations: int = 500,
+    start: np.ndarray | None = None,
 ) -> EigenResult:
     """The m smallest eigenpairs, constant mode included.
 
@@ -141,7 +152,8 @@ def solve_smallest(
     preconditioner approximates the inverse of K + M/10, exactly when the grid
     does not halve, and 1e-8 floors the eigenvalue that scales the relative
     residuals.  The guards keep a cluster at the edge of the wanted modes from
-    stalling the steps.
+    stalling the steps.  ``start``, a vector on the pair's dofs, is the first
+    column of the start block; the others are random from ``seed``.
     """
     if m < 2:
         raise ValueError(f"need at least 2 modes, got {m}")
@@ -149,39 +161,41 @@ def solve_smallest(
     n = K.shape[0]
 
     ones = np.ones(n)
-    Mones = M @ ones
+    Kones, Mones = K @ ones, M @ ones
     mass = float(ones @ Mones)
-    lam0 = float(ones @ (K @ ones)) / mass
-    v0 = ones / np.sqrt(mass)
+    lam0 = float(ones @ Kones) / mass
 
     def deflate(X):
-        X -= np.outer(ones, (Mones @ X) / mass)
+        X -= (Mones @ X) / mass  # minus the constant times each column's M-mean
         return X
 
     block, active = m + 2, m - 1
     precondition, levels = _v_cycle((K + 0.1 * M).tocsr(), pair.grid)
-    rng = np.random.default_rng(seed)
-    X, theta, KA, MA = _rayleigh_ritz(K, M, deflate(rng.standard_normal((n, block))), active)
-    last_move = []  # the previous step's update of the active columns
-    best = float("inf")
-    for iterations in range(1, max_iterations + 1):
-        W = precondition(KA - MA * theta[:active])
-        Z, theta, KA, MA = _rayleigh_ritz(K, M, deflate(np.hstack([X, W, *last_move])), active)
-        if Z.shape[1] < active:
-            raise EigenConvergenceError("iteration subspace collapsed", best)
-        Z, theta, A = Z[:, :block], theta[:block], Z[:, :active]
-        X, last_move = Z, [A - X @ (X.T @ MA)]
-        res = _relative_residuals(KA, MA, theta[:active], 1e-8)
+    S = np.random.default_rng(seed).standard_normal((n, block))
+    if start is not None:
+        S[:, 0] = start
+    X = KX = MX = np.zeros((n, 0))
+    best, iterations = float("inf"), 0
+    while True:
+        X, KX, MX, theta, P = _ritz_update(K, M, X, KX, MX, deflate(S), block, active, best)
+        res = _relative_residuals(KX[:, :active], MX[:, :active], theta[:active], 1e-8)
+        if np.all(res <= tol):  # confirmed on fresh images, which replace the carried ones
+            KX, MX = K @ X, M @ X
+            res = _relative_residuals(KX[:, :active], MX[:, :active], theta[:active], 1e-8)
         best = min(best, float(res.max()))
         if np.all(res <= tol):
             break
-    else:
-        raise EigenConvergenceError(f"no convergence in {max_iterations} iterations", best)
+        if iterations == max_iterations:
+            raise EigenConvergenceError(f"no convergence in {max_iterations} iterations", best)
+        iterations += 1
+        S = np.hstack([precondition(KX[:, :active] - MX[:, :active] * theta[:active]), P])
 
-    vectors = np.column_stack([v0, X[:, :active]])
+    root = np.sqrt(mass)
+    vectors = np.column_stack([ones / root, X[:, :active]])
     values = np.concatenate([[lam0], theta[:active]])
     # the constant mode's eigenvalue is roundoff: scale its residual by lambda1
-    residuals = _relative_residuals(K @ vectors, M @ vectors, values, values[1])
+    residuals = _relative_residuals(np.column_stack([Kones / root, KX[:, :active]]),
+                                    np.column_stack([Mones / root, MX[:, :active]]), values, values[1])
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
                        iterations=iterations, levels=levels)
 
@@ -210,13 +224,18 @@ def apply_sign_rule(result: EigenResult, pair: OperatorPair, geom: CollarGeometr
     return replace(result, vectors=vectors)
 
 
-def minmax_bound(mesh: Mesh, geom: CollarGeometry, pair: OperatorPair) -> float:
-    """Rayleigh quotient of clip(rho, -eta, eta), set to +-eta on every vertex of a
-    bulk cell and made M-orthogonal to the constants: by min-max an upper bound
-    on the pair's first nontrivial eigenvalue, on any scene."""
+def clipped_distance(mesh: Mesh, geom: CollarGeometry, pair: OperatorPair) -> np.ndarray:
+    """clip(rho, -eta, eta) on the pair's dofs, set to +-eta on every vertex of a bulk
+    cell: the min-max test vector of a scene, and the start column of its solves."""
     u = np.clip(geom.rho, -geom.eta, geom.eta)
     u[mesh.cells[geom.region == REGION_PLUS]] = geom.eta
     u[mesh.cells[geom.region == REGION_MINUS]] = -geom.eta
-    u, ones = u[pair.dof_map], np.ones(pair.n_dof)
+    return u[pair.dof_map]
+
+
+def minmax_bound(mesh: Mesh, geom: CollarGeometry, pair: OperatorPair) -> float:
+    """Rayleigh quotient of the clipped distance made M-orthogonal to the constants:
+    by min-max an upper bound on the pair's first nontrivial eigenvalue, on any scene."""
+    u, ones = clipped_distance(mesh, geom, pair), np.ones(pair.n_dof)
     Mones = pair.M @ ones
     return rayleigh_quotient(pair, u - float(u @ Mones) / float(ones @ Mones))

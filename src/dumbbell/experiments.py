@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.oracle_resolution < 64:
             raise ValueError(f"oracle_resolution must be at least 64, got {self.oracle_resolution}")
         if self.resolution < 3:
@@ -318,11 +320,11 @@ def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float
                                warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
 
 
-def _solve_point(mesh, geom, cfg, eps, m=2):
-    """Assemble and solve one sweep point, its first mode signed by the plus plateau."""
-    fld = metric.build_conformal_field(geom, eps)
+def _solve_point(mesh, geom, cfg, eps, m=2, **profile):
+    """Assemble and solve one sweep point from the clipped distance, its first mode signed by the plus plateau."""
+    fld = metric.build_conformal_field(geom, eps, **profile)
     pair = assembly.assemble(mesh, fld)
-    result = eigen.solve_smallest(pair, m, seed=cfg.seed)
+    result = eigen.solve_smallest(pair, m, seed=cfg.seed, start=eigen.clipped_distance(mesh, geom, pair))
     return fld, pair, eigen.apply_sign_rule(result, pair, geom)
 
 
@@ -646,10 +648,8 @@ def _run_mollify(cfg: ScenarioConfig):
     vec_sup = None
     for k in (4, 2, 1):  # transition widths in mesh spacings
         n_moll = cfg.n // k
-        fm = metric.build_conformal_field(geom, eps, profile="mollified", mollify_n=n_moll)
+        fm, _, rm = _solve_point(mesh, geom, cfg, eps, profile="mollified", mollify_n=n_moll)
         gamma = metric.volume_rescale_factor(fm, geom)
-        pm = assembly.assemble(mesh, fm)
-        rm = eigen.apply_sign_rule(eigen.solve_smallest(pm, 2, seed=cfg.seed), pm, geom)
         lam = float(rm.values[1]) / gamma
         diff = abs(lam - lam_ref) / lam_ref
         diffs.append(diff)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from dumbbell import experiments, oracle
 from dumbbell.experiments import (
@@ -258,6 +259,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     "epsilons = ",                        # an empty sweep
     "workers = 0",
     "workers = -1",
+    "seed = -1",
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"
@@ -276,7 +278,7 @@ def test_cli_worker_override_is_checked_like_the_config(tmp_path, capsys, worker
 
 
 @pytest.mark.parametrize("key, value, floor", [
-    ("n", 1, 2), ("n", 0, 2), ("oracle_resolution", 63, 64), ("oracle_resolution", 0, 64),
+    ("n", 1, 2), ("n", 0, 2), ("oracle_resolution", 63, 64), ("oracle_resolution", 0, 64), ("seed", -1, 0),
 ])
 def test_cli_names_the_key_of_a_size_below_its_floor(tmp_path, capsys, key, value, floor):
     # named at parse time, not mid-run by the mesh or the oracle
@@ -518,18 +520,29 @@ def test_plateau_refuses_a_scene_with_no_far_bulk_before_any_solve(monkeypatch, 
                                 f"on the {side} side lies 2 eta = {two_eta} or more from sigma"}]
 
 
-@pytest.mark.parametrize("scene", [
-    {"sigma_offset": 0.47, "eta": 0.1}, {"sigma_offset": 0.44, "eta": 0.1}, {"sigma_offset": 0.53, "eta": 0.1},
-    {}, {"sigma": "sphere:0.5,0.5,0.5,0.3"},
-], ids=["offgrid-0.47", "offgrid-0.44", "offgrid-0.53", "plane", "sphere"])
+@pytest.mark.parametrize("scene, n, eps", [
+    ({"sigma_offset": 0.47, "eta": 0.1}, 16, 1e-7), ({"sigma_offset": 0.44, "eta": 0.1}, 16, 1e-7),
+    ({"sigma_offset": 0.53, "eta": 0.1}, 16, 1e-7), ({}, 16, 1e-7), ({"sigma": "sphere:0.5,0.5,0.5,0.3"}, 16, 1e-7),
+    ({"sigma_offset": 0.44}, 24, 1e-7), ({"sigma_offset": 0.47, "eta": 0.1}, 16, 1e-9), ({}, 16, 1e-10),
+], ids=["offgrid-0.47", "offgrid-0.44", "offgrid-0.53", "plane", "sphere",
+        "n24-offgrid-0.44", "offgrid-0.47-eps1e-9", "plane-eps1e-10"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_solve_point_step_budget(scene, seed):
-    # 13-26 steps at seeds 0-5 on these scenes; a V-cycle shift seeded from the min-max
-    # bound took 36-304 off the grid, which this budget catches
-    cfg = ScenarioConfig.from_mapping({"scenario": "scaling", "n": 16, "seed": seed, **scene})
+def test_solve_point_step_budget(scene, n, eps, seed):
+    # 11-18 steps at seeds 0-5 on these scenes.  A V-cycle shift seeded from the
+    # min-max bound took 36-304 off the grid at 1e-7; the last three cases took
+    # 23-115 steps, up to 445 or no convergence while every step orthonormalized
+    # its whole basis [X, W, P] together
+    cfg = ScenarioConfig.from_mapping({"scenario": "scaling", "n": n, "seed": seed, **scene})
     mesh, geom = _build_scene(cfg)
-    _, _, result = _solve_point(mesh, geom, cfg, 1e-7)
+    _, pair, result = _solve_point(mesh, geom, cfg, eps)
     assert result.iterations <= 30
+    if eps == 1e-10:  # residuals of fresh products, not of the images a solve carries
+        X, lam = result.vectors[:, 1:], result.values[1:]
+        MX = pair.M @ X
+        assert np.all(np.linalg.norm(pair.K @ X - MX * lam, axis=0) <= 1e-9 * lam * np.linalg.norm(MX, axis=0))
+        assert result.residuals.max() <= 1e-9
+        ref = eigsh(pair.K, k=2, M=pair.M, sigma=-1e-3, v0=np.ones(pair.n_dof))[0].max()
+        assert abs(result.values[1] - ref) / ref <= 1e-8
 
 
 def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch):
