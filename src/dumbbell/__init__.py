@@ -48,7 +48,6 @@ from .eigen import (
     solve_smallest,
 )
 from .harmonic import (
-    CollarIterationError,
     HarmonicSolution,
     PlateauConstants,
     collar_fourier_solve,

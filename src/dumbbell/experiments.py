@@ -356,6 +356,11 @@ def _require_plane_box(cfg: ScenarioConfig):
         raise ValueError(f"{cfg.scenario} needs the plane scene on a box grid (sigma=plane, no mesh_path)")
 
 
+def _require_box_grid(cfg: ScenarioConfig, reader: str):
+    if cfg.mesh_path:
+        raise ValueError(f"{cfg.scenario}'s {reader} needs a box grid (no mesh_path)")
+
+
 def _run_scaling(cfg: ScenarioConfig):
     _require_plane_box(cfg)  # the 1d oracle is a plane reduction
     mesh, geom = _build_scene(cfg)
@@ -478,8 +483,7 @@ def _center_fiber(mesh: Mesh):
 
 
 def _run_collar(cfg: ScenarioConfig):
-    if cfg.mesh_path:
-        raise ValueError("collar's center-fiber profile needs a box grid (no mesh_path)")
+    _require_box_grid(cfg, "center-fiber profile")
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
     hsol = harmonic.solve_harmonic(mesh, geom, consts)
@@ -519,17 +523,6 @@ def _run_collar(cfg: ScenarioConfig):
     return tables, verdicts, {}
 
 
-def _warped_fourier_inputs(consts, eta, slope, d, n_sigma):
-    """F, G1 fields of the stretched-collar problem for w(rho)=1+slope rho."""
-    n_grid = max(2 * n_sigma, 8)
-    sig = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)
-    rho_g = 2.0 * eta * sig / np.pi - eta
-    wp_over_w = slope / (1.0 + slope * rho_g)
-    forcing = -(d - 1) * wp_over_w * consts.gap / 2.0
-    g1 = -(d - 1) * wp_over_w * (np.pi / 2.0)
-    return forcing, g1
-
-
 def _run_harmonic_approx(cfg: ScenarioConfig):
     warp_fn, slope = _parse_warp(cfg.warp)
     if warp_fn is None:
@@ -560,8 +553,14 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 
     # spectral collar solve against the 1d closed form, at the widest eta
     n_sigma = 64  # the 1e-4 gate below reads the truncation at 64 modes
-    forcing, g1 = _warped_fourier_inputs(consts0, geom0.eta, slope, geom0.dim, n_sigma)
-    fsol = harmonic.collar_fourier_solve(geom0.eta, forcing, g1=g1, n_sigma=n_sigma)
+    d, gap = geom0.dim, consts0.gap
+    wp_over_w = lambda r: slope / (1.0 + slope * r)  # w'/w of the linear warp w = 1 + slope rho
+    fsol = harmonic.collar_fourier_solve(
+        geom0.eta,
+        lambda r: -(d - 1) * wp_over_w(r) * gap / 2.0,
+        lambda r: -(d - 1) * wp_over_w(r) * (np.pi / 2.0),
+        n_sigma=n_sigma,
+    )
     h1d = harmonic.warped_harmonic_1d(warp_fn, geom0.eta, consts0, geom0.dim)
     rr = np.linspace(-geom0.eta, geom0.eta, 801)
     h_fourier = harmonic.hbar(rr, geom0.eta, consts0) + fsol.evaluate_rho(rr)
@@ -586,17 +585,15 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
     tables = {
         "deviation": _table(["eta", "sup_dev_over_gap", "gap"], rows),
         "fourier": _table(
-            ["eta", "n_sigma", "iterations", "contraction_ratio", "rel_error",
-             "fem_vs_fourier"],
-            [[geom0.eta, n_sigma, fsol.iterations,
-              fsol.contraction_ratio if fsol.contraction_ratio is not None else 0.0,
-              fourier_rel, fem_vs_fourier]],
+            ["eta", "n_sigma", "rel_error", "fem_vs_fourier"],
+            [[geom0.eta, n_sigma, fourier_rel, fem_vs_fourier]],
         ),
     }
     return tables, verdicts, {}
 
 
 def _run_nodal(cfg: ScenarioConfig):
+    _require_box_grid(cfg, "single-crossing check")
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
     fld, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)

@@ -6,15 +6,14 @@ and unit-norm system) and to the harmonic extension h of those constants
 inside the collar.  For thin collars h is close to the affine profile
 hbar(rho) = (c+ + c-)/2 + (c+ - c-) rho / (2 eta); the remainder w = h - hbar
 solves a Poisson problem that this module also solves spectrally, as a sine
-series in the stretched collar coordinate with a fixed-point iteration on
-the lower-order terms.
+series in the stretched collar coordinate with one dense collocation solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -172,26 +171,12 @@ def warped_harmonic_1d(
     return h
 
 
-class CollarIterationError(RuntimeError):
-    """Fixed-point iteration diverged; carries the observed growth ratio."""
-
-    def __init__(self, ratio: float):
-        super().__init__(
-            f"collar iteration diverged (growth ratio {ratio:.3f}); "
-            "the contraction needs a thinner collar"
-        )
-        self.ratio = ratio
-
-
 @dataclass
 class FourierCollarSolution:
     """Sine-series solution of the collar remainder problem."""
 
     coefficients: np.ndarray      # (n_sigma,) sine coefficients
     eta: float
-    grid_values: np.ndarray       # w on the collocation grid
-    iterations: int
-    contraction_ratio: Optional[float]
 
     def evaluate_rho(self, rho) -> np.ndarray:
         """w at rho, through the stretched coordinate sigma = (rho + eta) pi / (2 eta)."""
@@ -200,88 +185,33 @@ class FourierCollarSolution:
         return np.tensordot(np.sin(np.outer(sigma, modes)), self.coefficients, axes=(1, 0))
 
 
-def _h2_norm(coef: np.ndarray, modes_sq: np.ndarray) -> float:
-    return float(np.sqrt(np.add.reduce(modes_sq**2 * coef**2)))
-
-
 def collar_fourier_solve(
     eta: float,
-    forcing,
-    g1=None,
+    forcing: Callable[[np.ndarray], np.ndarray],
+    g1: Callable[[np.ndarray], np.ndarray],
     n_sigma: int = 64,
 ) -> FourierCollarSolution:
     """Solve the stretched-collar problem for w = h - hbar by sine series.
 
     The collar is a warped product over a point cross-section, so w depends
     on rho alone.  In sigma = (rho + eta) pi / (2 eta) the Laplacian is
-    (pi/2 eta)^2 d^2/dsigma^2 minus the lower-order term L = (G1/eta) d/dsigma.
-    Each fixed-point sweep inverts the leading operator mode by mode,
-    w_n = -(pi^2 n^2 / 4 eta^2)^{-1} (F_n / eta + (L w)_n),
-    with Dirichlet values w(0) = w(pi) = 0 built into the basis.  The sweep
-    contracts only for thin collars; growth is reported, not hidden.  The
-    sweep stops once the H2 change is below 1e-10 of the solution, after at
-    most 200 sweeps.
-
-    Fields may be scalars or arrays on the collocation grid ``sigma_grid``
-    of max(2 n_sigma, 8) points.
+    (pi/2 eta)^2 d^2/dsigma^2 minus the lower-order term L = (G1/eta) d/dsigma,
+    with Dirichlet values w(0) = w(pi) = 0 built into the basis.  Collocating
+    F and G1 on max(2 n_sigma, 8) interior points and projecting back onto
+    the modes gives one dense n_sigma x n_sigma system,
+    (diag(pi^2 n^2 / 4 eta^2) + analyze diag(G1/eta) dcos) c = -analyze(F) / eta,
+    solved once.  ``forcing`` and ``g1`` are callables of rho, sampled there
+    and returning arrays of the samples' shape.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     n_grid = max(2 * n_sigma, 8)
-    j = np.arange(1, n_grid + 1)
-    sigma = j * np.pi / (n_grid + 1)
+    sigma = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)
+    rho = 2.0 * eta * sigma / np.pi - eta
     modes = np.arange(1, n_sigma + 1)
-    sin_mat = np.sin(np.outer(sigma, modes))            # (grid, modes)
-    dcos_mat = np.cos(np.outer(sigma, modes)) * modes   # d/dsigma of sin basis
-
-    def prep(field):
-        if field is None:
-            return None
-        arr = np.asarray(field, dtype=float)
-        if arr.ndim == 0 and arr == 0.0:
-            return None
-        return np.broadcast_to(arr, (n_grid,))
-
-    def analyze(field):
-        return (2.0 / (n_grid + 1)) * np.tensordot(sin_mat.T, field, axes=(1, 0))
-
-    F = prep(forcing)
-    G1 = prep(g1)
-    modes_sq = modes.astype(float) ** 2
-    denom = (np.pi**2 / (4.0 * eta**2)) * modes_sq
-
-    F_modes = analyze(F) if F is not None else np.zeros(n_sigma)
-    coef = -(F_modes / eta) / denom
-
-    prev_change = None
-    ratio = None
-    growth_streak = 0
-    iterations = 0
-    for iterations in range(1, 201):
-        if G1 is None:
-            new_coef = coef
-        else:
-            residual = (G1 / eta) * np.tensordot(dcos_mat, coef, axes=(1, 0))
-            new_coef = -(F_modes / eta + analyze(residual)) / denom
-
-        change = _h2_norm(new_coef - coef, modes_sq)
-        scale = max(1.0, _h2_norm(new_coef, modes_sq))
-        if prev_change is not None and prev_change > 0:
-            ratio = change / prev_change
-            growth_streak = growth_streak + 1 if ratio > 1.0 else 0
-            if growth_streak >= 2:
-                raise CollarIterationError(ratio)
-        coef = new_coef
-        if change <= 1e-10 * scale:
-            break
-        prev_change = change
-    else:
-        raise CollarIterationError(ratio if ratio is not None else float("nan"))
-
-    return FourierCollarSolution(
-        coefficients=coef,
-        eta=eta,
-        grid_values=np.tensordot(sin_mat, coef, axes=(1, 0)),
-        iterations=iterations,
-        contraction_ratio=ratio,
-    )
+    analyze = (2.0 / (n_grid + 1)) * np.sin(np.outer(modes, sigma))   # (modes, grid)
+    dcos = np.cos(np.outer(sigma, modes)) * modes                       # d/dsigma of sin basis
+    system = np.diag((np.pi**2 / (4.0 * eta**2)) * modes.astype(float) ** 2)
+    system += analyze @ ((g1(rho) / eta)[:, None] * dcos)
+    coef = np.linalg.solve(system, -(analyze @ forcing(rho)) / eta)
+    return FourierCollarSolution(coefficients=coef, eta=eta)

@@ -545,16 +545,20 @@ def test_solve_point_step_budget(scene, n, eps, seed):
         assert abs(result.values[1] - ref) / ref <= 1e-8
 
 
-def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch):
+@pytest.mark.parametrize("scenario, reader", [
+    ("collar", "center-fiber profile"),
+    ("nodal", "single-crossing check"),
+], ids=["collar", "nodal"])
+def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch, scenario, reader):
     from dumbbell.mesh import build_box_grid, save_mesh
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("collar solved before refusing the file mesh")
+        raise AssertionError(f"{scenario} solved before refusing the file mesh")
 
     monkeypatch.setattr(experiments.eigen, "solve_smallest", no_solve)
     save_mesh(build_box_grid(3, 8), tmp_path / "box.mesh")
-    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "collar", "mesh_path": str(tmp_path / "box.mesh")}))
-    assert report.failures == [{"stage": "collar", "error": "ValueError: collar's center-fiber profile "
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": scenario, "mesh_path": str(tmp_path / "box.mesh")}))
+    assert report.failures == [{"stage": scenario, "error": f"ValueError: {scenario}'s {reader} "
                                 "needs a box grid (no mesh_path)"}]
 
 

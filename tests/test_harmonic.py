@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dumbbell.harmonic import (
-    CollarIterationError,
     PlateauConstants,
     collar_fourier_solve,
     compute_plateaus,
@@ -186,25 +185,27 @@ def test_warped_1d_rejects_a_warp_whose_power_leaves_the_floats(scale):
         warped_harmonic_1d(lambda r: np.full_like(r, scale), 0.2, c, 3)
 
 
-def fourier_inputs(consts, eta, slope, d, n_sigma, grid_factor=2):
-    n_grid = max(grid_factor * n_sigma, 8)
-    sig = np.arange(1, n_grid + 1) * np.pi / (n_grid + 1)
-    rho = 2 * eta * sig / np.pi - eta
-    wp_over_w = slope / (1.0 + slope * rho)
-    return (-(d - 1) * wp_over_w * consts.gap / 2.0,
-            -(d - 1) * wp_over_w * np.pi / 2.0)
+def linear_warp_fields(consts):
+    """F and G1 of the stretched-collar problem for w(rho) = 1 + rho in d = 3."""
+    return (lambda r: -2.0 / (1.0 + r) * consts.gap / 2.0,
+            lambda r: -2.0 / (1.0 + r) * np.pi / 2.0)
 
 
 def test_fourier_zero_data_gives_zero():
-    sol = collar_fourier_solve(0.2, 0.0, n_sigma=16)
-    assert np.abs(sol.grid_values).max() == 0.0
-    assert sol.iterations == 1
+    zero = np.zeros_like
+    sol = collar_fourier_solve(0.2, zero, zero, n_sigma=16)
+    assert np.abs(sol.evaluate_rho(np.linspace(-0.2, 0.2, 41))).max() == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1])
+def test_fourier_requires_positive_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        collar_fourier_solve(eta, np.zeros_like, np.zeros_like)
 
 
 def test_fourier_matches_1d_closed_form():
     _, geom, consts, warp = warped_scene()
-    F, G1 = fourier_inputs(consts, geom.eta, 1.0, 3, 64)
-    sol = collar_fourier_solve(geom.eta, F, g1=G1, n_sigma=64)
+    sol = collar_fourier_solve(geom.eta, *linear_warp_fields(consts), n_sigma=64)
     href = warped_harmonic_1d(warp, geom.eta, consts, 3)
     rr = np.linspace(-geom.eta, geom.eta, 801)
     h_fourier = hbar(rr, geom.eta, consts) + sol.evaluate_rho(rr)
@@ -221,8 +222,7 @@ def test_fourier_remainder_halves_with_eta():
     c = PlateauConstants(1.0, -1.0, 1.0)
     sups = []
     for eta in (0.2, 0.1):
-        F, G1 = fourier_inputs(c, eta, 1.0, 3, 64)
-        sol = collar_fourier_solve(eta, F, g1=G1, n_sigma=64)
+        sol = collar_fourier_solve(eta, *linear_warp_fields(c), n_sigma=64)
         rr = np.linspace(-eta, eta, 801)
         sups.append(np.abs(sol.evaluate_rho(rr)).max())
     assert 1.5 <= sups[0] / sups[1] <= 2.5  # halves within 25 percent
@@ -231,29 +231,21 @@ def test_fourier_remainder_halves_with_eta():
 def test_fourier_fem_mutual_consistency():
     m, geom, consts, warp = warped_scene()
     sol_fem = solve_harmonic(m, geom, consts)
-    F, G1 = fourier_inputs(consts, geom.eta, 1.0, 3, 64)
-    sol_f = collar_fourier_solve(geom.eta, F, g1=G1, n_sigma=64)
+    sol_f = collar_fourier_solve(geom.eta, *linear_warp_fields(consts), n_sigma=64)
     rho = geom.rho[sol_fem.vertex_ids]
     h_fourier = hbar(rho, geom.eta, consts) + sol_f.evaluate_rho(rho)
     rel = np.abs(sol_fem.values - h_fourier).max() / np.abs(sol_fem.values).max()
     assert rel < 0.02
 
 
-def test_fourier_manufactured_solution_first_order():
+@pytest.mark.parametrize("eta, g1_mean", [(0.15, 0.3), (0.45, 60.0), (0.3, 20.0)])
+def test_fourier_manufactured_solution_first_order(eta, g1_mean):
     # w* = sin(sigma) against a sigma-dependent first-order coefficient: the
-    # mode-by-mode inversion plus fixed point must reproduce w* exactly
-    eta = 0.15
-    n_sigma = 16
-    sig = np.arange(1, 2 * n_sigma + 1) * np.pi / (2 * n_sigma + 1)
-    g1 = 0.3 + 0.1 * np.cos(sig)
-    leading = (np.pi**2 / (4 * eta**2)) * (-np.sin(sig))
-    forcing = eta * (leading - (g1 / eta) * np.cos(sig))
-    sol = collar_fourier_solve(eta, forcing, g1=g1, n_sigma=n_sigma)
-    assert np.abs(sol.grid_values - np.sin(sig)).max() < 1e-10
-    assert sol.contraction_ratio < 1.0
-
-
-def test_fourier_divergence_reported():
-    # an artificially large first-order coefficient breaks the contraction
-    with pytest.raises(CollarIterationError, match="ratio"):
-        collar_fourier_solve(0.45, np.sin(np.linspace(0.01, np.pi, 128)), g1=60.0, n_sigma=64)
+    # collocation solve reproduces w* exactly, however large G1 is
+    to_sigma = lambda r: (r + eta) * np.pi / (2 * eta)
+    g1 = lambda r: g1_mean + 0.1 * np.cos(to_sigma(r))
+    leading = lambda r: (np.pi**2 / (4 * eta**2)) * (-np.sin(to_sigma(r)))
+    forcing = lambda r: eta * (leading(r) - (g1(r) / eta) * np.cos(to_sigma(r)))
+    sol = collar_fourier_solve(eta, forcing, g1, n_sigma=16)
+    rr = np.linspace(-eta, eta, 201)
+    assert np.abs(sol.evaluate_rho(rr) - np.sin(to_sigma(rr))).max() <= 1e-12
