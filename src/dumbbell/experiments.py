@@ -104,7 +104,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        mapping = {}
+        mapping, lines = {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, start=1):
                 text = raw.split("#", 1)[0].strip()
@@ -113,7 +113,9 @@ class ScenarioConfig:
                 if "=" not in text:
                     raise ValueError(f"line {ln}: expected 'key = value', got '{text}'")
                 key, value = (part.strip() for part in text.split("=", 1))
-                mapping[key] = value
+                if key in lines:
+                    raise ValueError(f"line {ln}: '{key}' is already set on line {lines[key]}")
+                mapping[key], lines[key] = value, ln
         return cls.from_mapping(mapping)
 
 
@@ -130,13 +132,15 @@ def _coerce(value, fld: dataclasses.Field):
             return tuple(value)
         return value
     kind = fld.type if isinstance(fld.type, str) else getattr(fld.type, "__name__", "str")
-    if kind == "tuple":
-        return tuple(float(p) for p in value.replace(",", " ").split())
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    return value
+    parse, expected = {
+        "tuple": (lambda v: tuple(float(p) for p in v.replace(",", " ").split()), "a list of numbers"),
+        "int": (int, "an integer"),
+        "float": (float, "a number"),
+    }.get(kind, (str, "text"))
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{fld.name} must be {expected}, got '{value}'") from None
 
 
 _ORDER = {"<=": operator.le, "<": operator.lt, "==": operator.eq, ">=": operator.ge}

@@ -9,9 +9,10 @@ diag(1, w(rho)^2, ...) without curved elements.  Every cell of a structured
 grid translates one of d! Kuhn shapes, so its cell operators come from the
 gradients of d! representative cells; they are also the mesh's one source of
 cell volumes, which the collar partition reads.  The same translation gives a
-grid its adjacency (edges, facet neighbours, boundary, K/M sparsity) by index
-arithmetic.  Generic simplicial meshes enter through a small ASCII format (see
-`load_mesh`), get their operators cell by cell and their adjacency by sorting.
+grid its adjacency (edges, facet neighbours, boundary) by index arithmetic.
+Generic simplicial meshes enter through a small ASCII format (see `load_mesh`),
+get their operators cell by cell and their adjacency by sorting.  Every mesh
+reads its K/M sparsity pattern off its edge table.
 """
 
 from __future__ import annotations
@@ -226,20 +227,14 @@ def _build_edge_table(cells: np.ndarray, dim: int, num_vertices: int):
 
 def _build_operators(mesh: Mesh) -> CellOperators:
     d, n = mesh.dim, mesh.num_vertices
-    if mesh.grid_resolution is None or mesh.periodic:
-        edges, _ = mesh.edge_table()
-        diag, ids = np.arange(n), np.arange(n, n + edges.shape[0])
-        rows = np.concatenate([diag, edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([diag, edges[:, 1], edges[:, 0]])
-        order = np.lexsort((cols, rows))  # row-major, the order CSR stores them in
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        cols, gather = cols[order], np.concatenate([diag, ids, ids])[order]
-        del rows, order
-    else:
-        indptr, cols, gather = _box_pattern(mesh)
-    pattern = sparse.csr_matrix((np.zeros(cols.size, dtype=np.int8), cols, indptr), shape=(n, n))
-    gather = gather.astype(np.int32)
-    del cols
+    edges, _ = mesh.edge_table()
+    diag, ids = np.arange(n, dtype=np.int32), np.arange(n, n + edges.shape[0], dtype=np.int32)
+    rows, cols = np.concatenate([diag, edges[:, 0], edges[:, 1]]), np.concatenate([diag, edges[:, 1], edges[:, 0]])
+    # each stored entry carries its upper entry's id plus 1 (none is 0); the conversion sorts each row
+    pattern = sparse.csr_matrix((np.concatenate([diag, ids, ids]) + 1, (rows, cols)), shape=(n, n))
+    del diag, ids, rows, cols
+    gather = pattern.data - 1
+    pattern.data = np.zeros(gather.size, dtype=np.int8)
 
     i, j = np.triu_indices(d + 1, 1)  # the `itertools.combinations` order of `cell_edges`
     a, b = np.concatenate([np.arange(d + 1), i]), np.concatenate([np.arange(d + 1), j])
@@ -269,41 +264,8 @@ def _vertex_shape(res: tuple, periodic: bool) -> tuple:
     return tuple(res) if periodic else tuple(k + 1 for k in res)
 
 
-def _grid_offsets(shape: tuple, periodic: bool) -> tuple:
-    """(offsets, up, down): the nonzero 0/1 offsets o (O, d) in increasing row-major stride
-    (axis 0 is the high bit), and per vertex (V, O) whether v + o and v - o are vertices of
-    the grid (on a torus always: ids wrap)."""
-    d = len(shape)
-    offsets = np.array(list(itertools.product((0, 1), repeat=d)))[1:]
-    up, down = (np.ones(shape + (len(offsets),), dtype=bool) for _ in range(2))
-    if not periodic:
-        for axis in range(d):
-            layer = (slice(None),) * axis
-            up[layer + (-1,)][..., offsets[:, axis] == 1] = False
-            down[layer + (0,)][..., offsets[:, axis] == 1] = False
-    return offsets, up.reshape(-1, len(offsets)), down.reshape(-1, len(offsets))
-
-
 def _row_major_strides(shape) -> np.ndarray:
     return np.cumprod((tuple(shape[1:]) + (1,))[::-1])[::-1]
-
-
-def _box_pattern(mesh: Mesh) -> tuple:
-    """(indptr, indices, gather) of a box grid's K/M pattern with no sort: row v holds v - o
-    for each offset o in decreasing stride, then v, then v + o in increasing stride, each
-    where that vertex exists; v +- o is edge v +- o, numbered as `_grid_edge_table` does."""
-    n, shape = mesh.num_vertices, _vertex_shape(mesh.grid_resolution, False)
-    offsets, up, down = _grid_offsets(shape, False)
-    stride = (offsets @ _row_major_strides(shape)).astype(np.int32)
-    ids = n + np.cumsum(up.reshape(-1), dtype=np.int32).reshape(up.shape) - 1  # garbage where no edge
-    ids_down = np.empty_like(ids)
-    for o, s in enumerate(stride):
-        ids_down[s:, o] = ids[: n - s, o]  # edge v - o starts at v - o
-    v = np.arange(n, dtype=np.int32)[:, None]
-    keep = np.hstack([down[:, ::-1], np.ones((n, 1), dtype=bool), up])
-    indices = np.hstack([v - stride[::-1], v, v + stride])[keep]
-    gather = np.hstack([ids_down[:, ::-1], v, ids])[keep]
-    return np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), indices, gather
 
 
 def _grid_edge_table(mesh: Mesh) -> tuple:
@@ -313,7 +275,12 @@ def _grid_edge_table(mesh: Mesh) -> tuple:
     sorts the keys once.  Local pair (a, b) of shape k is the edge from its lower walk vertex
     by the offset |w_a - w_b| (a walk is a chain, so one of the two lies below the other)."""
     d, shape = mesh.dim, _vertex_shape(mesh.grid_resolution, mesh.periodic)
-    offsets, up, _ = _grid_offsets(shape, mesh.periodic)
+    offsets = np.array(list(itertools.product((0, 1), repeat=d)))[1:]  # axis 0 is the high bit
+    up = np.ones(shape + (len(offsets),), dtype=bool)  # v + o is a vertex (on a torus always: ids wrap)
+    if not mesh.periodic:
+        for axis in range(d):
+            up[(slice(None),) * axis + (-1,)][..., offsets[:, axis] == 1] = False
+    up = up.reshape(-1, len(offsets))
     low, step = np.nonzero(up)
     if mesh.periodic:
         high = np.ravel_multi_index(tuple(np.unravel_index(low, shape) + offsets[step].T), shape, mode="wrap")
@@ -337,7 +304,7 @@ def _grid_edge_table(mesh: Mesh) -> tuple:
     for k, walk in enumerate(_kuhn_shapes(d)):
         for p, (a, b) in enumerate(pairs):
             lo, hi = (a, b) if walk[a].sum() < walk[b].sum() else (b, a)
-            offset = int((walk[hi] - walk[lo]) @ (1 << np.arange(d)[::-1]))  # its row in `_grid_offsets`, plus 1
+            offset = int((walk[hi] - walk[lo]) @ (1 << np.arange(d)[::-1]))  # its row in `offsets`, plus 1
             cell_edges[k, :, p] = ids[cells[k, :, lo], offset - 1]
     return edges, cell_edges.reshape(-1, len(pairs))
 

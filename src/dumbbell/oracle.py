@@ -99,14 +99,10 @@ def _dense_pencil(profile: Profile1D, n: int):
     K = np.zeros((n + 1, n + 1), order="F")
     M = np.zeros((n + 1, n + 1), order="F")
     idx = np.arange(n)
-    np.add.at(K, (idx, idx), p / h)
-    np.add.at(K, (idx + 1, idx + 1), p / h)
-    np.add.at(K, (idx, idx + 1), -p / h)
-    np.add.at(K, (idx + 1, idx), -p / h)
-    np.add.at(M, (idx, idx), q * h / 3.0)
-    np.add.at(M, (idx + 1, idx + 1), q * h / 3.0)
-    np.add.at(M, (idx, idx + 1), q * h / 6.0)
-    np.add.at(M, (idx + 1, idx), q * h / 6.0)
+    for A, diag, off in ((K, p / h, -p / h), (M, q * h / 3.0, q * h / 6.0)):  # element i joins nodes i, i+1
+        A[idx, idx] += diag
+        A[idx + 1, idx + 1] += diag
+        A[idx, idx + 1] = A[idx + 1, idx] = off
     return K, M
 
 

@@ -260,12 +260,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     "workers = 0",
     "workers = -1",
     "seed = -1",
+    "n = 16",                             # a key set twice: the template sets n = 8
 ])
 def test_cli_rejects_malformed_scene_descriptors(tmp_path, capsys, line):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"scenario = gap\nn = 8\n{line}\n")
     assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("key, value", [("n", "abc"), ("seed", "1.5"), ("epsilons", "0.1 abc")])
+def test_cli_names_the_key_of_a_value_that_does_not_parse(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scenario = gap\n{key} = {value}\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ") and f"got '{value}'" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -1,9 +1,9 @@
 """A Kuhn grid's adjacency by index arithmetic against the sort-based builders.
 
-Box grids and tori read their edge table, interior facet pairs, boundary,
-K/M pattern and Morse links off the d! Kuhn shapes; file meshes sort, and
-classify critical points on a link graph.  Both must give the same tables and
-Morse reports, and K and M bit for bit.
+Box grids and tori read their edge table, interior facet pairs, boundary and
+Morse links off the d! Kuhn shapes; file meshes sort, and classify critical
+points on a link graph.  Both must give the same tables and Morse reports, and,
+since every mesh reads its K/M pattern off its edge table, K and M bit for bit.
 """
 
 import dataclasses
