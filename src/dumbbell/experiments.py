@@ -61,11 +61,16 @@ class ScenarioConfig:
     resolution: int = 32                   # torus grid of the morse benchmark, >= 3
 
     def __post_init__(self):
-        for key in ("eta", "epsilon", "sigma_offset", "epsilons"):
-            if not np.all(np.isfinite(getattr(self, key))):
+        for key in ("eta", "sigma_offset"):
+            if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.epsilons:
             raise ValueError("epsilons must list at least one value")
+        if self.eta <= 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        for key, values in (("epsilon", (self.epsilon,)), ("epsilons", self.epsilons)):
+            if not all(0 < e <= 1 for e in values):  # nan and inf fail here too
+                raise ValueError(f"{key} must lie in (0, 1], got {getattr(self, key)}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.n < 2:

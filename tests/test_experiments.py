@@ -257,6 +257,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     "sigma_offset = nan",
     "epsilons = 1e-1, nan, 1e-3",
     "epsilons = ",                        # an empty sweep
+    "eta = 0",                            # ranges fail here, before any scene is built
+    "eta = -0.1",
+    "epsilon = 2",
+    "epsilon = 0",
+    "epsilons = 0.1, 0.01, -0.001",
     "workers = 0",
     "workers = -1",
     "seed = -1",

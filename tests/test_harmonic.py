@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from dumbbell import harmonic
+from dumbbell.assembly import assemble
 from dumbbell.harmonic import (
     PlateauConstants,
     collar_fourier_solve,
@@ -10,8 +13,17 @@ from dumbbell.harmonic import (
     solve_harmonic,
     warped_harmonic_1d,
 )
-from dumbbell.mesh import build_box_grid
-from dumbbell.metric import PlaneSigma, collar_geometry, kappa_zero, sphere_level
+from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
+from dumbbell.metric import (
+    REGION_COLLAR,
+    REGION_MINUS,
+    REGION_PLUS,
+    PlaneSigma,
+    collar_geometry,
+    kappa_zero,
+    sphere_level,
+    torus_level,
+)
 
 
 def warped_scene(n=20, eta=0.2, slope=1.0):
@@ -104,6 +116,68 @@ def test_collar_thinner_than_a_cell_is_rejected():
     geom = collar_geometry(m, sphere_level((0.5,) * 3, 0.3), 0.125)
     with pytest.raises(ValueError, match="borders both bulk regions"):
         solve_harmonic(m, geom, PlateauConstants(1.0, -1.0, 1.0))
+
+
+def limit_plateaus(geom):
+    return compute_plateaus(
+        geom.vol_plus, geom.vol_minus,
+        kappa_zero(geom.vol_collar, geom.vol_complement, 3), 3)
+
+
+def direct_reference(m, geom, consts):
+    """The reduced collar system built here from vertex sets and solved directly."""
+    pair = assemble(m, cell_mask=geom.region == REGION_COLLAR)
+    verts = {r: np.unique(m.cells[geom.region == r]) for r in (REGION_COLLAR, REGION_PLUS, REGION_MINUS)}
+    b_plus = np.intersect1d(verts[REGION_COLLAR], verts[REGION_PLUS])
+    b_minus = np.intersect1d(verts[REGION_COLLAR], verts[REGION_MINUS])
+    boundary = np.searchsorted(pair.dof_map, np.concatenate([b_plus, b_minus]))
+    interior = np.setdiff1d(np.arange(pair.n_dof), boundary)
+    h = np.zeros(pair.n_dof)
+    h[boundary] = np.concatenate([np.full(b_plus.size, consts.c_plus), np.full(b_minus.size, consts.c_minus)])
+    K = pair.K.tocsr()
+    h[interior] = spsolve(K[interior][:, interior].tocsc(), -(K[interior][:, boundary] @ h[boundary]))
+    return pair, b_plus, interior, h
+
+
+def sphere24(tmp_path):
+    m = build_box_grid(3, 24)
+    return m, collar_geometry(m, sphere_level((0.5,) * 3, 0.3), 0.125)
+
+
+def torus32(tmp_path):
+    m = build_box_grid(3, 32)
+    return m, collar_geometry(m, torus_level((0.5,) * 3, 0.25, 0.14), 1 / 16)
+
+
+def warped_plane20(tmp_path):
+    return warped_scene(n=20)[:2]
+
+
+def file_plane8(tmp_path):
+    path = tmp_path / "box8.mesh"
+    save_mesh(build_box_grid(3, 8), path)
+    m = load_mesh(path)
+    return m, collar_geometry(m, PlaneSigma(0.5), 0.125)
+
+
+@pytest.mark.parametrize("scene", [sphere24, torus32, warped_plane20, file_plane8])
+def test_cg_extension_matches_a_direct_solve_on_curved_and_file_collars(tmp_path, scene):
+    m, geom = scene(tmp_path)
+    consts = limit_plateaus(geom)
+    sol = solve_harmonic(m, geom, consts)
+    pair, b_plus, interior, h_ref = direct_reference(m, geom, consts)
+    assert np.array_equal(sol.vertex_ids, pair.dof_map)
+    assert np.array_equal(sol.boundary_plus, b_plus)
+    assert np.abs(sol.values - h_ref).max() <= 1e-11 * consts.gap
+    assert np.abs((pair.K @ sol.values)[interior]).max() <= 1e-10
+
+
+def test_cg_that_misses_its_tolerance_raises_with_its_residual(scene8, monkeypatch):
+    m, geom = scene8
+    monkeypatch.setattr(harmonic, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+    # an x = 0 return leaves the whole right-hand side: relative residual 1
+    with pytest.raises(RuntimeError, match=r"relative residual 1\.000e\+00"):
+        solve_harmonic(m, geom, PlateauConstants(1.0, -0.5, 1.0))
 
 
 def test_discrete_maximum_principle(scene16):
