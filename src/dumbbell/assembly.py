@@ -23,6 +23,8 @@ from .metric import REGION_MINUS, REGION_PLUS, CollarGeometry, ConformalField
 class OperatorPair:
     """Stiffness and mass over a vertex subset.
 
+    K and M share one index structure (the same ``indices`` and ``indptr``
+    memory), so K + cM is the sum of their ``data`` arrays on it.
     ``dof_map`` lists the global vertex ids behind the matrix rows; it is
     the identity for whole-mesh assembly.  ``grid`` is the per-axis cell
     count of a whole-mesh box grid assembly (vertex ids in the grid's
@@ -50,9 +52,10 @@ def assemble(
     ``field=None`` means the unweighted reference metric (f identically 1).
     Both reweight `Mesh.cell_operators` with weight zero outside ``cell_mask``:
     the diagonal sums over ``cells`` and the edges over ``cell_edges``, each entry
-    in cell order, and ``gather`` spreads them over the CSR pattern.  A restricted
-    pair is then sliced to the vertices of the selected cells, imposing nothing
-    on the new boundary (natural conditions).
+    in cell order, and the pattern's entry ids spread them over its stored entries.
+    A restricted pair slices the pattern once to the vertices of the selected
+    cells, imposing nothing on the new boundary (natural conditions).  K and M
+    are built on one copy of the pattern's index arrays.
     """
     d = mesh.dim
     keep = np.ones(mesh.num_cells, dtype=bool) if cell_mask is None else np.asarray(cell_mask, dtype=bool)
@@ -64,6 +67,9 @@ def assemble(
     ops = mesh.cell_operators()
     edges, cell_edges = mesh.edge_table()
     mass_ref = np.repeat([2.0, 1.0], [d + 1, cell_edges.shape[1]]) / ((d + 1) * (d + 2))
+    dof_map = np.arange(mesh.num_vertices) if cell_mask is None else np.unique(mesh.cells[keep])
+    # fancy indexing keeps stored zeros, so vertex 0's diagonal id survives the slice
+    pattern = ops.pattern if cell_mask is None else ops.pattern[dof_map][:, dof_map]
 
     def reweighted(local, weights):  # the mask after the power: f^0 = 1 at d = 2
         rows = local.reshape(-1, 1, local.shape[-1])  # one row for all cells, one per shape, or one per cell
@@ -72,17 +78,14 @@ def assemble(
                            minlength=mesh.num_vertices)
         off = np.bincount(cell_edges.reshape(-1), weights=(rows[..., d + 1 :] * w).reshape(-1),
                           minlength=edges.shape[0])
-        out = ops.pattern.copy()
-        out.data = np.concatenate([diag, off])[ops.gather]
-        return out
+        return np.concatenate([diag, off])[pattern.data]
 
     K = reweighted(ops.local, f ** (d / 2.0 - 1.0))
     M = reweighted(mass_ref, f ** (d / 2.0) * ops.volumes)
-    if cell_mask is None:
-        return OperatorPair(K=K, M=M, dof_map=np.arange(mesh.num_vertices),
-                            grid=None if mesh.periodic else mesh.grid_resolution)
-    dof_map = np.unique(mesh.cells[keep])
-    return OperatorPair(K=K[dof_map][:, dof_map], M=M[dof_map][:, dof_map], dof_map=dof_map, grid=None)
+    structure = pattern.indices.copy(), pattern.indptr.copy()  # after the data; never the mesh's cached arrays
+    return OperatorPair(K=sparse.csr_matrix((K, *structure), shape=pattern.shape),
+                        M=sparse.csr_matrix((M, *structure), shape=pattern.shape), dof_map=dof_map,
+                        grid=None if mesh.periodic or cell_mask is not None else mesh.grid_resolution)
 
 
 def subdomain_neumann(mesh: Mesh, geom: CollarGeometry, side: str) -> OperatorPair:

@@ -170,7 +170,8 @@ def solve_smallest(
         return X
 
     block, active = m + 2, m - 1
-    precondition, levels = _v_cycle((K + 0.1 * M).tocsr(), pair.grid)
+    A = sparse.csr_matrix((K.data + 0.1 * M.data, K.indices, K.indptr), shape=K.shape)  # K + M/10, K's structure
+    precondition, levels = _v_cycle(A, pair.grid)
     S = np.random.default_rng(seed).standard_normal((n, block))
     if start is not None:
         S[:, 0] = start

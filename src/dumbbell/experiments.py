@@ -25,18 +25,6 @@ import numpy as np
 from . import assembly, eigen, harmonic, metric, morse, nodal, oracle
 from .mesh import Mesh, build_box_grid, load_mesh
 
-SCENARIO_NAMES = (
-    "scaling",
-    "gap",
-    "plateau",
-    "collar",
-    "harmonic-approx",
-    "nodal",
-    "mollify",
-    "morse",
-    "oracle-compare",
-)
-
 
 @dataclass
 class ScenarioConfig:
@@ -758,6 +746,7 @@ _SCENARIOS = {
     "morse": _run_morse,
     "oracle-compare": _run_oracle_compare,
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
@@ -877,6 +866,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides = {k: v for k, v in (("workers", args.workers), ("out", args.out)) if v is not None}
         try:  # overrides pass the same checks as the file's keys
             config = dataclasses.replace(ScenarioConfig.from_file(args.config), **overrides)
+            Path(config.out).mkdir(parents=True, exist_ok=True)  # an unusable directory fails before any scene
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

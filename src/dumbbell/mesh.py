@@ -64,14 +64,14 @@ class CellOperators:
     """The part of P1 assembly that no conformal factor changes, built once per
     mesh by `Mesh.cell_operators`.  A symmetric matrix is held by its upper entries:
     one per vertex (the diagonal), then one per edge of `Mesh.edge_table`; a cell's
-    ``local`` row is its diagonal, then its edges in ``cell_edges`` order.  A grid
+    ``local`` row is its diagonal, then its edges in ``cell_edges`` order, and the
+    data of ``pattern`` is the id of the upper entry behind each stored entry.  A grid
     without a metric holds one row per Kuhn shape (its cells come in d! blocks of
     one shape each), any other mesh one row per cell; `rows` reads either."""
 
     local: np.ndarray               # (d! or C, d+1 + d(d+1)/2) local stiffness, reference metric
     volumes: np.ndarray             # (C,) metric volumes
-    pattern: sparse.csr_matrix      # sparsity of K and M over all vertices
-    gather: np.ndarray              # (nnz,) int32 upper entry of each stored entry
+    pattern: sparse.csr_matrix      # sparsity of K and M over all vertices, int32 entry ids as data
 
     def rows(self, cells: np.ndarray) -> np.ndarray:
         """The ``local`` rows of the given cell ids."""
@@ -230,11 +230,9 @@ def _build_operators(mesh: Mesh) -> CellOperators:
     edges, _ = mesh.edge_table()
     diag, ids = np.arange(n, dtype=np.int32), np.arange(n, n + edges.shape[0], dtype=np.int32)
     rows, cols = np.concatenate([diag, edges[:, 0], edges[:, 1]]), np.concatenate([diag, edges[:, 1], edges[:, 0]])
-    # each stored entry carries its upper entry's id plus 1 (none is 0); the conversion sorts each row
-    pattern = sparse.csr_matrix((np.concatenate([diag, ids, ids]) + 1, (rows, cols)), shape=(n, n))
+    # each stored entry carries its upper entry's id (vertex 0's diagonal is a stored 0); the conversion sorts rows
+    pattern = sparse.csr_matrix((np.concatenate([diag, ids, ids]), (rows, cols)), shape=(n, n))
     del diag, ids, rows, cols
-    gather = pattern.data - 1
-    pattern.data = np.zeros(gather.size, dtype=np.int8)
 
     i, j = np.triu_indices(d + 1, 1)  # the `itertools.combinations` order of `cell_edges`
     a, b = np.concatenate([np.arange(d + 1), i]), np.concatenate([np.arange(d + 1), j])
@@ -244,7 +242,7 @@ def _build_operators(mesh: Mesh) -> CellOperators:
         stiff = (G.swapaxes(1, 2) @ ginv @ G) * vol[:, None, None]
         del G, ginv
         local = 0.5 * (stiff[:, a, b] + stiff[:, b, a])  # exact symmetry
-        return CellOperators(local=local, volumes=vol, pattern=pattern, gather=gather)
+        return CellOperators(local=local, volumes=vol, pattern=pattern)
     # a box grid is d! blocks of one Kuhn shape each: with shape k's terms T_ki = vol_k g_ki' g_ki
     # (g_ki row i of its gradient), a cell of metric diag(m) has stiffness sum_i sqrt(det m) / m_i T_ki,
     # which without a metric is one row per shape
@@ -256,7 +254,7 @@ def _build_operators(mesh: Mesh) -> CellOperators:
     root = np.sqrt(np.prod(m, axis=2, keepdims=True))
     local = (root / m @ T).reshape(-1, a.size)
     volumes = np.broadcast_to(vol[:, None] * root[..., 0], (shapes, block)).reshape(C)
-    return CellOperators(local=local, volumes=volumes, pattern=pattern, gather=gather)
+    return CellOperators(local=local, volumes=volumes, pattern=pattern)
 
 
 def _vertex_shape(res: tuple, periodic: bool) -> tuple:

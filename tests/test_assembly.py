@@ -35,6 +35,9 @@ def _reference_pair(mesh, field=None, cell_mask=None):
     return K, M, dof_map
 
 
+_REGION = {"collar": metric.REGION_COLLAR, "plus": metric.REGION_PLUS, "minus": metric.REGION_MINUS}
+
+
 def _scene(d, n, warp=None):
     m = build_box_grid(d, n, warp=warp)
     geom = collar_geometry(m, PlaneSigma(0.5), 0.25)
@@ -43,15 +46,15 @@ def _scene(d, n, warp=None):
 
 @pytest.mark.parametrize("d, n, warp", [(2, 8, None), (3, 8, None), (3, 8, lambda r: 1.0 + r)])
 @pytest.mark.parametrize("profile", ["none", "step", "mollified"])
-@pytest.mark.parametrize("region", ["whole", "collar", "plus"])
+@pytest.mark.parametrize("region", ["whole", "collar", "plus", "minus"])
 def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
     # at d = 2 the stiffness weight f^0 is 1 on every cell, so a mask that
-    # multiplied before the power would leak the unselected cells into K
+    # multiplied before the power would leak the unselected cells into K; the
+    # minus side holds vertex 0, whose diagonal is the pattern's entry id 0
     m, geom = _scene(d, n, warp)
     fld = None if profile == "none" else build_conformal_field(
         geom, 1e-3, profile=profile, mollify_n=None if profile == "step" else n // 2)
-    mask = {"whole": None, "collar": geom.region == metric.REGION_COLLAR,
-            "plus": geom.region == metric.REGION_PLUS}[region]
+    mask = None if region == "whole" else geom.region == _REGION[region]
     K, M, dof_map = _reference_pair(m, fld, mask)
     pair = assemble(m, fld, cell_mask=mask)
     assert np.array_equal(pair.dof_map, dof_map)
@@ -60,14 +63,24 @@ def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
         assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
-def test_assembled_pairs_do_not_share_the_cached_pattern(scene8):
+@pytest.mark.parametrize("region", ["whole", "collar", "minus"])
+def test_assembled_pairs_do_not_share_the_cached_pattern(scene8, region):
+    # K and M share one index structure; a solve, whose K + M/10 shares K's,
+    # and the sign rule leave both as a fresh assembly makes them
     m, geom = scene8
     fld = build_conformal_field(geom, 1e-1)
-    first = assemble(m, fld)
+    mask = None if region == "whole" else geom.region == _REGION[region]
+    first = assemble(m, fld, cell_mask=mask)
+    assert np.shares_memory(first.K.indices, first.M.indices) and np.shares_memory(first.K.indptr, first.M.indptr)
+    eigen.apply_sign_rule(eigen.solve_smallest(first, 2), first, geom)
+    again = assemble(m, fld, cell_mask=mask)
+    for got, want in ((first.K, again.K), (first.M, again.M)):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
     K, M = first.K.copy(), first.M.copy()
     first.K.indices[:] = 0
     first.M.indptr[:] = 0
-    again = assemble(m, fld)
+    again = assemble(m, fld, cell_mask=mask)
     assert abs(again.K - K).max() == 0 and abs(again.M - M).max() == 0
 
 

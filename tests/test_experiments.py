@@ -231,6 +231,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("where", ["--out", "config"])
+@pytest.mark.parametrize("kind", ["file", "under-a-file"])
+def test_cli_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, where, kind):
+    # an existing file, or a path through one, cannot hold the report: exit 2 before any scene is built
+    def no_run(config):
+        raise AssertionError("ran the scenario before the output directory was made")
+
+    monkeypatch.setattr(experiments, "run_scenario", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if kind == "file" else taken / "out"
+    cfg_file = tmp_path / "gap.cfg"
+    cfg_file.write_text("scenario = gap\nn = 8\n" + (f"out = {out}\n" if where == "config" else ""))
+    assert main(["run", str(cfg_file), *(["--out", str(out)] if where == "--out" else [])]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("line", [
     "sigma = sphere:0.5,0.3",            # one center coordinate at d = 3
     "sigma = sphere:0.5,0.5,0.5,-0.3",

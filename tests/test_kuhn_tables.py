@@ -178,13 +178,13 @@ def _cached_bytes(m: Mesh) -> int:
         arrays += [m._facets.facets, m._facets.counts, m._facets.cells_of]
     ops = m._operators
     if ops is not None:
-        arrays += [ops.local, ops.volumes, ops.gather, ops.pattern.data, ops.pattern.indices, ops.pattern.indptr]
+        arrays += [ops.local, ops.volumes, ops.pattern.data, ops.pattern.indices, ops.pattern.indptr]
     return sum(a.nbytes for a in arrays if a is not None)
 
 
 def test_scene_mesh_caches_stay_small():
-    # 86, 83 and 82 bytes per cell at n = 8, 16 and 24 (edges, cell edges, cell pairs, volumes,
-    # pattern and gather); the sorted tables and per-cell stiffness held 310 at n = 16
+    # 83, 80 and 79 bytes per cell at n = 8, 16 and 24 (edges, cell edges, cell pairs, volumes,
+    # and the pattern, whose data are its entry ids); the sorted tables and per-cell stiffness held 310 at n = 16
     local = {}
     for n in (8, 16):
         m, _ = experiments._build_scene(ScenarioConfig.from_mapping({"scenario": "scaling", "n": n}))

@@ -479,13 +479,14 @@ def test_cell_operator_pattern_is_the_coo_pattern(name, as_file):
     assert np.array_equal(ops.pattern.indices, ref.indices)
     # every stored entry is reached by a cell, so the mass has no explicit zeros
     assert assemble(m).M.data.min() > 0
-    # gather names the diagonal by vertex id, an edge by its place after the vertices
+    # the pattern's data names the diagonal by vertex id, an edge by its place after the vertices
     edges, _ = m.edge_table()
     r = np.repeat(np.arange(m.num_vertices), np.diff(ops.pattern.indptr))
-    c = ops.pattern.indices
-    ends = edges[np.maximum(ops.gather - m.num_vertices, 0)]
+    c, ids = ops.pattern.indices, ops.pattern.data
+    assert ids.dtype == np.int32
+    ends = edges[np.maximum(ids - m.num_vertices, 0)]
     off = r != c
-    assert np.array_equal(ops.gather[~off], r[~off])
+    assert np.array_equal(ids[~off], r[~off])
     assert np.array_equal(ends[off], np.sort(np.stack([r, c], axis=1)[off], axis=1))
 
 
