@@ -120,10 +120,8 @@ _SCENARIO_DEFAULTS = {
 
 
 def _coerce(value, fld: dataclasses.Field):
-    if not isinstance(value, str):
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
-        return value
+    """Parse a config value as its text, as a config file gives it; a list or tuple is its items joined by spaces."""
+    value = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
     kind = fld.type if isinstance(fld.type, str) else getattr(fld.type, "__name__", "str")
     parse, expected = {
         "tuple": (lambda v: tuple(float(p) for p in v.replace(",", " ").split()), "a list of numbers"),
@@ -621,7 +619,7 @@ def _run_nodal(cfg: ScenarioConfig):
         )
     }
     artifacts = {
-        "polygons": [frag.points.tolist() for frag in ns.fragments],
+        "polygons": [poly.tolist() for poly in ns.polygons()],
         "conformal_field": fld.to_dict(),
     }
     return tables, verdicts, artifacts

@@ -169,12 +169,6 @@ class Mesh:
                     self._pairs = _grid_cell_pairs(self.dim, self.grid_resolution, self.periodic)
             return self._pairs
 
-    def shared_facets(self, pairs: np.ndarray) -> np.ndarray:
-        """(P, d): the vertices each of the given pairs of cells shares, found on each call."""
-        first, second = self.cells[pairs[:, 0]], self.cells[pairs[:, 1]]
-        shared = (first[:, :, None] == second[:, None, :]).any(axis=2)
-        return first[shared].reshape(-1, self.dim)
-
     def boundary_vertex_mask(self) -> np.ndarray:
         """Vertices on a boundary facet: a box grid's outer index layer, no torus vertex."""
         if self.grid_resolution is None:

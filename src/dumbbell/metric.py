@@ -31,10 +31,9 @@ class SeparationError(ValueError):
 
 @dataclass(frozen=True)
 class PlaneSigma:
-    """Axis-aligned hyperplane {x_axis = offset}."""
+    """Axis-aligned hyperplane {x_0 = offset}, across the axis of the warp and the grid fibers."""
 
     offset: float
-    axis: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def signed_distance(mesh: Mesh, sigma: SigmaDescriptor) -> np.ndarray:
     side does not separate the mesh.
     """
     if isinstance(sigma, PlaneSigma):
-        return mesh.vertices[:, sigma.axis] - sigma.offset
+        return mesh.vertices[:, 0] - sigma.offset
     if not isinstance(sigma, LevelSetSigma):
         raise TypeError(f"unsupported sigma descriptor: {sigma!r}")
 

@@ -11,7 +11,7 @@ discrete stand-in for perturbing value v to v + 1e-300 (1 + vertex id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, TYPE_CHECKING
+from typing import List, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -40,23 +40,15 @@ def tie_signs(u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class NodalFragment:
-    """Zero-set polygon inside one cell, with its edge interpolation data."""
-
-    cell: int
-    points: np.ndarray   # (k, d) polygon vertices, cyclic order
-    edge_v0: np.ndarray  # (k,) the cell's lone-sign vertex, or a minus-edge vertex in a 2-2 split
-    edge_v1: np.ndarray  # (k,) the other end of each point's sign-crossing edge
-    edge_t: np.ndarray   # (k,) position along the edge, point = (1-t) v0 + t v1
-
-    def interpolate(self, field: np.ndarray) -> np.ndarray:
-        return (1.0 - self.edge_t) * field[self.edge_v0] + self.edge_t * field[self.edge_v1]
-
-
-@dataclass
 class NodalSet:
-    fragments: List[NodalFragment]
-    component_labels: np.ndarray     # (F,) component id per fragment
+    """The zero set as arrays: polygon f, in cell ``cells[f]``, is ``points[starts[f]:starts[f + 1]]``."""
+
+    cells: np.ndarray                # (F,) crossing cells, ascending
+    starts: np.ndarray               # (F + 1,) polygon offsets into ``points``
+    points: np.ndarray               # (P, d) polygon corners, cyclic per polygon
+    edge_ends: np.ndarray            # (X, 2) the sign-crossing edges (a, b) of `Mesh.edge_table`
+    edge_t: np.ndarray               # (X,) their zeros, at (1 - t) x_a + t x_b
+    component_labels: np.ndarray     # (F,) component id per polygon
     n_components: int
     total_area: float                # metric area (length in 2d)
     min_gradient: float              # min metric gradient norm over crossing cells
@@ -64,21 +56,24 @@ class NodalSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.fragments
+        return not self.cells.size
 
-    def interpolate(self, field: np.ndarray) -> List[np.ndarray]:
-        return [frag.interpolate(field) for frag in self.fragments]
+    def polygons(self) -> List[np.ndarray]:
+        """The (k, d) corner array of each crossing cell, in ``cells`` order."""
+        return [self.points[a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     def value_range(self, field: np.ndarray):
-        """(min, max) of a vertex field interpolated over all fragment points."""
+        """(min, max) of a vertex field interpolated at the zero on each sign-crossing edge."""
         if self.is_empty:
             return (np.nan, np.nan)
-        vals = np.concatenate(self.interpolate(field))
+        vals = (1.0 - self.edge_t) * field[self.edge_ends[:, 0]] + self.edge_t * field[self.edge_ends[:, 1]]
         return (float(vals.min()), float(vals.max()))
 
 
-def _corner_pairs(neg: List[int], pos: List[int]) -> List[tuple]:
-    """Local (v0, v1) edges whose crossings are the polygon corners, cyclic order."""
+def _corner_pairs(code: int, d: int) -> List[tuple]:
+    """Local (v0, v1) edges of the polygon corners, cyclic, in sign pattern ``code`` (bit i: vertex i < 0)."""
+    neg = [i for i in range(d + 1) if code >> i & 1]
+    pos = [i for i in range(d + 1) if not code >> i & 1]
     if len(neg) == 1 or len(pos) == 1:
         single, others = (neg[0], pos) if len(neg) == 1 else (pos[0], neg)
         return [(single, o) for o in others]
@@ -89,28 +84,33 @@ def _corner_pairs(neg: List[int], pos: List[int]) -> List[tuple]:
 def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     """Extract the zero set of the P1 interpolant of ``u``.
 
-    Cells are batched by sign pattern, so corners and areas are computed
-    once per pattern.  Components join fragments that share a sign-crossing
-    facet.  An empty zero set is a valid result.
+    Cells are batched by sign pattern, so corners and areas are computed once
+    per pattern.  Components join polygons whose cells share a sign-crossing
+    edge: on an edge-manifold mesh (every grid) the same as sharing a mixed
+    facet, as the cells around an edge form a fan whose facets hold it.  On a
+    file mesh pinched along an edge, polygons touching at a point of it are one
+    component, as they are one connected set.  An empty zero set is valid.
     """
     u = _snap_zeros(u)
     d = mesh.dim
     signs = tie_signs(u)
     cell_signs = signs[mesh.cells]
     crossing = np.flatnonzero(~np.all(cell_signs == cell_signs[:, :1], axis=1))
-    pattern = (cell_signs[crossing] < 0) @ (1 << np.arange(d + 1))
+    neg = cell_signs[crossing] < 0
+    pattern = neg @ (1 << np.arange(d + 1))
+    n_neg = neg.sum(axis=1)  # a 1-k split has k corners, a 2-2 split 4: n_neg * n_pos either way
+    starts = np.concatenate([[0], np.cumsum(n_neg * (d + 1 - n_neg))])
 
-    fragments: List[Optional[NodalFragment]] = [None] * crossing.size
+    points = np.empty((starts[-1], d))
     areas = np.zeros(crossing.size)
     for code in np.unique(pattern):
         rows = np.flatnonzero(pattern == code)
-        neg = [i for i in range(d + 1) if code >> i & 1]
-        pos = [i for i in range(d + 1) if not code >> i & 1]
-        i0, i1 = np.array(_corner_pairs(neg, pos)).T
+        i0, i1 = np.array(_corner_pairs(code, d)).T
         cells = mesh.cells[crossing[rows]]
         v0, v1 = cells[:, i0], cells[:, i1]
         t = u[v0] / (u[v0] - u[v1])
         pts = (1.0 - t)[..., None] * mesh.vertices[v0] + t[..., None] * mesh.vertices[v1]
+        points[starts[rows, None] + np.arange(i0.size)] = pts
         g = np.eye(d) if mesh.cell_metric is None else mesh.cell_metric[crossing[rows]]
         # metric area: a segment length in 2d, a fan of triangle Gram determinants in 3d
         for k in range(1, pts.shape[1] - d + 2):
@@ -120,34 +120,28 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
                 areas[rows] += np.sqrt(gram[:, 0, 0])
             else:
                 areas[rows] += 0.5 * np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-        for r, row in enumerate(rows):
-            fragments[row] = NodalFragment(int(crossing[row]), pts[r], v0[r], v1[r], t[r])
 
-    # adjacency through facets whose own vertex signs are mixed
-    frag_of_cell = np.full(mesh.num_cells, -1, dtype=np.int64)
-    frag_of_cell[crossing] = np.arange(crossing.size)
-    pairs = mesh.interior_cell_pairs()
-    pairs = pairs[(frag_of_cell[pairs] >= 0).all(axis=1)]  # a mixed facet's two cells both cross
-    fs = signs[mesh.shared_facets(pairs)]
-    linked = frag_of_cell[pairs[fs.min(axis=1) < fs.max(axis=1)]]
-    n_components, labels = components(crossing.size, linked[:, 0], linked[:, 1])
+    edges, cell_edges = mesh.edge_table()
+    cross = signs[edges[:, 0]] != signs[edges[:, 1]]
+    edge_ends = edges[cross]
+    # graph on polygons, then crossing edges: polygon f joins each crossing edge of its cell
+    node = crossing.size - 1 + np.cumsum(cross)
+    mine = cell_edges[crossing]
+    hit = cross[mine]
+    n_components, labels = components(crossing.size + edge_ends.shape[0], np.nonzero(hit)[0], node[mine[hit]])
 
-    if crossing.size:  # |du|_g^2 vol = u_c' S_c u_c = -sum_{a<b} S_ab (u_a - u_b)^2, S_c kills constants
-        ops = mesh.cell_operators()
-        uc = u[mesh.cells[crossing]]
-        i, j = np.triu_indices(d + 1, 1)  # the order of the edge entries of `CellOperators.local`
-        energy = -(ops.rows(crossing)[:, d + 1 :] * (uc[:, i] - uc[:, j]) ** 2).sum(axis=1)
-        min_grad = float(np.sqrt((energy / ops.volumes[crossing]).min()))
-    else:
-        min_grad = float("inf")
+    # |du|_g^2 vol = u_c' S_c u_c = -sum_{a<b} S_ab (u_a - u_b)^2, S_c kills constants
+    ops = mesh.cell_operators()
+    uc = u[mesh.cells[crossing]]
+    i, j = np.triu_indices(d + 1, 1)  # the order of the edge entries of `CellOperators.local`
+    energy = -(ops.rows(crossing)[:, d + 1 :] * (uc[:, i] - uc[:, j]) ** 2).sum(axis=1)
+    min_grad = float(np.sqrt((energy / ops.volumes[crossing]).min(initial=np.inf)))
 
+    a, b = edge_ends.T
     return NodalSet(
-        fragments=fragments,
-        component_labels=labels.astype(np.int64),
-        n_components=int(n_components),
-        total_area=float(np.add.reduce(areas)),
-        min_gradient=min_grad,
-        dim=mesh.dim,
+        cells=crossing, starts=starts, points=points, edge_ends=edge_ends, edge_t=u[a] / (u[a] - u[b]),
+        component_labels=labels[: crossing.size].astype(np.int64),  # every crossing edge joins a polygon
+        n_components=int(n_components), total_area=float(np.add.reduce(areas)), min_gradient=min_grad, dim=d,
     )
 
 

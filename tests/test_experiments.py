@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -52,6 +53,25 @@ def test_config_file_parsing(tmp_path):
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown config key"):
         ScenarioConfig.from_mapping({"scenario": "scaling", "bogus": 1})
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("n", 16.7, "n must be an integer, got '16.7'"),
+    ("seed", 1.5, "seed must be an integer, got '1.5'"),
+    ("workers", 2.5, "workers must be an integer, got '2.5'"),
+    ("eta", True, "eta must be a number, got 'True'"),
+    ("n", None, "n must be an integer, got 'None'"),
+    ("epsilons", ["0.1", "x"], "epsilons must be a list of numbers, got '0.1 x'"),
+    ("sigma", 3, "unknown sigma descriptor '3'"),
+    ("epsilons", 0.1, None),  # one number, as a config file line gives it
+])
+def test_mapping_values_parse_as_their_config_text(key, value, error):
+    mapping = {"scenario": "gap", key: value}
+    if error is None:
+        assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig.from_mapping({**mapping, key: str(value)})
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ScenarioConfig.from_mapping(mapping)
 
 
 # gates and solver settings that were config keys; the scenarios fix them now

@@ -14,15 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st
 
-from dumbbell import experiments, mesh  # noqa: E402
-from dumbbell.assembly import assemble  # noqa: E402
-from dumbbell.experiments import ScenarioConfig, _parse_warp, run_scenario  # noqa: E402
-from dumbbell.mesh import Mesh, build_box_grid, load_mesh, save_mesh  # noqa: E402
-from dumbbell.metric import ConformalField  # noqa: E402
-from dumbbell.morse import classify_critical_points  # noqa: E402
+from dumbbell import experiments, mesh
+from dumbbell.assembly import assemble
+from dumbbell.experiments import ScenarioConfig, _parse_warp, run_scenario
+from dumbbell.mesh import Mesh, build_box_grid, load_mesh, save_mesh
+from dumbbell.metric import ConformalField
+from dumbbell.morse import classify_critical_points
 
 BOUNDED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -53,6 +52,12 @@ def _sorted_twin(m: Mesh) -> Mesh:
     return Mesh(m.dim, m.vertices, m.cells, m.cell_metric, periodic=m.periodic)
 
 
+def _shared_facets(m: Mesh, pairs):
+    """(P, d): the vertices each given pair of cells shares."""
+    first, second = m.cells[pairs[:, 0]], m.cells[pairs[:, 1]]
+    return first[(first[:, :, None] == second[:, None, :]).any(axis=2)].reshape(-1, m.dim)
+
+
 def _facet_rows(facets, pairs):
     """Each interior facet as (sorted vertices, lower cell, higher cell), in one order."""
     return sorted(tuple(sorted(f)) + tuple(sorted(p)) for f, p in zip(facets.tolist(), pairs.tolist()))
@@ -74,9 +79,9 @@ def test_closed_form_tables_match_the_sort_builders(grid):
     pairs = m.interior_cell_pairs()
     assert pairs.dtype == np.int32
     want = _facet_rows(table.facets[shared], table.cells_of[shared])
-    assert _facet_rows(m.shared_facets(pairs), pairs) == want
+    assert _facet_rows(_shared_facets(m, pairs), pairs) == want
     twin = _sorted_twin(m)
-    assert _facet_rows(twin.shared_facets(twin.interior_cell_pairs()), twin.interior_cell_pairs()) == want
+    assert _facet_rows(_shared_facets(twin, twin.interior_cell_pairs()), twin.interior_cell_pairs()) == want
 
     boundary = np.zeros(m.num_vertices, dtype=bool)
     boundary[table.facets[table.counts == 1].reshape(-1)] = True

@@ -24,7 +24,7 @@ from dumbbell.mesh import (
     validate_mesh,
 )
 from dumbbell.morse import classify_critical_points
-from dumbbell.nodal import nodal_domain_count
+from dumbbell.nodal import extract_nodal_set, nodal_domain_count
 
 
 def test_box_grid_counts():
@@ -326,7 +326,7 @@ def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mesh, "_build_facet_table", counting)
     monkeypatch.setattr(mesh, "_build_edge_table", counting_edges)
-    # a box grid reads its adjacency off the Kuhn shapes and sorts nothing on the scene path;
+    # a box grid reads its adjacency off the Kuhn shapes and sorts nothing on the scene or nodal path;
     # only the boundary facets and validation, which no scene asks of it, build its facet table.
     # A file mesh (validated on load) sorts once for each table.
     for build, scene, checks in ((lambda: build_box_grid(3, 3), [], [3]),
@@ -334,8 +334,9 @@ def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
         calls.clear()
         m = build()
         m.boundary_vertex_mask()
-        m.shared_facets(m.interior_cell_pairs())
+        m.interior_cell_pairs()
         u = m.vertices[:, 0] - 0.5
+        extract_nodal_set(m, u)
         classify_critical_points(m, u)
         nodal_domain_count(m, u)
         assemble(m)  # the K/M pattern is read off the edge table too

@@ -128,7 +128,7 @@ def test_sign_symmetry_random_fields(box8):
         u = rng.standard_normal(box8.num_vertices)
         ns_pos = extract_nodal_set(box8, u)
         ns_neg = extract_nodal_set(box8, -u)
-        assert len(ns_pos.fragments) == len(ns_neg.fragments)
+        assert np.array_equal(ns_pos.cells, ns_neg.cells)
         assert ns_pos.n_components == ns_neg.n_components
         assert ns_pos.total_area == pytest.approx(ns_neg.total_area, rel=1e-12)
 
@@ -138,12 +138,12 @@ def test_fragments_stay_inside_cells(box8):
     u = rng.standard_normal(box8.num_vertices)
     ns = extract_nodal_set(box8, u)
     assert not ns.is_empty
-    for frag in ns.fragments[::17]:
-        cell = box8.cells[frag.cell]
+    for cid, points in list(zip(ns.cells, ns.polygons()))[::17]:
+        cell = box8.cells[cid]
         verts = box8.vertices[cell]
         lo = verts.min(axis=0) - 1e-12
         hi = verts.max(axis=0) + 1e-12
-        assert np.all(frag.points >= lo) and np.all(frag.points <= hi)
+        assert np.all(points >= lo) and np.all(points <= hi)
         # a crossing cell must have mixed signs
         signs = nodal.tie_signs(u)[cell]
         assert signs.min() < signs.max()
@@ -155,7 +155,8 @@ def test_noncrossing_cells_have_no_fragment(box8):
     ns = extract_nodal_set(box8, u)
     signs = nodal.tie_signs(u)[box8.cells]
     crossing = set(np.flatnonzero(~np.all(signs == signs[:, :1], axis=1)).tolist())
-    assert {f.cell for f in ns.fragments} == crossing
+    assert set(ns.cells.tolist()) == crossing
+    assert np.all(np.diff(ns.cells) > 0) and ns.starts.size == ns.cells.size + 1
 
 
 def test_exact_zero_vertices_count_positive(box8):
@@ -169,16 +170,16 @@ def test_polygon_soup_round_trip(tmp_path, box8):
     # the zero set as the surface scenario stores it, written by emit --kind surface
     u = box8.vertices[:, 0] - 0.5
     ns = extract_nodal_set(box8, u)
-    report = {"artifacts": {"polygons": [frag.points.tolist() for frag in ns.fragments]}}
+    report = {"artifacts": {"polygons": [poly.tolist() for poly in ns.polygons()]}}
     path = Path(emit_plot_data(report, "surface", tmp_path))
     lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(ns.fragments)
-    for line, frag in zip(lines, ns.fragments):
+    assert len(lines) == ns.cells.size
+    for line, points in zip(lines, ns.polygons()):
         fields = line.split()
         count = int(fields[0])
         assert len(fields) == 1 + 3 * count
         back = np.array([float(x) for x in fields[1:]]).reshape(count, 3)
-        np.testing.assert_array_equal(back, frag.points)
+        np.testing.assert_array_equal(back, points)
 
 
 def test_eigenfunction_nodal_set(dumbbell16):
@@ -204,10 +205,8 @@ def test_polygons_ignore_solver_roundoff(dumbbell16):
     noise = np.random.default_rng(0).standard_normal(u.size)
     base = extract_nodal_set(m, u)
     moved = extract_nodal_set(m, u + 1e-12 * np.abs(u).max() * noise)
-    assert [f.cell for f in moved.fragments] == [f.cell for f in base.fragments]
-    for got, want in zip(moved.fragments, base.fragments):
-        assert got.points.shape == want.points.shape
-        np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-7)
+    assert np.array_equal(moved.cells, base.cells) and np.array_equal(moved.starts, base.starts)
+    np.testing.assert_allclose(moved.points, base.points, rtol=0, atol=1e-7)
 
 
 def _reference_fragment(u, mesh, cid):
@@ -236,26 +235,33 @@ def _reference_fragment(u, mesh, cid):
     return pts, v0, v1, t, area
 
 
-@pytest.mark.parametrize("dim, n", [(3, 12), (2, 16)])
-def test_batched_fragments_match_per_cell_reference(dim, n):
-    from dumbbell.mesh import build_box_grid
+def _shared_facets(mesh, pairs):
+    """(P, d): the vertices each given pair of cells shares."""
+    first, second = mesh.cells[pairs[:, 0]], mesh.cells[pairs[:, 1]]
+    return first[(first[:, :, None] == second[:, None, :]).any(axis=2)].reshape(-1, mesh.dim)
 
-    mesh = build_box_grid(dim, n, warp=lambda r: 1 + 0.7 * r)
-    rng = np.random.default_rng(5)
-    x = mesh.vertices
-    for u in (rng.standard_normal(mesh.num_vertices), x[:, 0] - 0.5,
-              np.sum((x - 0.5) ** 2, axis=1) - 0.1):
+
+def _check_against_per_cell_reference(mesh, fields):
+    """Polygons and areas cell by cell, containment at every polygon corner, and components by
+    union-find over polygons whose cells share a facet with mixed vertex signs."""
+    probe = np.random.default_rng(11).standard_normal(mesh.num_vertices)
+    for u in fields:
         ns = extract_nodal_set(mesh, u)
-        areas = []
-        for frag in ns.fragments:
-            pts, v0, v1, t, area = _reference_fragment(u, mesh, frag.cell)
-            for got, want in ((frag.points, pts), (frag.edge_v0, v0),
-                              (frag.edge_v1, v1), (frag.edge_t, t)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        s = nodal.tie_signs(u)[mesh.cells]
+        assert np.array_equal(ns.cells, np.flatnonzero(s.min(axis=1) < s.max(axis=1)))
+        areas, corner_values = [], []
+        for f, cid in enumerate(ns.cells):
+            pts, v0, v1, t, area = _reference_fragment(u, mesh, cid)
+            got = ns.points[ns.starts[f] : ns.starts[f + 1]]
+            assert got.dtype == pts.dtype and got.tobytes() == pts.tobytes()
             areas.append(area)
+            corner_values.append((1.0 - t) * probe[v0] + t * probe[v1])
         assert ns.total_area == float(np.add.reduce(np.asarray(areas)))
-        # components: union-find over fragments sharing a mixed facet
-        index = {f.cell: k for k, f in enumerate(ns.fragments)}
+        if corner_values:
+            corner_values = np.concatenate(corner_values)
+            np.testing.assert_allclose(ns.value_range(probe), (corner_values.min(), corner_values.max()),
+                                       rtol=0, atol=1e-12)
+        index = {cid: k for k, cid in enumerate(ns.cells.tolist())}
         parent = list(range(len(index)))
 
         def find(k):
@@ -264,11 +270,43 @@ def test_batched_fragments_match_per_cell_reference(dim, n):
             return k
 
         pairs = mesh.interior_cell_pairs()
-        facets = mesh.shared_facets(pairs)
-        s = nodal.tie_signs(u)[facets]
-        for c0, c1 in pairs[s.min(axis=1) < s.max(axis=1)].tolist():
+        fs = nodal.tie_signs(u)[_shared_facets(mesh, pairs)]
+        for c0, c1 in pairs[fs.min(axis=1) < fs.max(axis=1)].tolist():
             r0, r1 = sorted((find(index[c0]), find(index[c1])))
             parent[r1] = r0
         roots = [find(k) for k in range(len(index))]
         assert np.array_equal(ns.component_labels, np.unique(roots, return_inverse=True)[1])
         assert ns.n_components == len(set(roots))
+
+
+@pytest.mark.parametrize("dim, n", [(3, 12), (2, 16)])
+def test_batched_fragments_match_per_cell_reference(dim, n):
+    from dumbbell.mesh import build_box_grid
+
+    mesh = build_box_grid(dim, n, warp=lambda r: 1 + 0.7 * r)
+    rng = np.random.default_rng(5)
+    x = mesh.vertices
+    _check_against_per_cell_reference(mesh, (rng.standard_normal(mesh.num_vertices), x[:, 0] - 0.5,
+                                             np.sum((x - 0.5) ** 2, axis=1) - 0.1))
+
+
+def _balls(mesh, rng, count):
+    """Distance to the union of ``count`` random balls, periodic on a torus: one component each."""
+    rel = mesh.vertices[:, None, :] - rng.random((count, mesh.dim))
+    if mesh.periodic:
+        rel -= np.round(rel)
+    return (np.linalg.norm(rel, axis=2) - rng.uniform(0.05, 0.15, count)).min(axis=1)
+
+
+@pytest.mark.parametrize("scene", ["torus", "file-twin"])
+def test_per_cell_reference_on_a_torus_and_a_file_mesh(scene, tmp_path):
+    from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
+
+    if scene == "torus":
+        mesh = build_box_grid(3, 10, periodic=True)
+    else:
+        save_mesh(build_box_grid(3, 7, warp=lambda r: 1 + 0.7 * r), tmp_path / "box.mesh")
+        mesh = load_mesh(tmp_path / "box.mesh")
+    rng = np.random.default_rng(8)
+    _check_against_per_cell_reference(mesh, (rng.standard_normal(mesh.num_vertices), _balls(mesh, rng, 12),
+                                             np.cos(2 * np.pi * mesh.vertices[:, 0])))

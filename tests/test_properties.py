@@ -8,16 +8,16 @@ ValueError.
 
 import copy
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from dumbbell.experiments import ScenarioConfig, emit_plot_data  # noqa: E402
-from dumbbell.mesh import MeshFormatError, MeshValidationError, load_mesh  # noqa: E402
+from dumbbell.experiments import ScenarioConfig, emit_plot_data
+from dumbbell.mesh import MeshFormatError, MeshValidationError, load_mesh
 
 INPUT_ERRORS = (MeshFormatError, MeshValidationError, ValueError)
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
@@ -144,3 +144,30 @@ def test_emit_plot_data_raises_only_value_error(tmp_path_factory, report, kind):
         assert not out.exists() or not any(out.iterdir())  # no partial file
         return
     Path(path).unlink()
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    assert True
+"""
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(tmp_path):
+    # reporting a falsifying example imports libcst, whose own DeprecationWarning must not
+    # become an INTERNALERROR under the suite's filterwarnings = ["error"]
+    (tmp_path / "test_probe.py").write_text(_FAILING_PROPERTY)
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ini), "-q", "-p", "no:cacheprovider",
+                          "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed, 1 passed" in out and "INTERNALERROR" not in out

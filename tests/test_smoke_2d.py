@@ -40,7 +40,7 @@ def test_2d_nodal_segments(plane_scene):
     ns = nodal.extract_nodal_set(m, u)
     assert ns.n_components == 1
     assert ns.total_area == pytest.approx(1.0, abs=1e-12)  # total length here
-    assert all(frag.points.shape == (2, 2) for frag in ns.fragments)
+    assert all(poly.shape == (2, 2) for poly in ns.polygons())
     assert nodal.nodal_domain_count(m, u) == 2
     assert nodal.single_crossing_check(m, u)
 
