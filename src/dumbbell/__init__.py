@@ -61,8 +61,6 @@ from .nodal import (
     NodalSet,
     NonBoxSceneError,
     extract_nodal_set,
-    localization_report,
-    nodal_domain_count,
     single_crossing_check,
 )
 from .morse import (

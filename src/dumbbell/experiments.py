@@ -315,9 +315,9 @@ def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float
                                warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
 
 
-def _solve_point(mesh, geom, cfg, eps, m=2, **profile):
+def _solve_point(mesh, geom, cfg, eps, m=2, mollify_n=None):
     """Assemble and solve one sweep point from the clipped distance, its first mode signed by the plus plateau."""
-    fld = metric.build_conformal_field(geom, eps, **profile)
+    fld = metric.build_conformal_field(geom, eps, mollify_n)
     pair = assembly.assemble(mesh, fld)
     result = eigen.solve_smallest(pair, m, seed=cfg.seed, start=eigen.clipped_distance(mesh, geom, pair))
     return fld, pair, eigen.apply_sign_rule(result, pair, geom)
@@ -595,26 +595,24 @@ def _run_nodal(cfg: ScenarioConfig):
     u1 = result.vectors[:, 1]
 
     ns = nodal.extract_nodal_set(mesh, u1)
-    report = nodal.localization_report(ns, geom)
-    domains = nodal.nodal_domain_count(mesh, u1)
+    reach = max(abs(r) for r in ns.value_range(geom.rho))  # NaN on an empty set
     single = nodal.single_crossing_check(mesh, u1)
-    min_grad = ns.min_gradient
     grad_floor = 0.5 * consts.gap / (2.0 * geom.eta)  # half the affine model's slope
 
     verdicts = [
-        Verdict("nodal-components", report.components, 1, "=="),
-        Verdict("nodal-contained", report.max_abs_rho, geom.eta, "<"),
+        Verdict("nodal-components", ns.n_components, 1, "=="),
+        Verdict("nodal-contained", reach, geom.eta, "<"),
         Verdict("single-crossing", single, True, "=="),
-        Verdict("nodal-domains", domains, 2, "=="),
-        Verdict("regular-gradient", min_grad, grad_floor, ">="),
+        Verdict("nodal-domains", ns.domains, 2, "=="),
+        Verdict("regular-gradient", ns.min_gradient, grad_floor, ">="),
     ]
     tables = {
         "nodal": _table(
             ["epsilon", "lambda1", "components", "max_abs_rho", "contained",
              "single_crossing", "domains", "min_gradient", "total_area",
              "predicted_root"],
-            [[cfg.epsilon, result.values[1], report.components, report.max_abs_rho,
-              report.contained, single, domains, min_grad, ns.total_area,
+            [[cfg.epsilon, result.values[1], ns.n_components, reach,
+              reach < geom.eta, single, ns.domains, ns.min_gradient, ns.total_area,
               harmonic.hbar_root(geom.eta, consts)]],
         )
     }
@@ -640,7 +638,7 @@ def _run_mollify(cfg: ScenarioConfig):
     vec_sup = None
     for k in (4, 2, 1):  # transition widths in mesh spacings
         n_moll = cfg.n // k
-        fm, _, rm = _solve_point(mesh, geom, cfg, eps, profile="mollified", mollify_n=n_moll)
+        fm, _, rm = _solve_point(mesh, geom, cfg, eps, mollify_n=n_moll)
         gamma = metric.volume_rescale_factor(fm, geom)
         lam = float(rm.values[1]) / gamma
         diff = abs(lam - lam_ref) / lam_ref

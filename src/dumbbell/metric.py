@@ -234,24 +234,21 @@ class ConformalField:
 def build_conformal_field(
     geom: CollarGeometry,
     epsilon: float,
-    profile: str = "step",
     mollify_n: Optional[int] = None,
 ) -> ConformalField:
-    """Conformal factor: epsilon on the collar, kappa outside.
+    """Conformal factor: epsilon on the collar, kappa outside, a step at |rho| = eta.
 
-    The mollified variant replaces the jump at |rho| = eta with the quintic
-    ramp on [eta - 1/n, eta], evaluated at cell barycenters; it no longer
-    preserves volume exactly (see `volume_rescale_factor`).
+    A positive ``mollify_n`` replaces the jump with the quintic ramp on
+    [eta - 1/n, eta], evaluated at cell barycenters; it no longer preserves
+    volume exactly (see `volume_rescale_factor`).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     kap = kappa(epsilon, geom.vol_collar, geom.vol_complement, geom.dim)
-    if profile == "step":
+    if mollify_n is None:
         f = np.where(geom.region == REGION_COLLAR, epsilon, kap)
         return ConformalField(epsilon, kap, "step", None, f)
-    if profile != "mollified":
-        raise ValueError(f"unknown profile '{profile}'")
-    if mollify_n is None or mollify_n <= 0:
+    if mollify_n <= 0:
         raise ValueError("mollified profile needs a positive transition index n")
     width = 1.0 / mollify_n
     if geom.spacing is not None and width < geom.spacing - 1e-12:

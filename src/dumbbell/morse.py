@@ -161,9 +161,8 @@ def _grid_links(mesh: Mesh, rank: np.ndarray, counted: np.ndarray) -> tuple:
     star = np.ravel_multi_index(
         tuple(c[:, None] + offsets[:, a] for a, c in enumerate(at)), shape, mode="wrap")  # a torus wraps
     below = rank[star] < rank[v][:, None]
-    masks = (below.astype(np.uint16) << np.arange(size, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
-    distinct, inverse = np.unique(masks, return_inverse=True)
-    lower = (distinct[:, None] >> np.arange(size, dtype=np.uint16) & 1).astype(bool)
+    distinct, inverse = np.unique(below @ (1 << np.arange(size, dtype=np.int64)), return_inverse=True)
+    lower = (distinct[:, None] >> np.arange(size, dtype=np.int64) & 1).astype(bool)
     comp = _set_components(np.vstack([lower, ~lower]), neighbours)
     lower_comp, upper_comp = np.zeros(mesh.num_vertices, np.int64), np.zeros(mesh.num_vertices, np.int64)
     lower_comp[v] = comp[: distinct.size][inverse]

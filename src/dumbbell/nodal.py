@@ -6,19 +6,18 @@ change sign contributes a planar polygon (segment in 2d, triangle or quad in
 zero by symmetry that a solver leaves as roundoff of either sign gives the
 same polygons, domains and crossings.  Exact zeros count as positive, the
 discrete stand-in for perturbing value v to v + 1e-300 (1 + vertex id).
+On a torus each cell's corners are unwrapped around its first vertex, so
+they may lie outside [0, 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, TYPE_CHECKING
+from typing import List
 
 import numpy as np
 
 from .mesh import Mesh, components
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .metric import CollarGeometry
 
 
 class NonBoxSceneError(ValueError):
@@ -50,9 +49,9 @@ class NodalSet:
     edge_t: np.ndarray               # (X,) their zeros, at (1 - t) x_a + t x_b
     component_labels: np.ndarray     # (F,) component id per polygon
     n_components: int
+    domains: int                     # sign-constant vertex components, joined by the non-crossing edges
     total_area: float                # metric area (length in 2d)
     min_gradient: float              # min metric gradient norm over crossing cells
-    dim: int
 
     @property
     def is_empty(self) -> bool:
@@ -89,7 +88,9 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     edge: on an edge-manifold mesh (every grid) the same as sharing a mixed
     facet, as the cells around an edge form a fan whose facets hold it.  On a
     file mesh pinched along an edge, polygons touching at a point of it are one
-    component, as they are one connected set.  An empty zero set is valid.
+    component, as they are one connected set.  The nodal domains are the vertex
+    components of the edges that do not cross.  An empty zero set is valid:
+    one domain on a connected mesh, and NaN from `NodalSet.value_range`.
     """
     u = _snap_zeros(u)
     d = mesh.dim
@@ -109,7 +110,11 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
         cells = mesh.cells[crossing[rows]]
         v0, v1 = cells[:, i0], cells[:, i1]
         t = u[v0] / (u[v0] - u[v1])
-        pts = (1.0 - t)[..., None] * mesh.vertices[v0] + t[..., None] * mesh.vertices[v1]
+        x0, x1 = mesh.vertices[v0], mesh.vertices[v1]
+        if mesh.periodic:  # each corner along its edge vector mod 1, from the cell's first vertex
+            base = mesh.vertices[cells[:, :1]]
+            x0, x1 = (base + (x - base - np.round(x - base)) for x in (x0, x1))
+        pts = (1.0 - t)[..., None] * x0 + t[..., None] * x1
         points[starts[rows, None] + np.arange(i0.size)] = pts
         g = np.eye(d) if mesh.cell_metric is None else mesh.cell_metric[crossing[rows]]
         # metric area: a segment length in 2d, a fan of triangle Gram determinants in 3d
@@ -141,34 +146,9 @@ def extract_nodal_set(mesh: Mesh, u: np.ndarray) -> NodalSet:
     return NodalSet(
         cells=crossing, starts=starts, points=points, edge_ends=edge_ends, edge_t=u[a] / (u[a] - u[b]),
         component_labels=labels[: crossing.size].astype(np.int64),  # every crossing edge joins a polygon
-        n_components=int(n_components), total_area=float(np.add.reduce(areas)), min_gradient=min_grad, dim=d,
+        n_components=int(n_components), domains=int(components(mesh.num_vertices, *edges[~cross].T)[0]),
+        total_area=float(np.add.reduce(areas)), min_gradient=min_grad,
     )
-
-
-class LocalizationReport(NamedTuple):
-    components: int
-    max_abs_rho: float
-    contained: bool
-
-
-def localization_report(ns: NodalSet, geom: "CollarGeometry") -> LocalizationReport:
-    """Component count, distance reach, and collar containment of a zero set.
-
-    An empty zero set reports NaN reach and is vacuously contained.
-    """
-    if ns.is_empty:
-        return LocalizationReport(0, float("nan"), True)
-    lo, hi = ns.value_range(geom.rho)
-    reach = max(abs(lo), abs(hi))
-    return LocalizationReport(ns.n_components, reach, bool(reach < geom.eta))
-
-
-def nodal_domain_count(mesh: Mesh, u: np.ndarray) -> int:
-    """Number of sign-constant vertex components under mesh adjacency."""
-    signs = tie_signs(u)
-    edges, _ = mesh.edge_table()
-    same = edges[signs[edges[:, 0]] == signs[edges[:, 1]]]
-    return int(components(mesh.num_vertices, *same.T)[0])
 
 
 def single_crossing_check(mesh: Mesh, u: np.ndarray) -> bool:

@@ -53,7 +53,7 @@ def test_reweighting_matches_per_subset_assembly(d, n, warp, profile, region):
     # minus side holds vertex 0, whose diagonal is the pattern's entry id 0
     m, geom = _scene(d, n, warp)
     fld = None if profile == "none" else build_conformal_field(
-        geom, 1e-3, profile=profile, mollify_n=None if profile == "step" else n // 2)
+        geom, 1e-3, mollify_n=None if profile == "step" else n // 2)
     mask = None if region == "whole" else geom.region == _REGION[region]
     K, M, dof_map = _reference_pair(m, fld, mask)
     pair = assemble(m, fld, cell_mask=mask)

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -187,6 +190,19 @@ def test_emit_surface(tmp_path):
     first = lines[0].split()
     assert int(first[0]) in (3, 4)
     assert len(first) == 1 + 3 * int(first[0])
+
+
+def test_module_entry_point_emits_a_surface(tmp_path):
+    # `python -m dumbbell` in a fresh interpreter: one output line per polygon, exit code 0
+    report = run_scenario(ScenarioConfig.from_mapping({"scenario": "nodal", "n": 8}))
+    path = write_report(report, tmp_path)["json"]
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "dumbbell", "emit", path, "--kind", "surface",
+                          "--out", str(tmp_path / "plots")], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = Path(out.stdout.strip()).read_text().splitlines()
+    assert len(lines) == len(report.artifacts["polygons"]) > 0
 
 
 def test_emit_missing_table(scaling_report, tmp_path):

@@ -24,7 +24,7 @@ from dumbbell.mesh import (
     validate_mesh,
 )
 from dumbbell.morse import classify_critical_points
-from dumbbell.nodal import extract_nodal_set, nodal_domain_count
+from dumbbell.nodal import extract_nodal_set
 
 
 def test_box_grid_counts():
@@ -336,9 +336,8 @@ def test_one_facet_table_per_mesh_build(monkeypatch, tmp_path):
         m.boundary_vertex_mask()
         m.interior_cell_pairs()
         u = m.vertices[:, 0] - 0.5
-        extract_nodal_set(m, u)
+        extract_nodal_set(m, u)  # its domains too
         classify_critical_points(m, u)
-        nodal_domain_count(m, u)
         assemble(m)  # the K/M pattern is read off the edge table too
         assert sorted(calls, key=str) == scene
         assert m.boundary_facets.shape == (6 * 2 * 9, 3)

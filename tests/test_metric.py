@@ -151,7 +151,7 @@ def test_step_field_two_values(scene16):
 
 def test_mollified_bounds_and_interior(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=16)
+    fld = build_conformal_field(geom, 0.1, mollify_n=16)
     assert fld.f.min() >= 0.1 - 1e-15
     assert fld.f.max() <= fld.kappa + 1e-15
     deep = np.abs(geom.cell_rho) <= geom.eta - 1.0 / 16.0
@@ -169,7 +169,7 @@ def test_mollified_converges_to_step(scene16):
     for n in (16, 64, 256):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # sub-spacing widths on purpose
-            moll = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=n)
+            moll = build_conformal_field(geom, 0.1, mollify_n=n)
         keep = np.abs(np.abs(geom.cell_rho) - geom.eta) > 1.0 / n
         errs.append(np.abs(moll.f - step.f)[keep].max() if keep.any() else 0.0)
     assert errs[-1] == 0.0  # band narrower than one layer: no barycenter inside
@@ -177,7 +177,7 @@ def test_mollified_converges_to_step(scene16):
 
 def test_mollified_monotone_in_distance(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=8)
+    fld = build_conformal_field(geom, 0.1, mollify_n=8)
     order = np.argsort(np.abs(geom.cell_rho))
     f_sorted = fld.f[order]
     assert np.all(np.diff(f_sorted) >= -1e-12)  # nondecreasing in |rho|
@@ -186,7 +186,7 @@ def test_mollified_monotone_in_distance(scene16):
 def test_mollified_width_warning(scene16):
     _, geom = scene16
     with pytest.warns(UserWarning, match="below the mesh spacing"):
-        build_conformal_field(geom, 0.1, profile="mollified", mollify_n=64)
+        build_conformal_field(geom, 0.1, mollify_n=64)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.3, 0.01, 1e-3])
@@ -198,7 +198,7 @@ def test_step_volume_preserved(scene16, eps):
 
 def test_mollified_volume_defect_positive(scene16):
     _, geom = scene16
-    fld = build_conformal_field(geom, 0.1, profile="mollified", mollify_n=8)
+    fld = build_conformal_field(geom, 0.1, mollify_n=8)
     defect = verify_volume_preservation(fld, geom)
     assert defect > 1e-6
     gamma = volume_rescale_factor(fld, geom)
@@ -211,4 +211,4 @@ def test_conformal_field_validation(scene16):
     with pytest.raises(ValueError):
         build_conformal_field(geom, -0.5)
     with pytest.raises(ValueError):
-        build_conformal_field(geom, 0.5, profile="mollified", mollify_n=0)
+        build_conformal_field(geom, 0.5, mollify_n=0)

@@ -3,7 +3,7 @@ import pytest
 
 from dumbbell import metric, morse
 from dumbbell.experiments import ScenarioConfig, run_scenario
-from dumbbell.mesh import Mesh, build_box_grid
+from dumbbell.mesh import Mesh, _kuhn_shapes, build_box_grid
 from dumbbell.morse import (
     LABEL_MAX,
     LABEL_MIN,
@@ -222,6 +222,33 @@ def test_kuhn_star_is_the_grid_star(d):
     star = edges[(edges == centre).any(axis=1)].sum(axis=1) - centre
     want = {tuple(x) for x in np.array(np.unravel_index(star, (5,) * d)).T - 2}
     assert {tuple(o) for o in offsets.tolist()} == want
+
+
+def _kuhn_grid_4d(n: int) -> Mesh:
+    """The 4d box grid in the `build_box_grid` layout (which builds only d = 2, 3): d! shape blocks
+    of n^d cubes each, cube c's corner j of shape k at c + walk_kj."""
+    d, shape = 4, (n + 1,) * 4
+    vertices = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, n + 1)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    cubes = np.array(np.unravel_index(np.arange(n**d), (n,) * d)).T
+    corners = cubes[None, :, None, :] + np.array(_kuhn_shapes(d))[:, None, :, :]
+    cells = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), shape).reshape(-1, d + 1)
+    return Mesh(d, vertices, cells, grid_resolution=(n,) * d)
+
+
+@pytest.mark.parametrize("field", ["random", "integer"])
+def test_grid_links_of_a_4d_star(field):
+    # the 4d star has 30 vertices, so its lower-link masks need more than 16 bits
+    mesh = _kuhn_grid_4d(3)
+    assert morse._kuhn_star(4)[0].shape == (30, 4)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(mesh.num_vertices) if field == "random" else rng.integers(0, 3, mesh.num_vertices) * 1.0
+    labels, lower, upper, counted, counts = _reference_classify(mesh, u)
+    assert counted.sum() == 16
+    for got in (classify_critical_points(mesh, u), classify_critical_points(_file_twin(mesh), u)):
+        assert got.counts == counts
+        assert np.array_equal(got.lower_components, lower)
+        assert np.array_equal(got.upper_components, upper)
+        assert np.array_equal(got.labels, labels)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long", "matrix"])

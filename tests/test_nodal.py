@@ -6,13 +6,7 @@ import pytest
 from dumbbell import harmonic, nodal
 from dumbbell.experiments import ScenarioConfig, _build_scene, _solve_point, emit_plot_data
 from dumbbell.mesh import simplex_gradient_data
-from dumbbell.nodal import (
-    NonBoxSceneError,
-    extract_nodal_set,
-    localization_report,
-    nodal_domain_count,
-    single_crossing_check,
-)
+from dumbbell.nodal import NonBoxSceneError, extract_nodal_set, single_crossing_check
 
 
 def test_planar_field_single_flat_component(scene16):
@@ -24,19 +18,16 @@ def test_planar_field_single_flat_component(scene16):
     lo, hi = ns.value_range(geom.rho)
     assert lo == pytest.approx(0.0, abs=1e-14)
     assert hi == pytest.approx(0.0, abs=1e-14)
-    rep = localization_report(ns, geom)
-    assert rep == (1, pytest.approx(0.0, abs=1e-14), True)
+    assert ns.domains == 2
 
 
 def test_positive_field_empty_set(scene8):
     m, geom = scene8
     ns = extract_nodal_set(m, np.ones(m.num_vertices))
     assert ns.is_empty
-    rep = localization_report(ns, geom)
-    assert rep.components == 0
-    assert np.isnan(rep.max_abs_rho)
-    assert rep.contained
-    assert ns.min_gradient == np.inf
+    assert ns.n_components == 0 and ns.domains == 1
+    assert np.isnan(ns.value_range(geom.rho)).all()
+    assert ns.min_gradient == np.inf and ns.total_area == 0.0
 
 
 def test_plane_gradient_is_one(box8):
@@ -86,21 +77,21 @@ def test_affine_root_within_one_spacing(scene16):
 
 def test_nodal_domains_plane_and_modes(box16, dumbbell16):
     u = box16.vertices[:, 0] - 0.5
-    assert nodal_domain_count(box16, u) == 2
+    assert extract_nodal_set(box16, u).domains == 2
     # second eigenfunction of the flat box is a single cosine: 2 domains
     from dumbbell import assembly, eigen
 
     pair = assembly.assemble(box16)
     res = eigen.solve_smallest(pair, 3, tol=1e-9)
-    assert nodal_domain_count(box16, res.vectors[:, 2]) == 2
+    assert extract_nodal_set(box16, res.vectors[:, 2]).domains == 2
     # first eigenfunction of the dumbbell: Courant bound attained
-    assert nodal_domain_count(dumbbell16["mesh"], dumbbell16["result"].vectors[:, 1]) == 2
+    assert extract_nodal_set(dumbbell16["mesh"], dumbbell16["result"].vectors[:, 1]).domains == 2
 
 
 def test_domain_count_scale_invariant(box8):
     rng = np.random.default_rng(7)
     u = rng.standard_normal(box8.num_vertices)
-    assert nodal_domain_count(box8, u) == nodal_domain_count(box8, 7.3 * u)
+    assert extract_nodal_set(box8, u).domains == extract_nodal_set(box8, 7.3 * u).domains
 
 
 def test_single_crossing_plane_and_bubble(scene16):
@@ -163,7 +154,7 @@ def test_exact_zero_vertices_count_positive(box8):
     u = box8.vertices[:, 0] - 0.5  # vertices on the plane hit exact zero
     signs = nodal.tie_signs(u)
     assert np.all(signs[np.abs(u) < 1e-15] == 1)
-    assert nodal_domain_count(box8, u) == 2
+    assert extract_nodal_set(box8, u).domains == 2
 
 
 def test_polygon_soup_round_trip(tmp_path, box8):
@@ -186,13 +177,13 @@ def test_eigenfunction_nodal_set(dumbbell16):
     m, geom = dumbbell16["mesh"], dumbbell16["geom"]
     u1 = dumbbell16["result"].vectors[:, 1]
     ns = extract_nodal_set(m, u1)
-    rep = localization_report(ns, geom)
-    assert rep.components == 1
-    assert rep.contained
+    reach = max(abs(r) for r in ns.value_range(geom.rho))
+    assert ns.n_components == 1
+    assert reach < geom.eta
     # the harmonic model predicts the crossing at its affine root
     consts = dumbbell16["consts"]
     root = harmonic.hbar_root(geom.eta, consts)
-    assert rep.max_abs_rho <= abs(root) + 1.0 / m.grid_resolution[0]
+    assert reach <= abs(root) + 1.0 / m.grid_resolution[0]
     assert single_crossing_check(m, u1)
 
 
@@ -219,10 +210,13 @@ def _reference_fragment(u, mesh, cid):
         pairs = [(single, o) for o in others]
     else:
         pairs = [(neg[0], pos[0]), (neg[0], pos[1]), (neg[1], pos[1]), (neg[1], pos[0])]
-    v0 = np.array([cell[i] for i, _ in pairs], dtype=np.int64)
-    v1 = np.array([cell[j] for _, j in pairs], dtype=np.int64)
+    i0, i1 = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+    v0, v1 = cell[i0], cell[i1]
     t = u[v0] / (u[v0] - u[v1])
-    pts = (1.0 - t)[:, None] * mesh.vertices[v0] + t[:, None] * mesh.vertices[v1]
+    x = mesh.vertices[cell]
+    if mesh.periodic:  # every corner along its edge vector mod 1, from the cell's first vertex
+        x = x[0] + (x - x[0] - np.round(x - x[0]))
+    pts = (1.0 - t)[:, None] * x[i0] + t[:, None] * x[i1]
     g = mesh.cell_metric[cid] if mesh.cell_metric is not None else np.eye(mesh.dim)
     if mesh.dim == 2:
         e = pts[1] - pts[0]
@@ -310,3 +304,56 @@ def test_per_cell_reference_on_a_torus_and_a_file_mesh(scene, tmp_path):
     rng = np.random.default_rng(8)
     _check_against_per_cell_reference(mesh, (rng.standard_normal(mesh.num_vertices), _balls(mesh, rng, 12),
                                              np.cos(2 * np.pi * mesh.vertices[:, 0])))
+
+
+def _reference_domains(mesh, u):
+    """Sign-constant vertex components by union-find over every cell edge with equal end signs."""
+    signs = nodal.tie_signs(u)
+    parent = list(range(mesh.num_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for cell in mesh.cells.tolist():
+        for k, a in enumerate(cell):
+            for b in cell[k + 1:]:
+                if signs[a] == signs[b]:
+                    ra, rb = find(a), find(b)
+                    parent[max(ra, rb)] = min(ra, rb)
+    return len({find(v) for v in range(mesh.num_vertices)})
+
+
+@pytest.mark.parametrize("scene", ["box", "box2", "torus", "file"])
+@pytest.mark.parametrize("field", ["random", "tied", "zeros"])
+def test_domains_are_the_same_sign_edge_components(scene, field, tmp_path):
+    from dumbbell.mesh import build_box_grid, load_mesh, save_mesh
+
+    if scene == "file":
+        save_mesh(build_box_grid(3, 5, warp=lambda r: 1 + 0.7 * r), tmp_path / "box.mesh")
+        mesh = load_mesh(tmp_path / "box.mesh")
+    else:
+        mesh = {"box": lambda: build_box_grid(3, 6), "box2": lambda: build_box_grid(2, 12),
+                "torus": lambda: build_box_grid(3, 5, periodic=True)}[scene]()
+    rng = np.random.default_rng(13)
+    u = {"random": rng.standard_normal(mesh.num_vertices),
+         "tied": rng.integers(-1, 2, mesh.num_vertices).astype(float),
+         "zeros": np.zeros(mesh.num_vertices)}[field]
+    ns = extract_nodal_set(mesh, u)
+    assert ns.domains == _reference_domains(mesh, u)
+    assert (ns.domains == 1) == ns.is_empty  # every grid and this file mesh is connected
+
+
+@pytest.mark.parametrize("d, n", [(3, 12), (3, 24), (2, 16), (2, 32)])
+def test_torus_polygons_follow_the_edges_across_the_seam(d, n):
+    # cos(2 pi x) vanishes on the planes x = 1/4 and 3/4 (area 2); a cell across a seam
+    # has corners wrapped to the far side, which must not drag its polygon mid-box
+    from dumbbell.mesh import build_box_grid
+
+    box, torus = build_box_grid(d, n), build_box_grid(d, n, periodic=True)
+    ns = extract_nodal_set(torus, np.cos(2 * np.pi * torus.vertices[:, 0]))
+    assert ns.n_components == 2
+    assert ns.total_area == pytest.approx(2.0, abs=1e-12)
+    assert abs(ns.total_area - extract_nodal_set(box, np.cos(2 * np.pi * box.vertices[:, 0])).total_area) <= 1e-12
+    np.testing.assert_allclose(np.abs(ns.points[:, 0] - 0.5), 0.25, rtol=0, atol=1e-12)

@@ -41,7 +41,7 @@ def test_2d_nodal_segments(plane_scene):
     assert ns.n_components == 1
     assert ns.total_area == pytest.approx(1.0, abs=1e-12)  # total length here
     assert all(poly.shape == (2, 2) for poly in ns.polygons())
-    assert nodal.nodal_domain_count(m, u) == 2
+    assert ns.domains == 2
     assert nodal.single_crossing_check(m, u)
 
 
