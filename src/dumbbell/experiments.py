@@ -30,7 +30,9 @@ from .mesh import Mesh, build_box_grid, load_mesh
 class ScenarioConfig:
     """One scenario run: the scene and its sweep.  Gates are not configurable;
     each scenario writes its thresholds, and the values they are read
-    against, into its code."""
+    against, into its code.  The scene strings are read here only: parsed once
+    into ``hypersurface``, ``warp_fn`` and ``warp_slope`` (not fields), and
+    refused when the scenario cannot read the scene and no mesh is needed to tell."""
 
     scenario: str
     mesh_path: str = ""                    # a mesh file; a box grid when empty
@@ -71,8 +73,21 @@ class ScenarioConfig:
             raise ValueError(f"resolution must be at least 3 (a torus grid), got {self.resolution}")
         if self.scenario == "scaling" and len(set(self.epsilons)) < 3:  # a slope needs three points
             raise ValueError(f"epsilons must hold at least 3 distinct values for scaling, got {self.epsilons}")
-        _parse_sigma(self)  # scene descriptors fail here, as config errors
-        _parse_warp(self.warp)
+        self.warp_fn, self.warp_slope = _parse_warp(self.warp)
+        if self.scenario == "harmonic-approx" and self.warp_fn is None:
+            raise ValueError("harmonic-approx needs a warped scene (warp=linear:<slope>)")
+        if self.scenario in _PLANE_BOX_READERS and (self.sigma != "plane" or self.mesh_path):
+            raise ValueError(f"{self.scenario} needs the plane scene on a box grid (sigma=plane, no mesh_path)")
+        if self.scenario in _GRID_READERS and self.mesh_path:
+            raise ValueError(f"{self.scenario}'s {_GRID_READERS[self.scenario]} needs a box grid (no mesh_path)")
+        if self.scenario == "mollify" and self.n % 4:
+            raise ValueError("mollify widths of 4, 2 and 1 spacings need n divisible by 4")
+        if self.warp_fn is not None and self.mesh_path:  # a mesh file carries its own cell metric
+            raise ValueError(f"warp '{self.warp}' needs a box grid (no mesh_path)")
+        walls = (-self.sigma_offset, 1 - self.sigma_offset)  # a linear w is least at a wall of the unit box
+        if self.warp_fn is not None and min(map(self.warp_fn, walls)) <= 0:
+            raise ValueError(f"warp '{self.warp}' is not positive on the box (sigma_offset = {self.sigma_offset})")
+        self.hypersurface = _parse_sigma(self)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -111,6 +126,9 @@ class ScenarioConfig:
                 mapping[key], lines[key] = value, ln
         return cls.from_mapping(mapping)
 
+
+_PLANE_BOX_READERS = ("scaling", "oracle-compare", "harmonic-approx")  # against a 1d plane reduction
+_GRID_READERS = {"collar": "center-fiber profile", "nodal": "single-crossing check"}  # walk the grid's fibers
 
 _SCENARIO_DEFAULTS = {
     "oracle-compare": {"epsilons": (1.0, 0.1)},
@@ -267,9 +285,10 @@ def _parse_warp(tag: str):
 
 def _parse_sigma(cfg: ScenarioConfig):
     tag = cfg.sigma
-    if tag == "plane":
-        return metric.PlaneSigma(cfg.sigma_offset)
-    if tag.startswith("sphere:"):
+    if tag == "plane":  # no inside to keep, and the wall is the nearer box face
+        r, sigma = np.inf, metric.PlaneSigma(cfg.sigma_offset)
+        wall = min(cfg.sigma_offset, 1.0 - cfg.sigma_offset)
+    elif tag.startswith("sphere:"):
         vals = _descriptor_numbers(tag)
         if len(vals) != cfg.d + 1 or vals[-1] <= 0:
             raise ValueError(f"sigma '{tag}': a sphere takes {cfg.d} center coordinates and a radius > 0")
@@ -301,8 +320,8 @@ def _build_scene(cfg: ScenarioConfig):
         if mesh.dim != cfg.d:
             raise ValueError(f"mesh file '{cfg.mesh_path}' is {mesh.dim}d, but the config sets d = {cfg.d}")
     else:
-        mesh = build_box_grid(cfg.d, cfg.n, warp=_parse_warp(cfg.warp)[0], sigma_offset=cfg.sigma_offset)
-    return mesh, metric.collar_geometry(mesh, _parse_sigma(cfg), cfg.eta)
+        mesh = build_box_grid(cfg.d, cfg.n, warp=cfg.warp_fn, sigma_offset=cfg.sigma_offset)
+    return mesh, metric.collar_geometry(mesh, cfg.hypersurface, cfg.eta)
 
 
 def _plateaus(geom: metric.CollarGeometry) -> harmonic.PlateauConstants:
@@ -311,8 +330,8 @@ def _plateaus(geom: metric.CollarGeometry) -> harmonic.PlateauConstants:
 
 
 def _oracle_profile(cfg: ScenarioConfig, geom: metric.CollarGeometry, eps: float):
-    return oracle.step_profile(eps, geom.eta, geom.dim, center=cfg.sigma_offset,
-                               warp=_parse_warp(cfg.warp)[0], resolution=cfg.oracle_resolution)
+    return oracle.step_profile(eps, geom.eta, geom.dim, center=cfg.hypersurface.offset,
+                               warp=cfg.warp_fn, resolution=cfg.oracle_resolution)
 
 
 def _solve_point(mesh, geom, cfg, eps, m=2, mollify_n=None):
@@ -346,18 +365,7 @@ def _monotone_verdict(name: str, values) -> Verdict:
 # scenarios
 
 
-def _require_plane_box(cfg: ScenarioConfig):
-    if cfg.sigma != "plane" or cfg.mesh_path:
-        raise ValueError(f"{cfg.scenario} needs the plane scene on a box grid (sigma=plane, no mesh_path)")
-
-
-def _require_box_grid(cfg: ScenarioConfig, reader: str):
-    if cfg.mesh_path:
-        raise ValueError(f"{cfg.scenario}'s {reader} needs a box grid (no mesh_path)")
-
-
 def _run_scaling(cfg: ScenarioConfig):
-    _require_plane_box(cfg)  # the 1d oracle is a plane reduction
     mesh, geom = _build_scene(cfg)
 
     def point(eps):
@@ -478,7 +486,6 @@ def _center_fiber(mesh: Mesh):
 
 
 def _run_collar(cfg: ScenarioConfig):
-    _require_box_grid(cfg, "center-fiber profile")
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
     hsol = harmonic.solve_harmonic(mesh, geom, consts)
@@ -519,19 +526,14 @@ def _run_collar(cfg: ScenarioConfig):
 
 
 def _run_harmonic_approx(cfg: ScenarioConfig):
-    warp_fn, slope = _parse_warp(cfg.warp)
-    if warp_fn is None:
-        raise ValueError("harmonic-approx needs a warped scene (warp=linear:<slope>)")
-    _require_plane_box(cfg)
+    sigma, warp_fn, slope = cfg.hypersurface, cfg.warp_fn, cfg.warp_slope
 
     # flat benchmark: the affine model is discrete-harmonic, so h matches it
-    flat_cfg = dataclasses.replace(cfg, warp="none")
-    mesh_flat, geom_flat = _build_scene(flat_cfg)
-    consts_flat = _plateaus(geom_flat)
-    flat = harmonic.solve_harmonic(mesh_flat, geom_flat, consts_flat)
+    mesh_flat = build_box_grid(cfg.d, cfg.n)
+    geom_flat = metric.collar_geometry(mesh_flat, sigma, cfg.eta)
+    flat = harmonic.solve_harmonic(mesh_flat, geom_flat, _plateaus(geom_flat))
 
-    mesh = build_box_grid(cfg.d, cfg.n, warp=warp_fn, sigma_offset=cfg.sigma_offset)
-    sigma = metric.PlaneSigma(cfg.sigma_offset)
+    mesh = build_box_grid(cfg.d, cfg.n, warp=warp_fn, sigma_offset=sigma.offset)
 
     rows = []
     devs = []
@@ -588,7 +590,6 @@ def _run_harmonic_approx(cfg: ScenarioConfig):
 
 
 def _run_nodal(cfg: ScenarioConfig):
-    _require_box_grid(cfg, "single-crossing check")
     mesh, geom = _build_scene(cfg)
     consts = _plateaus(geom)
     fld, _, result = _solve_point(mesh, geom, cfg, cfg.epsilon)
@@ -624,8 +625,6 @@ def _run_nodal(cfg: ScenarioConfig):
 
 
 def _run_mollify(cfg: ScenarioConfig):
-    if cfg.n % 4:
-        raise ValueError("mollify widths of 4, 2 and 1 spacings need n divisible by 4")
     mesh, geom = _build_scene(cfg)
     eps = 0.95  # see README: small eps cannot meet the 1% gate at desk scale
     _, _, ref = _solve_point(mesh, geom, cfg, eps)
@@ -708,7 +707,6 @@ def _run_morse(cfg: ScenarioConfig):
 
 
 def _run_oracle_compare(cfg: ScenarioConfig):
-    _require_plane_box(cfg)  # the 1d oracle is a plane reduction
     mesh, geom = _build_scene(cfg)
 
     def point(eps):

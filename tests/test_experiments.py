@@ -143,11 +143,11 @@ def test_worker_override_keeps_results():
 
 def test_failure_captured_with_stage(tmp_path):
     cfg = ScenarioConfig.from_mapping(
-        {"scenario": "nodal", "mesh_path": str(tmp_path / "missing.mesh")}
+        {"scenario": "gap", "mesh_path": str(tmp_path / "missing.mesh")}
     )
     report = run_scenario(cfg)
     assert report.failures
-    assert report.failures[0]["stage"] == "nodal"
+    assert report.failures[0]["stage"] == "gap"
     assert not report.all_passed()
 
 
@@ -379,6 +379,8 @@ def test_other_scenarios_take_a_single_epsilon(scenario):
     {"d": 2, "sigma": "sphere:0.5,0.5,0.3"},
     {"sigma": "torus:0.25,0.14", "eta": 0.0625},
     {"warp": "linear:1.0"},
+    {"warp": "linear:1.9"},               # w = 0.05 at x = 0: positive on the whole box
+    {"sigma_offset": 0.2},                # the collar [0.075, 0.325] stays inside the box
 ])
 def test_well_formed_scene_descriptors_parse(mapping):
     cfg = ScenarioConfig.from_mapping({"scenario": "gap", **mapping})
@@ -556,13 +558,10 @@ def test_warped_oracle_compare_reads_the_scene_warp():
 ])
 def test_harmonic_approx_needs_the_plane_box_scene(tmp_path, scenario, scene):
     # each compares against a plane reduction: the 1d oracle or the 1d closed form
-    from dumbbell.mesh import build_box_grid, save_mesh
-
-    save_mesh(build_box_grid(3, 4), tmp_path / "box.mesh")
     value = {"sigma": "sphere:0.5,0.5,0.5,0.35", "mesh_path": str(tmp_path / "box.mesh")}[scene]
-    report = run_scenario(ScenarioConfig.from_mapping({"scenario": scenario, "eta": 0.1, scene: value}))
-    assert report.failures == [{"stage": scenario, "error": f"ValueError: {scenario} needs "
-                                "the plane scene on a box grid (sigma=plane, no mesh_path)"}]
+    message = f"{scenario} needs the plane scene on a box grid (sigma=plane, no mesh_path)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_mapping({"scenario": scenario, "eta": 0.1, scene: value})
 
 
 def test_scaling_runs_on_an_off_grid_plane():
@@ -601,7 +600,7 @@ def test_solve_point_step_budget(scene, n, eps, seed):
     # min-max bound took 36-304 off the grid at 1e-7; the last three cases took
     # 23-115 steps, up to 445 or no convergence while every step orthonormalized
     # its whole basis [X, W, P] together
-    cfg = ScenarioConfig.from_mapping({"scenario": "scaling", "n": n, "seed": seed, **scene})
+    cfg = ScenarioConfig.from_mapping({"scenario": "gap", "n": n, "seed": seed, **scene})
     mesh, geom = _build_scene(cfg)
     _, pair, result = _solve_point(mesh, geom, cfg, eps)
     assert result.iterations <= 30
@@ -618,17 +617,48 @@ def test_solve_point_step_budget(scene, n, eps, seed):
     ("collar", "center-fiber profile"),
     ("nodal", "single-crossing check"),
 ], ids=["collar", "nodal"])
-def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, monkeypatch, scenario, reader):
-    from dumbbell.mesh import build_box_grid, save_mesh
+def test_collar_refuses_a_file_mesh_before_any_solve(tmp_path, scenario, reader):
+    # refused with the config, so no scene is read and nothing is solved
+    message = f"{scenario}'s {reader} needs a box grid (no mesh_path)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_mapping({"scenario": scenario, "mesh_path": str(tmp_path / "box.mesh")})
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError(f"{scenario} solved before refusing the file mesh")
 
-    monkeypatch.setattr(experiments.eigen, "solve_smallest", no_solve)
-    save_mesh(build_box_grid(3, 8), tmp_path / "box.mesh")
-    report = run_scenario(ScenarioConfig.from_mapping({"scenario": scenario, "mesh_path": str(tmp_path / "box.mesh")}))
-    assert report.failures == [{"stage": scenario, "error": f"ValueError: {scenario}'s {reader} "
-                                "needs a box grid (no mesh_path)"}]
+@pytest.mark.parametrize("lines, message", [
+    ("scenario = scaling\nsigma = sphere:0.5,0.5,0.5,0.3",
+     "scaling needs the plane scene on a box grid (sigma=plane, no mesh_path)"),
+    ("scenario = collar\nmesh_path = box.mesh", "collar's center-fiber profile needs a box grid (no mesh_path)"),
+    ("scenario = harmonic-approx\nwarp = none", "harmonic-approx needs a warped scene (warp=linear:<slope>)"),
+    ("scenario = mollify\nn = 6", "mollify widths of 4, 2 and 1 spacings need n divisible by 4"),
+    # a file mesh carries its own cell metric: the warp was silently dropped
+    ("scenario = gap\nmesh_path = box.mesh\nwarp = linear:1.0", "warp 'linear:1.0' needs a box grid (no mesh_path)"),
+    # w(0) = -0.05: at n = 8 the cell barycenters missed it and the run went on
+    ("scenario = gap\nn = 8\nwarp = linear:2.1",
+     "warp 'linear:2.1' is not positive on the box (sigma_offset = 0.5)"),
+    # the plus region would be empty; the run failed with a SeparationError
+    ("scenario = gap\nsigma_offset = 1.5", "sigma 'plane': its collar reaches the box wall (-0.5 away, eta = 0.125)"),
+    ("scenario = gap\nsigma_offset = 0.1", "sigma 'plane': its collar reaches the box wall (0.1 away, eta = 0.125)"),
+], ids=["scaling-sphere", "collar-file", "harmonic-unwarped", "mollify-n6", "warp-file", "warp-negative",
+        "plane-outside", "plane-collar-at-wall"])
+def test_cli_refuses_a_scene_the_scenario_cannot_read(tmp_path, capsys, lines, message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(lines + "\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_only_the_config_reads_the_scene_strings():
+    # the rule of which scenario reads which scene lives in one place
+    import ast
+
+    scene_keys = {"sigma", "warp", "sigma_offset", "mesh_path"}
+    readers = {"ScenarioConfig", "_parse_sigma", "_build_scene"}
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    reads = [f"{top.name}: .{node.attr}" for top in tree.body
+             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in readers
+             for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in scene_keys]
+    assert reads == []
 
 
 @pytest.mark.parametrize("scene", ["plane", "sphere", "file-3d", "file-2d"])
